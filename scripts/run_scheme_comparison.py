@@ -38,7 +38,7 @@ def main() -> int:
         summary = report.run_config(run_cfg)
         print(f"{scheme:<10} {summary.cell_avg_mbps:>10.3f} "
               f"{summary.edge_mbps:>10.4f} "
-              f"{summary.power_efficiency_mbits_per_j:>10.2f}")
+              f"{report.efficiency_text(summary):>10}")
         if args.out is not None:
             args.out.mkdir(parents=True, exist_ok=True)
             report.write_summary_json(summary,

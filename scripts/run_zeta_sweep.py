@@ -35,7 +35,7 @@ def main() -> int:
     print(f"{'zeta':>6} {'avg Mbps':>10} {'edge Mbps':>10} {'Mbits/J':>10}")
     for z, s in zip(result.values, result.summaries):
         print(f"{z:>6.2f} {s.cell_avg_mbps:>10.3f} {s.edge_mbps:>10.4f} "
-              f"{s.power_efficiency_mbits_per_j:>10.2f}")
+              f"{report.efficiency_text(s):>10}")
 
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)

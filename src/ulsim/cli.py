@@ -17,7 +17,8 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import report
-from .engine import build_snapshot
+from .engine import SimConfig, build_snapshot, drop_seed
+from .powerctl import SCHEMES
 
 
 def _parse_sweep(arg: str) -> tuple[str, list[str]]:
@@ -36,8 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Uplink multicell simulator with coordinated power control")
     parser.add_argument("--config", type=Path, default=None,
                         help="flat key=value configuration file")
-    parser.add_argument("--scheme",
-                        choices=["cnb", "fpc", "rlpc", "maxpower"],
+    parser.add_argument("--scheme", choices=list(SCHEMES),
                         help="power control scheme")
     parser.add_argument("--zeta", type=float, help="coordination weight")
     parser.add_argument("--seeds", type=int, metavar="N",
@@ -53,6 +53,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _headline(summary: report.RunSummary) -> str:
+    return (f"avg={summary.cell_avg_mbps:.3f} Mbps "
+            f"edge={summary.edge_mbps:.4f} Mbps "
+            f"eff={report.efficiency_text(summary)} Mbits/J")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -64,31 +70,29 @@ def main(argv=None) -> int:
             if value is not None:
                 cfg = cfgmod.set_key(cfg, key, value)
 
-        out = args.out
-        out.mkdir(parents=True, exist_ok=True)
-
-        if args.export_plmap:
-            sim = cfgmod.build_sim_config(cfg)
-            seed = report._drop_seeds(sim)[0] if sim.n_drops else sim.seed
-            snapshot = build_snapshot(sim, seed)
-            report.write_plmap_csv(snapshot.plmap.loss_db, out / "plmap.csv")
-
+        # Run before writing anything, so a rejected config leaves no output.
         if args.sweep:
             key, values = args.sweep
             result = report.run_sweep(cfg, key, values)
-            report.write_sweep_json(result, out / "sweep.json")
-            for value, summary in zip(result.values, result.summaries):
-                report.write_cdf_csv(summary, out / f"cdf_{key}_{value}.csv")
-                print(f"{key}={value}: avg={summary.cell_avg_mbps:.3f} Mbps "
-                      f"edge={summary.edge_mbps:.4f} Mbps "
-                      f"eff={summary.power_efficiency_mbits_per_j:.2f} Mbits/J")
+            runs = [(f"{key}={v}", s, f"cdf_{key}_{v}.csv")
+                    for v, s in zip(result.values, result.summaries)]
         else:
             summary = report.run_config(cfg)
+            runs = [(summary.scheme, summary, "cdf.csv")]
+
+        out = args.out
+        out.mkdir(parents=True, exist_ok=True)
+        if args.export_plmap:
+            sim = SimConfig(**cfg)
+            snapshot = build_snapshot(sim, drop_seed(sim.seed, 0))
+            report.write_plmap_csv(snapshot.plmap.loss_db, out / "plmap.csv")
+        if args.sweep:
+            report.write_sweep_json(result, out / "sweep.json")
+        else:
             report.write_summary_json(summary, out / "summary.json")
-            report.write_cdf_csv(summary, out / "cdf.csv")
-            print(f"{summary.scheme}: avg={summary.cell_avg_mbps:.3f} Mbps "
-                  f"edge={summary.edge_mbps:.4f} Mbps "
-                  f"eff={summary.power_efficiency_mbits_per_j:.2f} Mbits/J")
+        for label, summary, cdf_name in runs:
+            report.write_cdf_csv(summary, out / cdf_name)
+            print(f"{label}: {_headline(summary)}")
     except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

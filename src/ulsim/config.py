@@ -1,84 +1,38 @@
-"""Run configuration: flat key=value files, defaults, and SimConfig assembly.
+"""Run configuration: flat key=value files over SimConfig's defaults.
 
 The configuration file is plain text, one `key = value` per line, `#` starts a
-comment. CLI flags override file values. Unknown keys are rejected so sweeps
-and overrides cannot silently misspell a parameter.
+comment. CLI flags override file values. The keys, their types and defaults
+are SimConfig's fields; unknown keys are rejected so sweeps and overrides
+cannot silently misspell a parameter.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 from .engine import SimConfig
-from .linkbudget import AmcCurve, NoiseModel
-from .powerctl import (CnbParams, ControllerSpec, FpcParams, MaxPowerParams,
-                       RlpcParams)
-from .scheduler import RbGrid
 
-__all__ = ["DEFAULTS", "parse_config_file", "build_sim_config"]
+__all__ = ["DEFAULTS", "parse_config_file", "set_key"]
 
-DEFAULTS: dict[str, object] = {
-    # scheme selection
-    "scheme": "cnb",                    # cnb | fpc | rlpc | maxpower
-    "zeta": 1.3,
-    "iot_s_db": 9.0,
-    "snr_i_db": 24.0,
-    "iot_i_db": 5.0,
-    "bisect_lo_dbm": -10.0,
-    "tol_db": 0.1,
-    "p_max_dbm": 23.0,
-    "p0_fpc_dbm": -87.0,
-    "kappa": 0.8,
-    "p0_rlpc_dbm": -102.0,
-    "phi": 0.8,
-    # topology
-    "rings": 2,
-    "isd_m": 500.0,
-    "ues_per_cell": 10,
-    "min_dist_m": 35.0,
-    # run shape
-    "slots": 2000,
-    "drops": 5,
-    "seed": 0,
-    "slot_duration_s": 1e-3,
-    "delay_slots": 6,
-    "fading": 0,
-    "combining_gain_db": 3.0,
-    # scheduler
-    "alpha": 1.0,
-    "beta": 1.0,
-    "ewma": 0.01,
-    "total_rbs": 50,
-    "control_rbs": 2,
-    # link budget
-    "thermal_density_dbm_hz": -174.0,
-    "noise_figure_db": 5.0,
-    "rb_bandwidth_hz": 180_000.0,
-    "t_max": 4.18,
-    "amc_a": 0.7035,
-    "amc_b": 0.7041,
-    "sinr_floor_db": -6.5,
-    "sinr_ceiling_db": 18.0,
-    "staircase": 0,
-}
-
-_INT_KEYS = {"rings", "ues_per_cell", "slots", "drops", "seed", "delay_slots",
-             "fading", "total_rbs", "control_rbs", "staircase"}
+DEFAULTS: dict[str, object] = {f.name: f.default for f in fields(SimConfig)}
 
 
 def _coerce(key: str, raw: str):
-    if key == "scheme":
-        val = raw.strip().lower()
-        if val not in ("cnb", "fpc", "rlpc", "maxpower"):
-            raise ValueError(f"unknown scheme {val!r}")
-        return val
-    if key in _INT_KEYS:
-        return int(raw)
-    return float(raw)
+    """Parse a value with the type of the key's default."""
+    kind = type(DEFAULTS[key])
+    try:
+        return kind(raw.strip().lower()) if kind is str else kind(raw)
+    except ValueError:
+        raise ValueError(f"{key}: expected {kind.__name__}, "
+                         f"got {raw!r}") from None
 
 
 def parse_config_file(path: str | Path) -> dict[str, object]:
-    """Read a flat key=value config file on top of the defaults."""
+    """Read a flat key=value config file on top of the defaults.
+
+    The result must describe a valid run on its own (see SimConfig).
+    """
     cfg = dict(DEFAULTS)
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -90,65 +44,14 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
         if key not in DEFAULTS:
             raise KeyError(f"{path}:{lineno}: unknown configuration key {key!r}")
         cfg[key] = _coerce(key, raw)
+    SimConfig(**cfg)
     return cfg
 
 
 def set_key(cfg: dict[str, object], key: str, value) -> dict[str, object]:
-    """Return a copy of cfg with one key overridden (validated)."""
+    """Return a copy of cfg with one key overridden (string values parsed)."""
     if key not in DEFAULTS:
         raise KeyError(f"unknown configuration key {key!r}")
     out = dict(cfg)
-    out[key] = _coerce(key, str(value)) if isinstance(value, str) else value
+    out[key] = _coerce(key, value) if isinstance(value, str) else value
     return out
-
-
-def _controller(cfg: dict[str, object]) -> ControllerSpec:
-    p_max = float(cfg["p_max_dbm"])
-    scheme = cfg["scheme"]
-    if scheme == "maxpower":
-        return ControllerSpec("maxpower", MaxPowerParams(p_max_dbm=p_max))
-    if scheme == "fpc":
-        return ControllerSpec("fpc", FpcParams(
-            p0_dbm=float(cfg["p0_fpc_dbm"]), kappa=float(cfg["kappa"]),
-            p_max_dbm=p_max))
-    if scheme == "rlpc":
-        return ControllerSpec("rlpc", RlpcParams(
-            p0_dbm=float(cfg["p0_rlpc_dbm"]), phi=float(cfg["phi"]),
-            p_max_dbm=p_max))
-    return ControllerSpec("cnb", CnbParams(
-        zeta=float(cfg["zeta"]), iot_s_db=float(cfg["iot_s_db"]),
-        snr_i_db=float(cfg["snr_i_db"]), iot_i_db=float(cfg["iot_i_db"]),
-        p_max_dbm=p_max, bisect_lo_dbm=float(cfg["bisect_lo_dbm"]),
-        tol_db=float(cfg["tol_db"])))
-
-
-def build_sim_config(cfg: dict[str, object]) -> SimConfig:
-    """Assemble the immutable SimConfig from a flat configuration dict."""
-    return SimConfig(
-        controller=_controller(cfg),
-        rings=int(cfg["rings"]),
-        isd_m=float(cfg["isd_m"]),
-        ues_per_cell=int(cfg["ues_per_cell"]),
-        min_dist_m=float(cfg["min_dist_m"]),
-        n_slots=int(cfg["slots"]),
-        slot_duration_s=float(cfg["slot_duration_s"]),
-        n_drops=int(cfg["drops"]),
-        seed=int(cfg["seed"]),
-        fading=bool(cfg["fading"]),
-        delay_slots=int(cfg["delay_slots"]),
-        combining_gain_db=float(cfg["combining_gain_db"]),
-        staircase=bool(cfg["staircase"]),
-        alpha=float(cfg["alpha"]),
-        beta=float(cfg["beta"]),
-        ewma=float(cfg["ewma"]),
-        grid=RbGrid(total_rbs=int(cfg["total_rbs"]),
-                    control_rbs=int(cfg["control_rbs"])),
-        noise=NoiseModel(
-            thermal_density_dbm_hz=float(cfg["thermal_density_dbm_hz"]),
-            noise_figure_db=float(cfg["noise_figure_db"]),
-            rb_bandwidth_hz=float(cfg["rb_bandwidth_hz"])),
-        curve=AmcCurve(
-            t_max=float(cfg["t_max"]), a=float(cfg["amc_a"]),
-            b=float(cfg["amc_b"]), sinr_floor_db=float(cfg["sinr_floor_db"]),
-            sinr_ceiling_db=float(cfg["sinr_ceiling_db"])),
-    )

@@ -8,15 +8,17 @@ throughput through the AMC curve, and update PF state and metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .linkbudget import AmcCurve, NoiseModel, amc_realized, snr_of
-from .powerctl import ControllerSpec, CnbParams, compute_powers
+from .powerctl import (P_MAX_DBM, SCHEMES, CnbParams, ControllerSpec,
+                       FpcParams, MaxPowerParams, RlpcParams, compute_powers)
 from .scheduler import PfState, RbGrid, SlotAllocation, allocate
-from .topology import (PathLossMap, SiteLayout, build_hex_layout,
-                       build_path_loss_map, cells_of, drop_ues)
+from .topology import (MIN_UE_SITE_DISTANCE_M, PathLossMap, SiteLayout,
+                       build_hex_layout, build_path_loss_map, drop_ues)
 from .units import db_to_linear
 
 __all__ = [
@@ -25,6 +27,7 @@ __all__ = [
     "MetricsAccumulator",
     "apply_delay",
     "build_snapshot",
+    "drop_seed",
     "simulate",
     "run_drop",
     "run",
@@ -33,33 +36,113 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimConfig:
-    controller: ControllerSpec
+    """One run: a field per configuration key, in config-file order.
+
+    Each default is written once, here or on the component it configures.
+    Construction checks every key, raising ValueError("<key>: ..."), and
+    builds the components the engine reads: controller, layout, grid, noise
+    and curve. Keys of the schemes not selected are only checked for
+    finiteness.
+    """
+
+    # scheme selection
+    scheme: str = "cnb"                 # cnb | fpc | rlpc | maxpower
+    zeta: float = CnbParams.zeta
+    iot_s_db: float = CnbParams.iot_s_db
+    snr_i_db: float = CnbParams.snr_i_db
+    iot_i_db: float = CnbParams.iot_i_db
+    bisect_lo_dbm: float = CnbParams.bisect_lo_dbm
+    tol_db: float = CnbParams.tol_db
+    p_max_dbm: float = P_MAX_DBM
+    p0_fpc_dbm: float = FpcParams.p0_dbm
+    kappa: float = FpcParams.kappa
+    p0_rlpc_dbm: float = RlpcParams.p0_dbm
+    phi: float = RlpcParams.phi
+    # topology
     rings: int = 2
     isd_m: float = 500.0
     ues_per_cell: int = 10
-    min_dist_m: float = 35.0
-    n_slots: int = 2000
-    slot_duration_s: float = 1e-3
-    n_drops: int = 5
+    min_dist_m: float = MIN_UE_SITE_DISTANCE_M
+    # run shape
+    slots: int = 2000
+    drops: int = 5
     seed: int = 0
-    fading: bool = False
+    slot_duration_s: float = 1e-3
     delay_slots: int = 6
+    fading: int = 0                     # 0 | 1: per-slot Rayleigh fading
     combining_gain_db: float = 3.0
-    staircase: bool = False
-    alpha: float = 1.0
-    beta: float = 1.0
-    ewma: float = 0.01
-    grid: RbGrid = field(default_factory=RbGrid)
-    noise: NoiseModel = field(default_factory=NoiseModel)
-    curve: AmcCurve = field(default_factory=AmcCurve)
+    # scheduler
+    alpha: float = PfState.alpha
+    beta: float = PfState.beta
+    ewma: float = PfState.ewma
+    total_rbs: int = RbGrid.total_rbs
+    control_rbs: int = RbGrid.control_rbs
+    # link budget
+    thermal_density_dbm_hz: float = NoiseModel.thermal_density_dbm_hz
+    noise_figure_db: float = NoiseModel.noise_figure_db
+    rb_bandwidth_hz: float = NoiseModel.rb_bandwidth_hz
+    t_max: float = AmcCurve.t_max
+    amc_a: float = AmcCurve.a
+    amc_b: float = AmcCurve.b
+    sinr_floor_db: float = AmcCurve.sinr_floor_db
+    sinr_ceiling_db: float = AmcCurve.sinr_ceiling_db
+    staircase: int = 0                  # 0 | 1: quantize to n_levels MCS steps
 
     def __post_init__(self):
-        if self.slot_duration_s <= 0:
-            raise ValueError("slot duration must be positive")
-        if self.n_slots < 0 or self.n_drops < 0:
-            raise ValueError("slot and drop counts must be nonnegative")
-        if self.delay_slots < 1:
-            raise ValueError("delay_slots must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name}: must be finite, got {value}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme: must be one of {', '.join(SCHEMES)}, "
+                             f"got {self.scheme!r}")
+        # The component constructors check their own keys.
+        for name, value in (
+                ("controller", ControllerSpec(self.scheme, self._params())),
+                ("layout", build_hex_layout(self.rings, self.isd_m)),
+                ("grid", RbGrid(self.total_rbs, self.control_rbs)),
+                ("noise", NoiseModel(self.thermal_density_dbm_hz,
+                                     self.noise_figure_db, self.rb_bandwidth_hz)),
+                ("curve", AmcCurve(self.t_max, self.amc_a, self.amc_b,
+                                   self.sinr_floor_db, self.sinr_ceiling_db))):
+            object.__setattr__(self, name, value)
+        for key, ok, rule in (
+                ("min_dist_m", 0 <= self.min_dist_m < self.isd_m / 2,
+                 "in [0, isd_m/2)"),
+                ("ues_per_cell", self.ues_per_cell >= 1, ">= 1"),
+                ("slots", self.slots >= 1, ">= 1"),
+                ("drops", self.drops >= 1, ">= 1"),
+                ("seed", self.seed >= 0, ">= 0"),
+                ("slot_duration_s", self.slot_duration_s > 0, "positive"),
+                ("delay_slots", self.delay_slots >= 1, ">= 1"),
+                ("fading", self.fading in (0, 1), "0 or 1"),
+                ("ewma", 0 < self.ewma < 1, "in (0, 1)"),
+                ("control_rbs", 0 <= self.control_rbs < self.total_rbs,
+                 f"in [0, total_rbs = {self.total_rbs})"),
+                ("rb_bandwidth_hz", self.rb_bandwidth_hz > 0, "positive"),
+                ("t_max", self.t_max > 0, "positive"),
+                ("amc_a", self.amc_a > 0, "positive"),
+                ("amc_b", self.amc_b > 0, "positive"),
+                ("sinr_floor_db", self.sinr_floor_db < self.sinr_ceiling_db,
+                 f"below sinr_ceiling_db = {self.sinr_ceiling_db}"),
+                ("staircase", self.staircase in (0, 1), "0 or 1")):
+            if not ok:
+                raise ValueError(f"{key}: must be {rule}, "
+                                 f"got {getattr(self, key)!r}")
+
+    def _params(self):
+        if self.scheme == "cnb":
+            return CnbParams(
+                zeta=self.zeta, iot_s_db=self.iot_s_db, snr_i_db=self.snr_i_db,
+                iot_i_db=self.iot_i_db, p_max_dbm=self.p_max_dbm,
+                bisect_lo_dbm=self.bisect_lo_dbm, tol_db=self.tol_db)
+        if self.scheme == "fpc":
+            return FpcParams(p0_dbm=self.p0_fpc_dbm, kappa=self.kappa,
+                             p_max_dbm=self.p_max_dbm)
+        if self.scheme == "rlpc":
+            return RlpcParams(p0_dbm=self.p0_rlpc_dbm, phi=self.phi,
+                              p_max_dbm=self.p_max_dbm)
+        return MaxPowerParams(p_max_dbm=self.p_max_dbm)
 
 
 @dataclass(frozen=True)
@@ -148,25 +231,17 @@ def apply_delay(history, delay_slots: int, fallback=None):
     return history[idx]
 
 
+def drop_seed(seed: int, drop_index: int) -> int:
+    """Topology and fading seed of one drop, derived from the run's seed."""
+    return int(np.random.SeedSequence([seed, drop_index]).generate_state(1)[0])
+
+
 def build_snapshot(config: SimConfig, drop_seed: int) -> NetworkSnapshot:
-    layout = build_hex_layout(rings=config.rings, isd=config.isd_m)
+    layout = config.layout
     ues = drop_ues(layout, config.ues_per_cell, config.min_dist_m, drop_seed)
     plmap = build_path_loss_map(layout, ues, drop_seed)
     serving = np.array([ue.serving_cell for ue in ues])
     return NetworkSnapshot(layout=layout, serving=serving, plmap=plmap)
-
-
-def _resolve_cnb_threshold(config: SimConfig) -> ControllerSpec:
-    spec = config.controller
-    if spec.kind == "cnb" and spec.params.pl_th_db is None:
-        params = replace(spec.params,
-                         pl_th_db=spec.params.p_max_dbm - config.noise.n0_dbm)
-        spec = ControllerSpec(kind="cnb", params=params)
-    return spec
-
-
-def _p_max_dbm(spec: ControllerSpec) -> float:
-    return spec.params.p_max_dbm
 
 
 def _occupancy(allocations: SlotAllocation, n_cells: int,
@@ -245,16 +320,15 @@ def simulate(snapshot: NetworkSnapshot, config: SimConfig,
              fading_seed: int | None = None) -> MetricsAccumulator:
     """Run the slot loop on a prebuilt topology snapshot."""
     n_ues, n_cells = snapshot.plmap.loss_db.shape
-    spec = _resolve_cnb_threshold(config)
     if powers_dbm is None:
-        powers_dbm = compute_powers(spec, snapshot.plmap, snapshot.serving,
-                                    config.noise, config.curve)
-    p_max = _p_max_dbm(spec)
+        powers_dbm = compute_powers(config.controller, snapshot.plmap,
+                                    snapshot.serving, config.noise, config.curve)
 
     cell_ues = [np.flatnonzero(snapshot.serving == c) for c in range(n_cells)]
-    pf = PfState.fresh(n_ues, config.alpha, config.beta, config.ewma)
+    pf = PfState.fresh(n_ues, alpha=config.alpha, beta=config.beta,
+                       ewma=config.ewma)
     acc = MetricsAccumulator.empty(n_ues, n_cells,
-                                   config.n_slots * config.slot_duration_s)
+                                   config.slots * config.slot_duration_s)
 
     # Warm-up rate estimate: large-scale SNR only (no interference knowledge).
     serving_loss = snapshot.plmap.loss_db[np.arange(n_ues), snapshot.serving]
@@ -270,7 +344,7 @@ def simulate(snapshot: NetworkSnapshot, config: SimConfig,
 
     base_gains = db_to_linear(-snapshot.plmap.loss_db)
     history: list[np.ndarray] = []
-    for _ in range(config.n_slots):
+    for _ in range(config.slots):
         est = apply_delay(history, config.delay_slots - 1, fallback=est0)
         allocations: SlotAllocation = {}
         for c in range(n_cells):
@@ -278,7 +352,8 @@ def simulate(snapshot: NetworkSnapshot, config: SimConfig,
             if ues.size == 0:
                 continue
             entries = allocate(ues, est[ues], pf, config.grid,
-                               tx_power_dbm=powers_dbm[ues], p_max_dbm=p_max)
+                               tx_power_dbm=powers_dbm[ues],
+                               p_max_dbm=config.p_max_dbm)
             if entries:
                 allocations[c] = entries
 
@@ -318,12 +393,10 @@ def simulate(snapshot: NetworkSnapshot, config: SimConfig,
 
 def run_drop(config: SimConfig, drop_index: int) -> MetricsAccumulator:
     """One random topology realization, deterministic given (seed, index)."""
-    drop_seed = int(np.random.SeedSequence(
-        [config.seed, drop_index]).generate_state(1)[0])
-    snapshot = build_snapshot(config, drop_seed)
-    return simulate(snapshot, config, fading_seed=drop_seed)
+    seed = drop_seed(config.seed, drop_index)
+    return simulate(build_snapshot(config, seed), config, fading_seed=seed)
 
 
 def run(config: SimConfig) -> list[MetricsAccumulator]:
     """All drops of a run; drops are independent and mergeable."""
-    return [run_drop(config, d) for d in range(config.n_drops)]
+    return [run_drop(config, d) for d in range(config.drops)]

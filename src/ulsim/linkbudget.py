@@ -1,4 +1,4 @@
-"""Link budget: powers + path losses -> SNR/IoT/INR/SINR -> throughput.
+"""Link budget: powers + path losses -> SNR/SINR -> throughput.
 
 All ratios are per resource block and linear unless a name says dB. The
 throughput map is a capped-log fit to the adaptive modulation and coding
@@ -17,10 +17,7 @@ from .units import db_to_linear
 __all__ = [
     "NoiseModel",
     "AmcCurve",
-    "LinkSample",
     "snr_of",
-    "iot_of",
-    "inr_of",
     "amc_smooth",
     "amc_realized",
 ]
@@ -56,35 +53,10 @@ class AmcCurve:
     n_levels: int = 29
 
 
-@dataclass(frozen=True)
-class LinkSample:
-    """One link's per-RB ratios; sinr = snr / iot with iot >= 1."""
-
-    snr: float
-    iot: float
-
-    @property
-    def sinr(self) -> float:
-        return self.snr / self.iot
-
-
 def snr_of(p_dbm, pl_db, noise: NoiseModel):
     """Received SNR (linear) of a link at transmit power p_dbm."""
     return db_to_linear(np.asarray(p_dbm, dtype=float) - np.asarray(pl_db, dtype=float)
                         - noise.n0_dbm)
-
-
-def iot_of(interferer_rx_powers_mw, noise: NoiseModel) -> float:
-    """Interference-over-thermal: (N0 + sum of received powers) / N0, >= 1."""
-    rx = np.asarray(interferer_rx_powers_mw, dtype=float)
-    if rx.size and rx.min() < 0:
-        raise ValueError("received interference powers must be nonnegative")
-    return float((noise.n0_mw + rx.sum()) / noise.n0_mw)
-
-
-def inr_of(p_dbm, pl_cross_db, noise: NoiseModel):
-    """Interference-to-noise ratio generated toward a neighbor cell."""
-    return snr_of(p_dbm, pl_cross_db, noise)
 
 
 def amc_smooth(sinr, curve: AmcCurve):

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linkbudget import (AmcCurve, NoiseModel, amc_realized, amc_smooth,
-                         inr_of, snr_of)
+from .linkbudget import AmcCurve, NoiseModel, amc_realized, amc_smooth, snr_of
 from .topology import PathLossMap
 from .units import db_to_linear
 
@@ -25,6 +24,7 @@ __all__ = [
     "FpcParams",
     "RlpcParams",
     "MaxPowerParams",
+    "SCHEMES",
     "ControllerSpec",
     "pl_threshold_db",
     "fpc_power",
@@ -63,11 +63,12 @@ class CnbParams:
 
     def __post_init__(self):
         if self.zeta <= 0:
-            raise ValueError("zeta must be positive")
+            raise ValueError(f"zeta: must be positive, got {self.zeta}")
         if self.tol_db <= 0:
-            raise ValueError("tolerance must be positive")
+            raise ValueError(f"tol_db: must be positive, got {self.tol_db}")
         if self.bisect_lo_dbm >= self.p_max_dbm:
-            raise ValueError("bisection lower bound must be below p_max")
+            raise ValueError(f"bisect_lo_dbm: must be below p_max_dbm = "
+                             f"{self.p_max_dbm}, got {self.bisect_lo_dbm}")
 
     @property
     def bisect_hi_dbm(self) -> float:
@@ -82,7 +83,7 @@ class FpcParams:
 
     def __post_init__(self):
         if not 0.0 <= self.kappa <= 1.0:
-            raise ValueError("kappa must be in [0, 1]")
+            raise ValueError(f"kappa: must be in [0, 1], got {self.kappa}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ class RlpcParams:
 
     def __post_init__(self):
         if not 0.0 <= self.phi <= 1.0:
-            raise ValueError("phi must be in [0, 1]")
+            raise ValueError(f"phi: must be in [0, 1], got {self.phi}")
 
 
 @dataclass(frozen=True)
@@ -101,19 +102,22 @@ class MaxPowerParams:
     p_max_dbm: float = P_MAX_DBM
 
 
+# Parameter class of each scheme, in the order the CLI lists them.
+SCHEMES = {"cnb": CnbParams, "fpc": FpcParams, "rlpc": RlpcParams,
+           "maxpower": MaxPowerParams}
+
+
 @dataclass(frozen=True)
 class ControllerSpec:
-    kind: str                           # "maxpower" | "fpc" | "rlpc" | "cnb"
+    kind: str                           # a key of SCHEMES
     params: CnbParams | FpcParams | RlpcParams | MaxPowerParams
 
     def __post_init__(self):
-        expected = {"maxpower": MaxPowerParams, "fpc": FpcParams,
-                    "rlpc": RlpcParams, "cnb": CnbParams}
-        if self.kind not in expected:
+        if self.kind not in SCHEMES:
             raise ValueError(f"unknown controller kind {self.kind!r}")
-        if not isinstance(self.params, expected[self.kind]):
+        if not isinstance(self.params, SCHEMES[self.kind]):
             raise TypeError(f"controller {self.kind!r} needs "
-                            f"{expected[self.kind].__name__}")
+                            f"{SCHEMES[self.kind].__name__}")
 
 
 def pl_threshold_db(p_max_dbm: float, noise: NoiseModel) -> float:

@@ -2,7 +2,8 @@
 
 Headline metrics: cell-average throughput (Mbits/s), 5th-percentile per-UE
 throughput (the cell-edge fairness metric), and power efficiency (Mbits per
-joule of transmit energy). Per-UE lists are pooled across drops.
+joule of transmit energy; None when no energy was spent). Per-UE lists are
+pooled across drops.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .engine import MetricsAccumulator, SimConfig, run
+from .engine import MetricsAccumulator, SimConfig, drop_seed, run
 
 __all__ = [
     "RunSummary",
     "SweepResult",
     "percentile",
     "summarize",
+    "efficiency_text",
     "run_config",
     "run_sweep",
     "write_summary_json",
@@ -36,7 +38,7 @@ class RunSummary:
     zeta: float | None
     cell_avg_mbps: float
     edge_mbps: float
-    power_efficiency_mbits_per_j: float
+    power_efficiency_mbits_per_j: float | None
     n_drops: int
     seeds: tuple[int, ...]
     per_ue_mbps: tuple[float, ...]
@@ -73,18 +75,14 @@ def percentile(values, p: float) -> float:
     return float(np.percentile(values, 100.0 * p, method="linear"))
 
 
-def _drop_seeds(config: SimConfig) -> tuple[int, ...]:
-    return tuple(int(np.random.SeedSequence([config.seed, d]).generate_state(1)[0])
-                 for d in range(config.n_drops))
-
-
 def summarize(accs: list[MetricsAccumulator], config: SimConfig,
               config_echo: dict | None = None) -> RunSummary:
     """Pool per-drop accumulators into one RunSummary.
 
     Cell-average throughput is the per-drop mean of (total throughput per
     cell); the edge metric pools every UE across drops before taking the 5th
-    percentile; efficiency is total delivered Mbits over total joules.
+    percentile; efficiency is total delivered Mbits over total joules, None
+    when no energy was spent.
     """
     if not accs:
         raise ValueError("need at least one drop")
@@ -97,18 +95,16 @@ def summarize(accs: list[MetricsAccumulator], config: SimConfig,
     edge = percentile(tput, 0.05) / 1e6
     total_mbits = merged.bits.sum() / 1e6
     total_j = merged.energy_j.sum()
-    eff = total_mbits / total_j if total_j > 0 else float("inf")
+    eff = float(total_mbits / total_j) if total_j > 0 else None
 
-    spec = config.controller
-    zeta = spec.params.zeta if spec.kind == "cnb" else None
     return RunSummary(
-        scheme=spec.kind,
-        zeta=zeta,
+        scheme=config.scheme,
+        zeta=config.zeta if config.scheme == "cnb" else None,
         cell_avg_mbps=float(cell_avg),
         edge_mbps=float(edge),
-        power_efficiency_mbits_per_j=float(eff),
+        power_efficiency_mbits_per_j=eff,
         n_drops=merged.n_drops,
-        seeds=_drop_seeds(config),
+        seeds=tuple(drop_seed(config.seed, d) for d in range(config.drops)),
         per_ue_mbps=tuple(tput / 1e6),
         per_ue_snr_db=tuple(merged.time_avg_snr_db()),
         per_ue_iot_db=tuple(merged.time_avg_iot_db()),
@@ -116,17 +112,27 @@ def summarize(accs: list[MetricsAccumulator], config: SimConfig,
     )
 
 
+def efficiency_text(summary: RunSummary) -> str:
+    """Mbits per joule to two decimals, or n/a when no energy was spent."""
+    eff = summary.power_efficiency_mbits_per_j
+    return "n/a" if eff is None else f"{eff:.2f}"
+
+
 def run_config(cfg: dict) -> RunSummary:
     """Execute all drops for one flat configuration dict."""
-    sim = cfgmod.build_sim_config(cfg)
+    sim = SimConfig(**cfg)
     return summarize(run(sim), sim, config_echo=cfg)
 
 
 def run_sweep(cfg: dict, axis: str, values) -> SweepResult:
-    """One full run per axis value, identical topology seeds across values."""
-    if axis not in cfgmod.DEFAULTS:
-        raise KeyError(f"unknown sweep key {axis!r}")
-    summaries = tuple(run_config(cfgmod.set_key(cfg, axis, v)) for v in values)
+    """One full run per axis value, identical topology seeds across values.
+
+    Every value's configuration is checked before the first run starts.
+    """
+    cfgs = [cfgmod.set_key(cfg, axis, v) for v in values]
+    sims = [SimConfig(**c) for c in cfgs]
+    summaries = tuple(summarize(run(sim), sim, config_echo=c)
+                      for sim, c in zip(sims, cfgs))
     return SweepResult(axis=axis, values=tuple(values), summaries=summaries)
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .powerctl import P_MAX_DBM
+
 __all__ = [
     "RbGrid",
     "PfState",
@@ -47,11 +49,10 @@ class PfState:
     ewma: float = 0.01
 
     @classmethod
-    def fresh(cls, n_ues: int, alpha: float = 1.0, beta: float = 1.0,
-              ewma: float = 0.01) -> "PfState":
+    def fresh(cls, n_ues: int, **weights) -> "PfState":
+        """No UE served yet; weights are alpha, beta and ewma."""
         return cls(avg_rate=np.zeros(n_ues),
-                   served_once=np.zeros(n_ues, dtype=bool),
-                   alpha=alpha, beta=beta, ewma=ewma)
+                   served_once=np.zeros(n_ues, dtype=bool), **weights)
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,8 @@ class RbAssignment:
 SlotAllocation = dict[int, list[RbAssignment]]
 
 
-def pf_weight(inst_rate: float, avg_rate: float, alpha: float = 1.0,
-              beta: float = 1.0) -> float:
+def pf_weight(inst_rate: float, avg_rate: float, alpha: float = PfState.alpha,
+              beta: float = PfState.beta) -> float:
     """Proportional-fair metric inst_rate^alpha / avg_rate^beta."""
     if avg_rate <= 0:
         raise ValueError("avg_rate must be positive (uninitialized PF state)")
@@ -102,7 +103,8 @@ def _weights(est_rates: np.ndarray, avg: np.ndarray,
 
 
 def allocate(cell_ues, est_rates, pf: PfState, grid: RbGrid,
-             tx_power_dbm=None, p_max_dbm: float = 23.0) -> list[RbAssignment]:
+             tx_power_dbm=None,
+             p_max_dbm: float = P_MAX_DBM) -> list[RbAssignment]:
     """Allocate all data RBs of one cell for one slot.
 
     cell_ues are global UE ids; est_rates are the (delayed) per-RB rate

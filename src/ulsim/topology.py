@@ -110,7 +110,7 @@ def _hex_sites(rings: int) -> list[tuple[int, int]]:
     return coords
 
 
-def build_hex_layout(rings: int = 2, isd: float = 500.0) -> SiteLayout:
+def build_hex_layout(rings: int, isd: float) -> SiteLayout:
     """Build an n-ring hexagonal site cluster with exact wrap-around.
 
     rings=2 gives the standard 19-site / 57-cell macrocell deployment.
@@ -119,9 +119,9 @@ def build_hex_layout(rings: int = 2, isd: float = 500.0) -> SiteLayout:
     cluster copy per fundamental domain.
     """
     if isd <= 0:
-        raise ValueError(f"inter-site distance must be positive, got {isd}")
+        raise ValueError(f"isd_m: must be positive, got {isd}")
     if rings < 0:
-        raise ValueError(f"rings must be >= 0, got {rings}")
+        raise ValueError(f"rings: must be >= 0, got {rings}")
 
     a1 = np.array([isd, 0.0])
     a2 = np.array([isd / 2.0, isd * math.sqrt(3.0) / 2.0])
@@ -265,7 +265,7 @@ def _sample_positions(layout: SiteLayout, n: int, min_dist: float,
     return out
 
 
-def drop_ues(layout: SiteLayout, ues_per_cell: int = 10,
+def drop_ues(layout: SiteLayout, ues_per_cell: int,
              min_dist: float = MIN_UE_SITE_DISTANCE_M,
              seed: int = 0) -> list[UePlacement]:
     """Drop ues_per_cell * n_cells UEs uniformly over the wrapped network area.
@@ -274,8 +274,6 @@ def drop_ues(layout: SiteLayout, ues_per_cell: int = 10,
     Each UE attaches to the cell with the lowest effective path loss (ties by
     lowest cell_id), using the same shadowing draws as build_path_loss_map.
     """
-    if ues_per_cell < 1:
-        raise ValueError("ues_per_cell must be >= 1")
     n = ues_per_cell * layout.n_cells
     positions = _sample_positions(layout, n, min_dist, _pos_rng(seed))
     shadow = _shadow_draws(n, layout.n_sites, seed)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["db_to_linear", "linear_to_db", "dbm_to_mw", "mw_to_dbm"]
+__all__ = ["db_to_linear", "linear_to_db"]
 
 
 def db_to_linear(db):
@@ -15,13 +15,3 @@ def db_to_linear(db):
 def linear_to_db(lin):
     """Convert a linear power ratio to dB."""
     return 10.0 * np.log10(np.asarray(lin, dtype=float))
-
-
-def dbm_to_mw(dbm):
-    """Convert dBm to milliwatts."""
-    return 10.0 ** (np.asarray(dbm, dtype=float) / 10.0)
-
-
-def mw_to_dbm(mw):
-    """Convert milliwatts to dBm."""
-    return 10.0 * np.log10(np.asarray(mw, dtype=float))

@@ -5,7 +5,6 @@ import pytest
 
 from ulsim.engine import NetworkSnapshot, SimConfig
 from ulsim.linkbudget import AmcCurve, NoiseModel
-from ulsim.powerctl import CnbParams, ControllerSpec, MaxPowerParams
 from ulsim.topology import PathLossMap, build_hex_layout
 
 
@@ -36,10 +35,8 @@ def make_snapshot(loss_db, serving):
 
 
 def maxpower_config(**kw):
-    spec = ControllerSpec("maxpower", MaxPowerParams())
-    return SimConfig(controller=spec, **kw)
+    return SimConfig(scheme="maxpower", **kw)
 
 
 def cnb_config(zeta=1.3, **kw):
-    spec = ControllerSpec("cnb", CnbParams(zeta=zeta))
-    return SimConfig(controller=spec, **kw)
+    return SimConfig(scheme="cnb", zeta=zeta, **kw)

@@ -155,7 +155,7 @@ class TestCriterion6EngineOracle:
 
     def test_per_slot_sinr_and_bits(self):
         snapshot = make_snapshot(self.LOSS, serving=[0, 1])
-        config = maxpower_config(n_slots=1, ues_per_cell=1)
+        config = maxpower_config(slots=1, ues_per_cell=1)
         allocations = {
             0: [RbAssignment(0, rb_start=2, rb_len=6, per_rb_power_dbm=self.P0)],
             1: [RbAssignment(1, rb_start=4, rb_len=4, per_rb_power_dbm=self.P1)],
@@ -203,10 +203,9 @@ class TestCriterion7DeterminismAndMerge:
         assert a.per_ue_snr_db == b.per_ue_snr_db
 
     def test_partitioned_merge_equals_pooled(self):
-        from ulsim.config import build_sim_config
-        from ulsim.engine import run
+        from ulsim.engine import SimConfig, run
 
-        sim = build_sim_config(self.small_cfg())
+        sim = SimConfig(**self.small_cfg())
         accs = run(sim)
         pooled = report.summarize(accs, sim)
         parts = report.summarize(

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ulsim
 from ulsim import cli
-from ulsim.config import DEFAULTS, build_sim_config, parse_config_file, set_key
+from ulsim.config import DEFAULTS, parse_config_file, set_key
+from ulsim.engine import SimConfig
 
 
 class TestConfigFile:
@@ -49,10 +55,19 @@ class TestConfigFile:
 
     def test_build_sim_config(self):
         cfg = set_key(dict(DEFAULTS), "scheme", "rlpc")
-        sim = build_sim_config(cfg)
+        sim = SimConfig(**cfg)
         assert sim.controller.kind == "rlpc"
-        assert sim.rings == 2 and sim.n_slots == 2000
+        assert sim.rings == 2 and sim.slots == 2000
         assert sim.grid.data_rbs == 48
+
+    def test_defaults_round_trip_through_a_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in DEFAULTS.items()))
+        cfg = parse_config_file(path)
+        assert cfg == DEFAULTS
+        assert [type(v) for v in cfg.values()] == [type(v) for v in
+                                                    DEFAULTS.values()]
+        assert SimConfig(**cfg) == SimConfig()
 
 
 def run_cli(args):
@@ -108,6 +123,67 @@ class TestCli:
         assert run_cli(["--config", tmp_path / "nope.cfg",
                         "--out", tmp_path]) == 2
 
+    def test_sweep_checked_before_any_run(self, tmp_path):
+        out = tmp_path / "out"
+        code = run_cli(BASE + ["--scheme", "cnb", "--out", out,
+                               "--sweep", "zeta=1.3,1.1,0.9,-1"])
+        assert code == 2
+        assert not out.exists()
+
+    def test_zero_energy_efficiency_is_null(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("scheme = maxpower\np_max_dbm = -60\nrings = 1\n"
+                           "ues_per_cell = 2\nslots = 4\ndrops = 1\n")
+        assert run_cli(["--config", cfgfile, "--out", tmp_path]) == 0
+        text = (tmp_path / "summary.json").read_text()
+        assert json.loads(text)["mbits_per_joule"] is None
+        assert "Infinity" not in text
+        assert "eff=n/a" in capsys.readouterr().out
+
     def test_scheme_choices_enforced(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["--scheme", "tdma"])
+
+
+SRC = Path(ulsim.__file__).resolve().parents[1]
+TINY = "rings = 1\nues_per_cell = 2\nslots = 3\ndrops = 1\n"
+
+
+@pytest.mark.parametrize("key, value, scheme", [
+    ("min_dist_m", "1000", "cnb"),
+    ("min_dist_m", "-1", "cnb"),
+    ("control_rbs", "60", "cnb"),
+    ("total_rbs", "2", "cnb"),
+    ("ewma", "1.5", "cnb"),
+    ("zeta", "nan", "cnb"),
+    ("zeta", "inf", "cnb"),
+    ("slots", "0", "cnb"),
+    ("drops", "0", "cnb"),
+    ("seed", "-1", "cnb"),
+    ("fading", "7", "cnb"),
+    ("staircase", "2", "cnb"),
+    ("sinr_floor_db", "30", "cnb"),
+    ("delay_slots", "0", "cnb"),
+    ("slot_duration_s", "0", "cnb"),
+    ("isd_m", "0", "cnb"),
+    ("rings", "-1", "cnb"),
+    ("ues_per_cell", "0", "cnb"),
+    ("kappa", "1.5", "fpc"),
+    ("phi", "-0.1", "rlpc"),
+    ("zeta", "-1", "cnb"),
+    ("tol_db", "0", "cnb"),
+    ("bisect_lo_dbm", "30", "cnb"),
+    ("slots", "2.5", "cnb"),
+])
+def test_bad_value_fails_fast_naming_the_key(tmp_path, key, value, scheme):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"scheme = {scheme}\n{TINY}{key} = {value}\n")
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ulsim.cli", "--config", str(cfgfile),
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and key in proc.stderr
+    assert proc.stdout == "" and not out.exists()

@@ -5,11 +5,12 @@ import pytest
 
 from conftest import cnb_config, make_snapshot, maxpower_config
 from ulsim.engine import (MetricsAccumulator, SimConfig, apply_delay,
-                          build_snapshot, compute_slot, run, run_drop,
-                          simulate)
-from ulsim.linkbudget import amc_realized
-from ulsim.powerctl import ControllerSpec, MaxPowerParams
-from ulsim.scheduler import RbAssignment
+                          build_snapshot, compute_slot, drop_seed, run,
+                          run_drop, simulate)
+from ulsim.linkbudget import AmcCurve, NoiseModel, amc_realized
+from ulsim.powerctl import CnbParams, ControllerSpec
+from ulsim.report import summarize
+from ulsim.scheduler import RbAssignment, RbGrid
 
 
 class TestSimConfig:
@@ -17,14 +18,21 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             maxpower_config(slot_duration_s=0.0)
         with pytest.raises(ValueError):
-            maxpower_config(n_slots=-1)
+            maxpower_config(slots=-1)
         with pytest.raises(ValueError):
             maxpower_config(delay_slots=0)
 
     def test_frozen(self):
         cfg = maxpower_config()
         with pytest.raises(Exception):
-            cfg.n_slots = 3
+            cfg.slots = 3
+
+    def test_components_take_their_defaults(self):
+        cfg = SimConfig()
+        assert cfg.controller == ControllerSpec("cnb", CnbParams())
+        assert cfg.grid == RbGrid()
+        assert cfg.noise == NoiseModel()
+        assert cfg.curve == AmcCurve()
 
 
 class TestApplyDelay:
@@ -75,7 +83,7 @@ class TestComputeSlotOracle:
 
     def scenario(self):
         snapshot = make_snapshot(self.LOSS, serving=[0, 1])
-        config = maxpower_config(n_slots=1, ues_per_cell=1)
+        config = maxpower_config(slots=1, ues_per_cell=1)
         allocations = {
             0: [RbAssignment(ue_id=0, rb_start=2, rb_len=8,
                              per_rb_power_dbm=self.P0)],
@@ -149,7 +157,7 @@ class TestSimulate:
 
     def test_deterministic(self):
         snap = self.small_snapshot()
-        cfg = cnb_config(n_slots=20, n_drops=1)
+        cfg = cnb_config(slots=20, drops=1)
         a = simulate(snap, cfg)
         b = simulate(snap, cfg)
         assert np.array_equal(a.bits, b.bits)
@@ -157,13 +165,13 @@ class TestSimulate:
 
     def test_all_ues_eventually_served(self):
         snap = self.small_snapshot()
-        cfg = maxpower_config(n_slots=30, n_drops=1)
+        cfg = maxpower_config(slots=30, drops=1)
         acc = simulate(snap, cfg)
         assert np.all(acc.sched_slots > 0)
 
     def test_energy_respects_power_cap(self):
         snap = self.small_snapshot()
-        cfg = maxpower_config(n_slots=10, n_drops=1)
+        cfg = maxpower_config(slots=10, drops=1)
         acc = simulate(snap, cfg)
         # Total per-slot transmit power per UE is capped at 23 dBm ~ 0.2 W.
         max_energy = 10 * cfg.slot_duration_s * 10 ** (23.0 / 10.0) / 1000.0
@@ -171,20 +179,20 @@ class TestSimulate:
 
     def test_shorter_than_delay(self):
         snap = self.small_snapshot()
-        cfg = maxpower_config(n_slots=3, delay_slots=6, n_drops=1)
+        cfg = maxpower_config(slots=3, delay_slots=6, drops=1)
         acc = simulate(snap, cfg)
         assert acc.bits.sum() > 0
 
     def test_fading_changes_results(self):
         snap = self.small_snapshot()
-        base = simulate(snap, maxpower_config(n_slots=15, n_drops=1))
-        faded = simulate(snap, maxpower_config(n_slots=15, n_drops=1,
+        base = simulate(snap, maxpower_config(slots=15, drops=1))
+        faded = simulate(snap, maxpower_config(slots=15, drops=1,
                                                fading=True), fading_seed=3)
         assert not np.array_equal(base.bits, faded.bits)
 
     def test_explicit_powers_override(self):
         snap = self.small_snapshot()
-        cfg = maxpower_config(n_slots=5, n_drops=1)
+        cfg = maxpower_config(slots=5, drops=1)
         lo = simulate(snap, cfg, powers_dbm=np.full(6, -10.0))
         hi = simulate(snap, cfg, powers_dbm=np.full(6, 23.0))
         assert lo.energy_j.sum() < hi.energy_j.sum()
@@ -192,23 +200,33 @@ class TestSimulate:
 
 class TestDrops:
     def test_run_drop_deterministic(self):
-        cfg = maxpower_config(rings=1, ues_per_cell=2, n_slots=5, n_drops=2,
+        cfg = maxpower_config(rings=1, ues_per_cell=2, slots=5, drops=2,
                               seed=3)
         a = run_drop(cfg, 0)
         b = run_drop(cfg, 0)
         assert np.array_equal(a.bits, b.bits)
 
     def test_drops_differ(self):
-        cfg = maxpower_config(rings=1, ues_per_cell=2, n_slots=5, n_drops=2,
+        cfg = maxpower_config(rings=1, ues_per_cell=2, slots=5, drops=2,
                               seed=3)
         a = run_drop(cfg, 0)
         b = run_drop(cfg, 1)
         assert not np.array_equal(a.bits, b.bits)
 
     def test_run_length(self):
-        cfg = maxpower_config(rings=1, ues_per_cell=1, n_slots=2, n_drops=3,
+        cfg = maxpower_config(rings=1, ues_per_cell=1, slots=2, drops=3,
                               seed=1)
         assert len(run(cfg)) == 3
+
+    def test_reported_seeds_are_the_seeds_run(self):
+        cfg = maxpower_config(rings=1, ues_per_cell=2, slots=5, drops=2,
+                              seed=3)
+        accs = run(cfg)
+        seeds = summarize(accs, cfg).seeds
+        assert seeds == (drop_seed(3, 0), drop_seed(3, 1))
+        again = simulate(build_snapshot(cfg, seeds[1]), cfg,
+                         fading_seed=seeds[1])
+        assert np.array_equal(accs[1].bits, again.bits)
 
     def test_build_snapshot_shapes(self):
         cfg = maxpower_config(rings=1, ues_per_cell=2)

@@ -1,10 +1,8 @@
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ulsim.linkbudget import (AmcCurve, LinkSample, NoiseModel, amc_realized,
-                              amc_smooth, inr_of, iot_of, snr_of)
+from ulsim.linkbudget import AmcCurve, NoiseModel, amc_realized, amc_smooth, snr_of
 from ulsim.units import db_to_linear
 
 
@@ -22,25 +20,6 @@ class TestRatios:
         # 23 dBm - 120 dB loss - noise floor = 19.447 dB SNR.
         snr = snr_of(23.0, 120.0, noise)
         assert np.isclose(10.0 * np.log10(snr), 23.0 - 120.0 - noise.n0_dbm)
-
-    def test_inr_equals_snr_of_cross_link(self, noise):
-        assert inr_of(10.0, 130.0, noise) == snr_of(10.0, 130.0, noise)
-
-    def test_iot_floor_is_one(self, noise):
-        assert iot_of([], noise) == 1.0
-
-    def test_iot_additive(self, noise):
-        # Interference equal to the noise floor -> IoT = 2 (3 dB).
-        assert np.isclose(iot_of([noise.n0_mw], noise), 2.0)
-        assert np.isclose(iot_of([noise.n0_mw, noise.n0_mw], noise), 3.0)
-
-    def test_iot_rejects_negative(self, noise):
-        with pytest.raises(ValueError):
-            iot_of([-1.0], noise)
-
-    def test_link_sample_sinr(self):
-        s = LinkSample(snr=8.0, iot=2.0)
-        assert s.sinr == 4.0
 
 
 class TestAmcSmooth:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ulsim import report
-from ulsim.config import DEFAULTS, build_sim_config, set_key
-from ulsim.engine import MetricsAccumulator, run
+from ulsim.config import DEFAULTS
+from ulsim.engine import SimConfig, run
 
 
 def tiny_cfg(**over):
@@ -32,12 +32,12 @@ class TestPercentile:
 class TestSummarize:
     def test_headline_metrics(self):
         cfg = tiny_cfg()
-        sim = build_sim_config(cfg)
+        sim = SimConfig(**cfg)
         accs = run(sim)
         s = report.summarize(accs, sim, config_echo=cfg)
         tput = np.concatenate([a.per_ue_throughput_bps() for a in accs])
         assert np.isclose(s.cell_avg_mbps,
-                          tput.sum() / sim.n_drops / 21 / 1e6)
+                          tput.sum() / sim.drops / 21 / 1e6)
         assert np.isclose(s.edge_mbps, report.percentile(tput, 0.05) / 1e6)
         total_mbits = sum(a.bits.sum() for a in accs) / 1e6
         total_j = sum(a.energy_j.sum() for a in accs)
@@ -47,7 +47,7 @@ class TestSummarize:
         assert s.scheme == "fpc" and s.zeta is None
 
     def test_partitioned_equals_pooled(self):
-        sim = build_sim_config(tiny_cfg(drops=4))
+        sim = SimConfig(**tiny_cfg(drops=4))
         accs = run(sim)
         pooled = report.summarize(accs, sim)
         left = accs[0].merge(accs[1])
@@ -59,7 +59,7 @@ class TestSummarize:
                 == pooled.power_efficiency_mbits_per_j)
 
     def test_requires_drops(self):
-        sim = build_sim_config(tiny_cfg())
+        sim = SimConfig(**tiny_cfg())
         with pytest.raises(ValueError):
             report.summarize([], sim)
 

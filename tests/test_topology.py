@@ -46,7 +46,7 @@ class TestLayout:
         with pytest.raises(ValueError):
             build_hex_layout(rings=2, isd=0.0)
         with pytest.raises(ValueError):
-            build_hex_layout(rings=-1)
+            build_hex_layout(rings=-1, isd=500.0)
 
     def test_cells_enumeration(self, layout):
         cells = cells_of(layout)
