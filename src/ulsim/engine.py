@@ -1,14 +1,16 @@
 """Slot-loop simulation engine.
 
 Per drop: build topology, compute each UE's open-loop power once (large-scale
-losses are static within a drop), then per slot: schedule each cell from
-delayed rate estimates, couple interference across cells per RB index, realize
-throughput through the AMC curve, and update PF state and metrics.
+losses are static within a drop), then per slot: schedule every cell in one
+pass from delayed rate estimates, couple interference across cells per RB
+index, realize throughput through the AMC curve, and update PF state and
+metrics.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -16,16 +18,15 @@ import numpy as np
 from .linkbudget import AmcCurve, NoiseModel, amc_realized, snr_of
 from .powerctl import (P_MAX_DBM, SCHEMES, CnbParams, ControllerSpec,
                        FpcParams, MaxPowerParams, RlpcParams, compute_powers)
-from .scheduler import PfState, RbGrid, SlotAllocation, allocate
+from .scheduler import PfState, RbGrid, allocate
 from .topology import (MIN_UE_SITE_DISTANCE_M, PathLossMap, SiteLayout,
-                       build_hex_layout, build_path_loss_map, drop_ues)
+                       build_hex_layout, drop_ues)
 from .units import db_to_linear
 
 __all__ = [
     "SimConfig",
     "NetworkSnapshot",
     "MetricsAccumulator",
-    "apply_delay",
     "build_snapshot",
     "drop_seed",
     "simulate",
@@ -219,60 +220,34 @@ class MetricsAccumulator:
         return out
 
 
-def apply_delay(history, delay_slots: int, fallback=None):
-    """Estimate vector from delay_slots before the most recent entry.
-
-    Returns fallback (large-scale-only estimates during warm-up) when the
-    history is too short.
-    """
-    idx = len(history) - 1 - delay_slots
-    if idx < 0:
-        return fallback
-    return history[idx]
-
-
 def drop_seed(seed: int, drop_index: int) -> int:
     """Topology and fading seed of one drop, derived from the run's seed."""
     return int(np.random.SeedSequence([seed, drop_index]).generate_state(1)[0])
 
 
 def build_snapshot(config: SimConfig, drop_seed: int) -> NetworkSnapshot:
-    layout = config.layout
-    ues = drop_ues(layout, config.ues_per_cell, config.min_dist_m, drop_seed)
-    plmap = build_path_loss_map(layout, ues, drop_seed)
-    serving = np.array([ue.serving_cell for ue in ues])
-    return NetworkSnapshot(layout=layout, serving=serving, plmap=plmap)
+    _, serving, plmap = drop_ues(config.layout, config.ues_per_cell,
+                                 config.min_dist_m, drop_seed)
+    return NetworkSnapshot(layout=config.layout, serving=serving, plmap=plmap)
 
 
-def _occupancy(allocations: SlotAllocation, n_cells: int,
-               grid: RbGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Per (cell, RB): occupying UE index (-1 if idle) and power in mW."""
-    occ = np.full((n_cells, grid.total_rbs), -1, dtype=int)
-    p_mw = np.zeros((n_cells, grid.total_rbs))
-    for c, entries in allocations.items():
-        for e in entries:
-            occ[c, e.rb_start:e.rb_start + e.rb_len] = e.ue_id
-            p_mw[c, e.rb_start:e.rb_start + e.rb_len] = 10.0 ** (
-                e.per_rb_power_dbm / 10.0)
-    return occ, p_mw
-
-
-def compute_slot(allocations: SlotAllocation, snapshot: NetworkSnapshot,
+def compute_slot(occ: np.ndarray, p_mw: np.ndarray, snapshot: NetworkSnapshot,
                  config: SimConfig, fading_gain: np.ndarray | None = None,
                  gains: np.ndarray | None = None):
     """Couple interference across cells per RB index and realize throughput.
 
-    Returns (bits per UE this slot, mean per-RB SINR per scheduled UE,
-    mean SNR sample, mean IoT sample, energy per UE in joules).
+    occ and p_mw give per (cell, RB) the occupying UE (-1 if idle) and its
+    power in mW, as allocate returns them. Returns (bits per UE this slot,
+    mean per-RB SINR per scheduled UE, mean SNR sample, mean IoT sample,
+    energy per UE in joules, scheduled mask).
     fading_gain, when given, multiplies the linear (UE, cell) channel gains;
     gains lets callers pass the precomputed large-scale gain matrix.
     """
-    n_ues, n_cells = snapshot.plmap.loss_db.shape
+    n_ues = snapshot.n_ues
     if gains is None:
         gains = db_to_linear(-snapshot.plmap.loss_db)
     if fading_gain is not None:
         gains = gains * fading_gain
-    occ, p_mw = _occupancy(allocations, n_cells, config.grid)
 
     combine = db_to_linear(config.combining_gain_db)
     n0 = config.noise.n0_mw
@@ -294,20 +269,14 @@ def compute_slot(allocations: SlotAllocation, snapshot: NetworkSnapshot,
     rb_bits = np.where(active, eff, 0.0) * (config.noise.rb_bandwidth_hz
                                             * config.slot_duration_s)
 
-    bits = np.zeros(n_ues)
-    sinr_sum = np.zeros(n_ues)
-    snr_sum = np.zeros(n_ues)
-    iot_sum = np.zeros(n_ues)
-    rb_count = np.zeros(n_ues)
-    energy = np.zeros(n_ues)
-
     ue_flat = occ[active]
-    np.add.at(bits, ue_flat, rb_bits[active])
-    np.add.at(sinr_sum, ue_flat, sinr[active])
-    np.add.at(snr_sum, ue_flat, (sig / n0)[active])
-    np.add.at(iot_sum, ue_flat, ((intf + n0) / n0)[active])
-    np.add.at(rb_count, ue_flat, 1.0)
-    np.add.at(energy, ue_flat, p_mw[active] * config.slot_duration_s / 1000.0)
+    per_ue = lambda x: np.bincount(ue_flat, x[active], minlength=n_ues)
+    bits = per_ue(rb_bits)
+    sinr_sum = per_ue(sinr)
+    snr_sum = per_ue(sig / n0)
+    iot_sum = per_ue((intf + n0) / n0)
+    rb_count = np.bincount(ue_flat, minlength=n_ues)
+    energy = per_ue(p_mw * config.slot_duration_s / 1000.0)
 
     scheduled = rb_count > 0
     mean = lambda x: np.divide(x, rb_count, out=np.zeros(n_ues),
@@ -324,7 +293,6 @@ def simulate(snapshot: NetworkSnapshot, config: SimConfig,
         powers_dbm = compute_powers(config.controller, snapshot.plmap,
                                     snapshot.serving, config.noise, config.curve)
 
-    cell_ues = [np.flatnonzero(snapshot.serving == c) for c in range(n_cells)]
     pf = PfState.fresh(n_ues, alpha=config.alpha, beta=config.beta,
                        ewma=config.ewma)
     acc = MetricsAccumulator.empty(n_ues, n_cells,
@@ -343,26 +311,19 @@ def simulate(snapshot: NetworkSnapshot, config: SimConfig,
             np.random.SeedSequence([0 if fading_seed is None else int(fading_seed), 2]))
 
     base_gains = db_to_linear(-snapshot.plmap.loss_db)
-    history: list[np.ndarray] = []
+    # Slot t schedules on the estimate measured in slot t - delay_slots.
+    history: deque[np.ndarray] = deque(maxlen=config.delay_slots)
     for _ in range(config.slots):
-        est = apply_delay(history, config.delay_slots - 1, fallback=est0)
-        allocations: SlotAllocation = {}
-        for c in range(n_cells):
-            ues = cell_ues[c]
-            if ues.size == 0:
-                continue
-            entries = allocate(ues, est[ues], pf, config.grid,
-                               tx_power_dbm=powers_dbm[ues],
-                               p_max_dbm=config.p_max_dbm)
-            if entries:
-                allocations[c] = entries
+        est = history[0] if len(history) == config.delay_slots else est0
+        occ, p_mw = allocate(snapshot.serving, est, pf, config.grid,
+                             powers_dbm, config.p_max_dbm, n_cells)
 
         fading_gain = None
         if fad_rng is not None:
             fading_gain = fad_rng.exponential(1.0, size=(n_ues, n_cells))
 
         bits, mean_sinr, mean_snr, mean_iot, energy, scheduled = compute_slot(
-            allocations, snapshot, config, fading_gain, gains=base_gains)
+            occ, p_mw, snapshot, config, fading_gain, gains=base_gains)
 
         acc.bits += bits
         acc.energy_j += energy
@@ -370,14 +331,7 @@ def simulate(snapshot: NetworkSnapshot, config: SimConfig,
         acc.iot_lin_sum += np.where(scheduled, mean_iot, 0.0)
         acc.sched_slots += scheduled
 
-        served_rate = bits / config.slot_duration_s
-        boot = scheduled & ~pf.served_once & (bits > 0)
-        pf.avg_rate = np.where(
-            boot, served_rate,
-            np.where(pf.served_once,
-                     (1.0 - pf.ewma) * pf.avg_rate + pf.ewma * served_rate,
-                     pf.avg_rate))
-        pf.served_once = pf.served_once | boot
+        pf.update(scheduled, bits / config.slot_duration_s)
 
         # Measured per-RB rate estimate; unscheduled UEs keep their last one.
         prev = history[-1] if history else est0

@@ -1,29 +1,22 @@
-"""Per-cell proportional-fair allocation of contiguous resource blocks.
+"""Proportional-fair allocation of contiguous resource blocks, all cells at once.
 
-Each slot a cell sorts its UEs by PF weight (instantaneous rate estimate over
-long-term average) and grants contiguous blocks proportional to weight share,
-minimum one RB, until the data RBs run out. Contiguity reflects the uplink
-single-carrier constraint. UEs never served get absolute priority so the PF
-averages can bootstrap.
+Each slot every cell sorts its UEs by PF weight (instantaneous rate estimate
+over long-term average) and grants contiguous blocks proportional to weight
+share, minimum one RB, until the data RBs run out. Contiguity reflects the
+uplink single-carrier constraint. UEs never served get absolute priority so
+the PF averages can bootstrap. One array pass schedules the whole network.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .powerctl import P_MAX_DBM
 
 __all__ = [
     "RbGrid",
     "PfState",
-    "RbAssignment",
-    "SlotAllocation",
-    "pf_weight",
-    "update_avg",
-    "per_rb_power_dbm",
     "allocate",
 ]
 
@@ -54,104 +47,93 @@ class PfState:
         return cls(avg_rate=np.zeros(n_ues),
                    served_once=np.zeros(n_ues, dtype=bool), **weights)
 
+    def update(self, scheduled: np.ndarray, rate: np.ndarray) -> None:
+        """Fold one slot's served rate (bits/s, per UE) into the averages.
 
-@dataclass(frozen=True)
-class RbAssignment:
-    ue_id: int
-    rb_start: int
-    rb_len: int
-    per_rb_power_dbm: float
+        A UE's first nonzero rate while scheduled starts its average; served
+        UEs then follow the EWMA, decaying toward 0 in slots without a grant.
+        """
+        boot = scheduled & ~self.served_once & (rate > 0)
+        self.avg_rate = np.where(
+            boot, rate,
+            np.where(self.served_once,
+                     (1.0 - self.ewma) * self.avg_rate + self.ewma * rate,
+                     self.avg_rate))
+        self.served_once = self.served_once | boot
+
+    def weights(self, est_rates: np.ndarray) -> np.ndarray:
+        """PF metric est^alpha / avg^beta; inf for never-served UEs, 0 for
+        UEs with no decodable estimate."""
+        w = np.where(self.served_once, 0.0, np.inf)
+        w[est_rates <= 0] = 0.0
+        defined = (est_rates > 0) & self.served_once
+        avg = self.avg_rate[defined]
+        if (avg <= 0).any():
+            raise ValueError("avg_rate must be positive (uninitialized PF state)")
+        w[defined] = est_rates[defined] ** self.alpha / avg ** self.beta
+        return w
 
 
-# Per-cell slot allocation: cell_id -> assignments with disjoint RB ranges.
-SlotAllocation = dict[int, list[RbAssignment]]
+def _rank_in_cell(cell: np.ndarray) -> np.ndarray:
+    """Each entry's position within its cell's run; cell must be sorted."""
+    counts = np.bincount(cell)
+    return np.arange(cell.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def pf_weight(inst_rate: float, avg_rate: float, alpha: float = PfState.alpha,
-              beta: float = PfState.beta) -> float:
-    """Proportional-fair metric inst_rate^alpha / avg_rate^beta."""
-    if avg_rate <= 0:
-        raise ValueError("avg_rate must be positive (uninitialized PF state)")
-    return inst_rate ** alpha / avg_rate ** beta
+def allocate(serving: np.ndarray, est_rates: np.ndarray, pf: PfState,
+             grid: RbGrid, tx_power_dbm: np.ndarray, p_max_dbm: float,
+             n_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Allocate all data RBs of every cell for one slot.
 
-
-def update_avg(avg: float, served: float, ewma: float):
-    """Exponentially weighted average rate update."""
-    if not 0.0 < ewma < 1.0:
-        raise ValueError("ewma must be in (0, 1)")
-    return (1.0 - ewma) * avg + ewma * served
-
-
-def per_rb_power_dbm(scheme_power_dbm: float, rb_len: int,
-                     p_max_dbm: float) -> float:
-    """Per-RB power after the total-power cap.
-
-    The controller output is per-RB; when rb_len blocks would exceed p_max in
-    total, power is scaled down uniformly so the sum equals p_max exactly.
+    serving, est_rates (the delayed per-RB rate estimates) and tx_power_dbm
+    are per UE. Returns per (cell, RB) the occupying UE (-1 if idle) and its
+    power in mW: the controller's per-RB power, scaled down when the grant's
+    RBs would exceed p_max in total. In a cell with a never-served decodable
+    UE, only such UEs are scheduled, with equal weight. Deterministic: ties
+    break by UE id.
     """
-    return min(scheme_power_dbm, p_max_dbm - 10.0 * math.log10(rb_len))
+    w = pf.weights(est_rates)
+    boot = np.isinf(w)
+    boot_cell = np.zeros(n_cells, dtype=bool)
+    boot_cell[serving[boot]] = True
+    w = np.where(boot_cell[serving], boot * 1.0, w)
 
-
-def _weights(est_rates: np.ndarray, avg: np.ndarray,
-             served_once: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    w = np.zeros(len(est_rates))
-    for i, (r, a, s) in enumerate(zip(est_rates, avg, served_once)):
-        if r <= 0:
-            continue
-        w[i] = np.inf if not s else pf_weight(r, a, alpha, beta)
-    return w
-
-
-def allocate(cell_ues, est_rates, pf: PfState, grid: RbGrid,
-             tx_power_dbm=None,
-             p_max_dbm: float = P_MAX_DBM) -> list[RbAssignment]:
-    """Allocate all data RBs of one cell for one slot.
-
-    cell_ues are global UE ids; est_rates are the (delayed) per-RB rate
-    estimates aligned with cell_ues. Never-served UEs with a decodable rate
-    preempt the PF metric. Deterministic: ties break by ue_id.
-    """
-    cell_ues = np.asarray(cell_ues, dtype=int)
-    if cell_ues.size == 0:
-        return []
-    est = np.asarray(est_rates, dtype=float)
-    w = _weights(est, pf.avg_rate[cell_ues], pf.served_once[cell_ues],
-                 pf.alpha, pf.beta)
-    if np.isinf(w).any():
-        w = np.where(np.isinf(w), 1.0, 0.0)
-    eligible = np.flatnonzero(w > 0)
-    if eligible.size == 0:
-        return []
-
-    # Highest weight first, ue_id breaks ties; at most one UE per RB.
-    order = eligible[np.lexsort((cell_ues[eligible], -w[eligible]))]
-    order = order[:grid.data_rbs]
-    ww = w[order]
+    # Highest weight first per cell, UE id breaks ties; one UE per RB at most.
+    ue = np.flatnonzero(w > 0)
+    ue = ue[np.lexsort((ue, -w[ue], serving[ue]))]
+    rank = _rank_in_cell(serving[ue])
+    keep = rank < grid.data_rbs
+    ue, rank = ue[keep], rank[keep]
+    cell = serving[ue]
+    ww = w[ue]
 
     # One RB each, remainder apportioned by weight share (largest remainder).
-    n = len(order)
-    sizes = np.ones(n, dtype=int)
+    # Each cell's total is a plain sum over its slice: other summation orders
+    # can flip exact remainder ties.
+    n = np.bincount(cell, minlength=n_cells)
+    first = np.cumsum(n) - n
+    total = np.array([ww[a:a + k].sum() for a, k in zip(first, n)])
     remaining = grid.data_rbs - n
-    if remaining > 0:
-        target = ww / ww.sum() * remaining
-        base = np.floor(target).astype(int)
-        sizes += base
-        leftover = remaining - base.sum()
-        if leftover > 0:
-            frac = target - base
-            take = np.lexsort((np.arange(n), -frac))[:leftover]
-            sizes[take] += 1
+    target = ww / total[cell] * remaining[cell]
+    base = np.floor(target).astype(int)
+    sizes = 1 + base
+    leftover = remaining - np.bincount(cell, base, minlength=n_cells).astype(int)
+    frac = target - base
+    by_frac = np.lexsort((rank, -frac, cell))
+    bonus = _rank_in_cell(cell[by_frac]) < leftover[cell[by_frac]]
+    sizes[by_frac[bonus]] += 1
 
-    out = []
-    start = grid.control_rbs
-    for idx, size in zip(order, sizes):
-        ue = int(cell_ues[idx])
-        if tx_power_dbm is None:
-            power = np.nan
-        else:
-            power = per_rb_power_dbm(float(np.asarray(tx_power_dbm)[idx]),
-                                     int(size), p_max_dbm)
-        out.append(RbAssignment(ue_id=ue, rb_start=start, rb_len=int(size),
-                                per_rb_power_dbm=power))
-        start += int(size)
-    return out
+    # libm's log10 and pow, not numpy's SIMD ones, which differ in the last bit.
+    log_len = np.array([math.log10(k) for k in range(1, grid.data_rbs + 1)])
+    power_dbm = np.minimum(tx_power_dbm[ue],
+                           p_max_dbm - 10.0 * log_len[sizes - 1])
+    power_mw = np.array([10.0 ** (p / 10.0) for p in power_dbm.tolist()])
+
+    # Grants lie back to back from the control boundary, in rank order.
+    rb_cell = np.repeat(cell, sizes)
+    rb = grid.control_rbs + _rank_in_cell(rb_cell)
+    occ = np.full((n_cells, grid.total_rbs), -1, dtype=int)
+    p_mw = np.zeros((n_cells, grid.total_rbs))
+    occ[rb_cell, rb] = np.repeat(ue, sizes)
+    p_mw[rb_cell, rb] = np.repeat(power_mw, sizes)
+    return occ, p_mw

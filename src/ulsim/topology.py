@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "SiteLayout",
     "Cell",
-    "UePlacement",
     "PathLossMap",
     "build_hex_layout",
     "cells_of",
@@ -29,7 +28,6 @@ __all__ = [
     "macro_path_loss_db",
     "antenna_gain_db",
     "path_loss",
-    "build_path_loss_map",
 ]
 
 SECTORS_PER_SITE = 3
@@ -63,13 +61,6 @@ class Cell:
     cell_id: int
     site_id: int
     boresight_deg: float
-
-
-@dataclass(frozen=True)
-class UePlacement:
-    ue_id: int
-    position: np.ndarray                # (2,) meters
-    serving_cell: int
 
 
 @dataclass(frozen=True)
@@ -267,29 +258,16 @@ def _sample_positions(layout: SiteLayout, n: int, min_dist: float,
 
 def drop_ues(layout: SiteLayout, ues_per_cell: int,
              min_dist: float = MIN_UE_SITE_DISTANCE_M,
-             seed: int = 0) -> list[UePlacement]:
+             seed: int = 0) -> tuple[np.ndarray, np.ndarray, PathLossMap]:
     """Drop ues_per_cell * n_cells UEs uniformly over the wrapped network area.
 
     Positions violating the minimum site distance are rejection-resampled.
-    Each UE attaches to the cell with the lowest effective path loss (ties by
-    lowest cell_id), using the same shadowing draws as build_path_loss_map.
+    Returns the (n, 2) positions, each UE's serving cell and the full
+    (UE x cell) loss matrix; deterministic given seed. Each UE attaches to
+    the cell with the lowest loss in that matrix (ties by lowest cell_id).
     """
     n = ues_per_cell * layout.n_cells
     positions = _sample_positions(layout, n, min_dist, _pos_rng(seed))
     shadow = _shadow_draws(n, layout.n_sites, seed)
     loss = _loss_matrix(positions, shadow, layout)
-    serving = np.argmin(loss, axis=1)
-    return [UePlacement(ue_id=i, position=positions[i], serving_cell=int(serving[i]))
-            for i in range(n)]
-
-
-def build_path_loss_map(layout: SiteLayout, ues: list[UePlacement],
-                        seed: int = 0) -> PathLossMap:
-    """Fill the full (UE x cell) loss matrix; deterministic given seed.
-
-    Shadowing is drawn per (UE, site) pair from the same seeded stream used by
-    drop_ues, so serving assignments stay consistent with the matrix.
-    """
-    positions = np.array([ue.position for ue in ues])
-    shadow = _shadow_draws(len(ues), layout.n_sites, seed)
-    return PathLossMap(loss_db=_loss_matrix(positions, shadow, layout))
+    return positions, np.argmin(loss, axis=1), PathLossMap(loss_db=loss)

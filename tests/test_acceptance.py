@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import make_snapshot, maxpower_config
+from scheduler_oracle import RbAssignment, occupancy
 from ulsim import report
 from ulsim.config import DEFAULTS
 from ulsim.engine import compute_slot
 from ulsim.linkbudget import AmcCurve, NoiseModel, amc_realized, amc_smooth
 from ulsim.powerctl import (CnbParams, FpcParams, RlpcParams, cnb_objective,
                             cnb_ri, cnb_rs, cnb_solve, fpc_power, rlpc_power)
-from ulsim.scheduler import RbAssignment
 
 NOISE = NoiseModel()
 CURVE = AmcCurve()
@@ -162,7 +162,7 @@ class TestCriterion6EngineOracle:
             1: [RbAssignment(1, rb_start=4, rb_len=4, per_rb_power_dbm=self.P1)],
         }
         bits, mean_sinr, _, _, energy, _ = compute_slot(
-            allocations, snapshot, config)
+            *occupancy(allocations, 2, config.grid), snapshot, config)
 
         # Independent scalar recomputation: received = p * gain * combining,
         # sinr = signal / (other-cell interference + per-RB noise).

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import cnb_config, make_snapshot, maxpower_config
-from ulsim.engine import (MetricsAccumulator, SimConfig, apply_delay,
-                          build_snapshot, compute_slot, drop_seed, run,
-                          run_drop, simulate)
+from scheduler_oracle import RbAssignment, occupancy
+from ulsim import engine
+from ulsim.engine import (MetricsAccumulator, SimConfig, build_snapshot,
+                          compute_slot, drop_seed, run, run_drop, simulate)
 from ulsim.linkbudget import AmcCurve, NoiseModel, amc_realized
 from ulsim.powerctl import CnbParams, ControllerSpec
 from ulsim.report import summarize
-from ulsim.scheduler import RbAssignment, RbGrid
+from ulsim.scheduler import RbGrid
 
 
 class TestSimConfig:
@@ -21,6 +22,9 @@ class TestSimConfig:
             maxpower_config(slots=-1)
         with pytest.raises(ValueError):
             maxpower_config(delay_slots=0)
+        for ewma in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                maxpower_config(ewma=ewma)
 
     def test_frozen(self):
         cfg = maxpower_config()
@@ -33,17 +37,6 @@ class TestSimConfig:
         assert cfg.grid == RbGrid()
         assert cfg.noise == NoiseModel()
         assert cfg.curve == AmcCurve()
-
-
-class TestApplyDelay:
-    def test_returns_delayed_entry(self):
-        hist = ["a", "b", "c", "d"]
-        assert apply_delay(hist, 0) == "d"
-        assert apply_delay(hist, 2) == "b"
-
-    def test_fallback_during_warmup(self):
-        assert apply_delay(["a"], 3, fallback="f0") == "f0"
-        assert apply_delay([], 0, fallback="f0") == "f0"
 
 
 class TestAccumulator:
@@ -90,7 +83,7 @@ class TestComputeSlotOracle:
             1: [RbAssignment(ue_id=1, rb_start=2, rb_len=4,
                              per_rb_power_dbm=self.P1)],
         }
-        return snapshot, config, allocations
+        return snapshot, config, occupancy(allocations, 2, config.grid)
 
     def expected(self, config):
         n0 = 10.0 ** (config.noise.n0_dbm / 10.0)
@@ -117,9 +110,9 @@ class TestComputeSlotOracle:
         return bits0, bits1, energy0, energy1, mean_sinr0, sinr1
 
     def test_bits_and_sinr_match_hand_computation(self):
-        snapshot, config, allocations = self.scenario()
+        snapshot, config, slot = self.scenario()
         bits, mean_sinr, mean_snr, mean_iot, energy, sched = compute_slot(
-            allocations, snapshot, config)
+            *slot, snapshot, config)
         b0, b1, e0, e1, s0, s1 = self.expected(config)
         assert np.isclose(bits[0], b0, rtol=1e-9)
         assert np.isclose(bits[1], b1, rtol=1e-9)
@@ -130,9 +123,8 @@ class TestComputeSlotOracle:
         assert sched.tolist() == [True, True]
 
     def test_snr_iot_samples(self):
-        snapshot, config, allocations = self.scenario()
-        _, _, mean_snr, mean_iot, _, _ = compute_slot(
-            allocations, snapshot, config)
+        snapshot, config, slot = self.scenario()
+        _, _, mean_snr, mean_iot, _, _ = compute_slot(*slot, snapshot, config)
         n0 = 10.0 ** (config.noise.n0_dbm / 10.0)
         combine = 10.0 ** (config.combining_gain_db / 10.0)
         sig0 = 10.0 ** (self.P0 / 10.0) * 10.0 ** (-110.0 / 10.0) * combine
@@ -143,7 +135,8 @@ class TestComputeSlotOracle:
 
     def test_idle_network(self):
         snapshot, config, _ = self.scenario()
-        bits, _, _, _, energy, sched = compute_slot({}, snapshot, config)
+        bits, _, _, _, energy, sched = compute_slot(
+            *occupancy({}, 2, config.grid), snapshot, config)
         assert not bits.any() and not energy.any() and not sched.any()
 
 
@@ -182,6 +175,38 @@ class TestSimulate:
         cfg = maxpower_config(slots=3, delay_slots=6, drops=1)
         acc = simulate(snap, cfg)
         assert acc.bits.sum() > 0
+
+    def test_schedules_on_delayed_estimate(self, monkeypatch):
+        # Slots 0 .. D-1 schedule on the warm-up estimate; slot t on the
+        # estimate measured in slot t - D, recomputed here from each slot's
+        # SINR (unscheduled UEs keep their previous estimate).
+        snap = self.small_snapshot()
+        cfg = maxpower_config(slots=12, delay_slots=3, drops=1, fading=1)
+        used, slots = [], []
+        real_allocate, real_slot = engine.allocate, engine.compute_slot
+
+        def allocate(serving, est, *args):
+            used.append(est.copy())
+            return real_allocate(serving, est, *args)
+
+        def compute_slot(*args, **kwargs):
+            slots.append(real_slot(*args, **kwargs))
+            return slots[-1]
+
+        monkeypatch.setattr(engine, "allocate", allocate)
+        monkeypatch.setattr(engine, "compute_slot", compute_slot)
+        simulate(snap, cfg, fading_seed=4)
+
+        measured, prev = [], used[0]
+        for _, mean_sinr, _, _, _, scheduled in slots:
+            rate = amc_realized(mean_sinr, cfg.curve) * cfg.noise.rb_bandwidth_hz
+            prev = np.where(scheduled, rate, prev)
+            measured.append(prev)
+        assert all(np.array_equal(used[t], used[0]) for t in range(3))
+        assert all(np.array_equal(used[t], measured[t - 3])
+                   for t in range(3, 12))
+        assert not all(np.array_equal(measured[t], measured[t + 1])
+                       for t in range(11))
 
     def test_fading_changes_results(self):
         snap = self.small_snapshot()

@@ -1,14 +1,22 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ulsim.scheduler import (PfState, RbAssignment, RbGrid, allocate,
-                             per_rb_power_dbm, pf_weight, update_avg)
+from scheduler_oracle import allocate_network
+from ulsim.scheduler import PfState, RbGrid, allocate
+
+P_MAX = 23.0
 
 
-def fresh_pf(n, avg=None, served=None):
-    pf = PfState.fresh(n)
+def mw(dbm):
+    return 10.0 ** (dbm / 10.0)
+
+
+def fresh_pf(n, avg=None, served=None, **weights):
+    pf = PfState.fresh(n, **weights)
     if avg is not None:
         pf.avg_rate = np.asarray(avg, dtype=float)
     if served is not None:
@@ -16,114 +24,160 @@ def fresh_pf(n, avg=None, served=None):
     return pf
 
 
-def check_invariants(entries, grid):
-    """RB ranges are contiguous from the control boundary and disjoint."""
-    start = grid.control_rbs
-    total = 0
-    for e in entries:
-        assert e.rb_start == start
-        assert e.rb_len >= 1
-        start += e.rb_len
-        total += e.rb_len
-    assert total <= grid.data_rbs
-    assert start <= grid.total_rbs
+def schedule(rates, pf, grid, serving=None, powers=None, n_cells=1):
+    """One slot of allocate; every UE is in cell 0 unless serving says not."""
+    n = len(rates)
+    serving = np.zeros(n, dtype=int) if serving is None else np.asarray(serving)
+    powers = np.full(n, P_MAX) if powers is None else np.asarray(powers)
+    return allocate(serving, np.asarray(rates, dtype=float), pf, grid, powers,
+                    P_MAX, n_cells)
+
+
+def grants(occ_row, grid):
+    """A cell's grants as (ue, rb_start, rb_len), in RB order.
+
+    Checks the invariants: control RBs idle, grants back to back from the
+    control boundary, one contiguous range per UE.
+    """
+    assert (occ_row[:grid.control_rbs] == -1).all()
+    out = []
+    for rb in range(grid.control_rbs, grid.total_rbs):
+        ue = int(occ_row[rb])
+        if ue == -1:
+            assert (occ_row[rb:] == -1).all()
+            break
+        if out and out[-1][0] == ue:
+            out[-1] = (ue, out[-1][1], out[-1][2] + 1)
+        else:
+            out.append((ue, rb, 1))
+    ids = [g[0] for g in out]
+    assert len(ids) == len(set(ids))
+    return out
+
+
+def rb_counts(occ_row, grid):
+    return {ue: size for ue, _, size in grants(occ_row, grid)}
 
 
 class TestPfMetric:
+    GRID = RbGrid()
+
     def test_weight_formula(self):
-        assert pf_weight(100.0, 50.0) == 2.0
-        assert pf_weight(100.0, 50.0, alpha=2.0, beta=1.0) == 200.0
-        assert pf_weight(100.0, 50.0, alpha=1.0, beta=0.0) == 100.0
+        # RB shares follow est^alpha / avg^beta: 1:2, 4:1 and 3:1 of 48 RBs.
+        for weights, rates, avg, want in (
+                ({}, [100.0, 100.0], [50.0, 25.0], {0: 16, 1: 32}),
+                ({"alpha": 2.0, "beta": 1.0}, [200.0, 100.0], [1.0, 1.0],
+                 {0: 38, 1: 10}),
+                ({"alpha": 1.0, "beta": 0.0}, [300.0, 100.0], [5.0, 1.0],
+                 {0: 36, 1: 12})):
+            pf = fresh_pf(2, avg=avg, served=[True, True], **weights)
+            occ, _ = schedule(rates, pf, self.GRID)
+            assert rb_counts(occ[0], self.GRID) == want
 
     def test_weight_requires_positive_avg(self):
+        pf = fresh_pf(2, avg=[1.0, 0.0], served=[True, True])
         with pytest.raises(ValueError):
-            pf_weight(100.0, 0.0)
+            schedule([100.0, 100.0], pf, self.GRID)
 
-    def test_update_avg(self):
-        assert np.isclose(update_avg(100.0, 200.0, 0.01), 101.0)
-
-    def test_update_avg_validates_ewma(self):
-        with pytest.raises(ValueError):
-            update_avg(1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            update_avg(1.0, 1.0, 1.0)
+    def test_update(self):
+        pf = PfState.fresh(3, ewma=0.01)
+        # Bootstrap: the first nonzero rate while scheduled starts the average.
+        pf.update(np.array([True, True, False]), np.array([100.0, 0.0, 7.0]))
+        assert pf.avg_rate.tolist() == [100.0, 0.0, 0.0]
+        assert pf.served_once.tolist() == [True, False, False]
+        # One EWMA step for UE 0; UE 1 bootstraps.
+        pf.update(np.array([True, True, False]), np.array([200.0, 300.0, 0.0]))
+        assert np.isclose(pf.avg_rate[0], 101.0)
+        assert pf.avg_rate[1:].tolist() == [300.0, 0.0]
+        # Served UEs decay in slots without a grant; UE 2 stays unserved.
+        pf.update(np.zeros(3, dtype=bool), np.zeros(3))
+        assert np.allclose(pf.avg_rate, [0.99 * 101.0, 0.99 * 300.0, 0.0])
+        assert pf.served_once.tolist() == [True, True, False]
 
 
 class TestPerRbPower:
     def test_uncapped(self):
-        assert per_rb_power_dbm(-5.0, 4, 23.0) == -5.0
+        grid = RbGrid()
+        pf = fresh_pf(1, avg=[1.0], served=[True])
+        _, p_mw = schedule([100.0], pf, grid, powers=[-5.0])
+        assert (p_mw[0, grid.control_rbs:] == mw(-5.0)).all()
 
     def test_capped_by_total_power(self):
         # 10 RBs at 23 dBm each would be 33 dBm total; cap shares p_max.
-        got = per_rb_power_dbm(23.0, 10, 23.0)
-        assert np.isclose(got, 23.0 - 10.0 * np.log10(10), atol=1e-12)
+        grid = RbGrid(total_rbs=12, control_rbs=2)
+        pf = fresh_pf(1, avg=[1.0], served=[True])
+        _, p_mw = schedule([100.0], pf, grid, powers=[23.0])
+        assert np.allclose(p_mw[0, 2:], mw(23.0 - 10.0 * np.log10(10)),
+                           rtol=1e-12)
+        assert np.isclose(p_mw[0].sum(), mw(23.0), rtol=1e-12)
 
     def test_single_rb_never_scaled(self):
-        assert per_rb_power_dbm(23.0, 1, 23.0) == 23.0
+        grid = RbGrid(total_rbs=3, control_rbs=2)
+        pf = fresh_pf(1, avg=[1.0], served=[True])
+        _, p_mw = schedule([100.0], pf, grid, powers=[23.0])
+        assert p_mw[0].tolist() == [0.0, 0.0, mw(23.0)]
 
 
 class TestAllocate:
     GRID = RbGrid()
 
     def test_full_grid_used(self):
-        ues = np.arange(4)
         pf = fresh_pf(4, avg=[1.0, 1.0, 1.0, 1.0], served=[True] * 4)
-        entries = allocate(ues, [100.0] * 4, pf, self.GRID)
-        check_invariants(entries, self.GRID)
-        assert sum(e.rb_len for e in entries) == self.GRID.data_rbs
-        assert {e.ue_id for e in entries} == set(range(4))
+        occ, _ = schedule([100.0] * 4, pf, self.GRID)
+        counts = rb_counts(occ[0], self.GRID)
+        assert sum(counts.values()) == self.GRID.data_rbs
+        assert set(counts) == set(range(4))
 
     def test_weight_proportional_shares(self):
-        ues = np.arange(2)
         pf = fresh_pf(2, avg=[1.0, 1.0], served=[True, True])
-        entries = allocate(ues, [300.0, 100.0], pf, self.GRID)
-        sizes = {e.ue_id: e.rb_len for e in entries}
-        assert sizes[0] == 36 and sizes[1] == 12  # 3:1 split of 48 RBs
+        occ, _ = schedule([300.0, 100.0], pf, self.GRID)
+        assert rb_counts(occ[0], self.GRID) == {0: 36, 1: 12}  # 3:1 of 48
 
     def test_zero_rate_unscheduled(self):
-        ues = np.arange(3)
         pf = fresh_pf(3, avg=[1.0] * 3, served=[True] * 3)
-        entries = allocate(ues, [100.0, 0.0, 100.0], pf, self.GRID)
-        assert {e.ue_id for e in entries} == {0, 2}
+        occ, _ = schedule([100.0, 0.0, 100.0], pf, self.GRID)
+        assert set(rb_counts(occ[0], self.GRID)) == {0, 2}
 
     def test_never_served_preempts(self):
         # UE 1 has never been served: it gets scheduled even with huge
         # competing PF weights, and served UEs wait.
-        ues = np.arange(3)
         pf = fresh_pf(3, avg=[1e-6, 1.0, 1e-6], served=[True, False, True])
-        entries = allocate(ues, [500.0, 10.0, 500.0], pf, self.GRID)
-        assert {e.ue_id for e in entries} == {1}
-        assert entries[0].rb_len == self.GRID.data_rbs
+        occ, _ = schedule([500.0, 10.0, 500.0], pf, self.GRID)
+        assert rb_counts(occ[0], self.GRID) == {1: self.GRID.data_rbs}
 
     def test_more_ues_than_rbs(self):
         grid = RbGrid(total_rbs=6, control_rbs=2)
-        ues = np.arange(10)
         pf = fresh_pf(10, avg=np.ones(10), served=[True] * 10)
-        rates = np.linspace(100.0, 1000.0, 10)
-        entries = allocate(ues, rates, pf, grid)
-        check_invariants(entries, grid)
+        occ, _ = schedule(np.linspace(100.0, 1000.0, 10), pf, grid)
         # Only the 4 highest-weight UEs fit at one RB each.
-        assert [e.ue_id for e in entries] == [9, 8, 7, 6]
+        assert grants(occ[0], grid) == [(9, 2, 1), (8, 3, 1), (7, 4, 1),
+                                        (6, 5, 1)]
 
     def test_tie_breaks_by_ue_id(self):
         grid = RbGrid(total_rbs=4, control_rbs=2)
-        ues = np.array([7, 3, 5])
         pf = fresh_pf(8, avg=np.ones(8), served=[True] * 8)
-        entries = allocate(ues, [100.0, 100.0, 100.0], pf, grid)
-        assert [e.ue_id for e in entries] == [3, 5]
+        rates = [0.0, 0.0, 0.0, 100.0, 0.0, 100.0, 0.0, 100.0]
+        occ, _ = schedule(rates, pf, grid, serving=[1, 1, 1, 0, 1, 0, 1, 0],
+                          n_cells=2)
+        assert [g[0] for g in grants(occ[0], grid)] == [3, 5]
 
     def test_empty_cell(self):
-        pf = fresh_pf(1)
-        assert allocate(np.array([], dtype=int), [], pf, self.GRID) == []
+        pf = fresh_pf(2, avg=[1.0, 1.0], served=[True, True])
+        occ, p_mw = schedule([100.0, 100.0], pf, self.GRID, serving=[1, 1],
+                             n_cells=3)
+        assert (occ[[0, 2]] == -1).all() and not p_mw[[0, 2]].any()
+        assert set(rb_counts(occ[1], self.GRID)) == {0, 1}
+        occ, p_mw = schedule([], fresh_pf(0), self.GRID, n_cells=2)
+        assert (occ == -1).all() and not p_mw.any()
 
     def test_power_cap_applied_per_assignment(self):
-        ues = np.arange(2)
         pf = fresh_pf(2, avg=[1.0, 1.0], served=[True, True])
-        entries = allocate(ues, [100.0, 100.0], pf, self.GRID,
-                           tx_power_dbm=[23.0, -5.0])
-        for e in entries:
-            scheme = 23.0 if e.ue_id == 0 else -5.0
-            assert e.per_rb_power_dbm == per_rb_power_dbm(scheme, e.rb_len, 23.0)
+        occ, p_mw = schedule([100.0, 100.0], pf, self.GRID,
+                             powers=[23.0, -5.0])
+        counts = rb_counts(occ[0], self.GRID)
+        for ue, scheme in ((0, 23.0), (1, -5.0)):
+            cap = 23.0 - 10.0 * math.log10(counts[ue])
+            assert (p_mw[occ == ue] == mw(min(scheme, cap))).all()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1,
@@ -133,11 +187,51 @@ class TestAllocate:
         grid = RbGrid(total_rbs=total_rbs, control_rbs=2)
         n = len(rates)
         pf = fresh_pf(n, avg=np.ones(n), served=[True] * n)
-        entries = allocate(np.arange(n), rates, pf, grid)
-        check_invariants(entries, grid)
-        ids = [e.ue_id for e in entries]
-        assert len(ids) == len(set(ids))
+        occ, _ = schedule(rates, pf, grid)
+        entries = grants(occ[0], grid)
         if any(r > 0 for r in rates):
             assert len(entries) >= 1
-            assert sum(e.rb_len for e in entries) == grid.data_rbs or \
+            assert sum(e[2] for e in entries) == grid.data_rbs or \
                 len(entries) == min(grid.data_rbs, sum(r > 0 for r in rates))
+
+
+@st.composite
+def network_states(draw):
+    """Random multi-cell PF states with integer rates and averages, so that
+    exact remainder ties occur; cells may be empty or hold more UEs than
+    data RBs, estimates may be zero, UEs may be served or never served."""
+    n_cells = draw(st.integers(min_value=1, max_value=8))
+    n = draw(st.integers(min_value=0, max_value=80))
+    total_rbs = draw(st.integers(min_value=3, max_value=60))
+    grid = RbGrid(total_rbs, draw(st.integers(min_value=0, max_value=2)))
+    per_ue = lambda elements: np.array(
+        draw(st.lists(elements, min_size=n, max_size=n)))
+    serving = per_ue(st.integers(min_value=0, max_value=n_cells - 1))
+    est = per_ue(st.integers(min_value=0, max_value=9)).astype(float)
+    served = per_ue(st.booleans()).astype(bool)
+    avg = np.where(served, per_ue(st.integers(min_value=1, max_value=9)), 0.0)
+    powers = per_ue(st.sampled_from([-30.0, -7.5, 0.0, 6.0, 12.3, 23.0]))
+    pf = fresh_pf(n, avg=avg, served=served)
+    return serving.astype(int), est, pf, grid, powers.astype(float), n_cells
+
+
+def example_state(serving, est, avg, powers, n_cells):
+    n = len(serving)
+    return (np.array(serving), np.array(est, dtype=float),
+            fresh_pf(n, avg=avg, served=[True] * n), RbGrid(),
+            np.array(powers, dtype=float), n_cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(network_states())
+# A remainder tie that summing a cell's weights in another order breaks.
+@example(example_state([0] * 10, [7, 2, 8, 2, 7, 5, 2, 9, 4, 2],
+                       [2, 4, 2, 1, 3, 2, 5, 1, 2, 2], [0.0] * 10, 1))
+# Grants of 40 and 43 RBs, where numpy's log10 and libm's differ.
+@example(example_state([0, 0, 1, 1], [39, 7, 42, 4], [1, 1, 1, 1],
+                       [23.0] * 4, 2))
+def test_matches_per_cell_oracle(state):
+    occ, p_mw = allocate(*state[:5], P_MAX, state[5])
+    want_occ, want_p_mw = allocate_network(*state[:5], P_MAX, state[5])
+    assert np.array_equal(occ, want_occ)
+    assert np.array_equal(p_mw, want_p_mw)

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulsim.topology import (MIN_UE_SITE_DISTANCE_M, PENETRATION_LOSS_DB, Cell,
-                            antenna_gain_db, build_hex_layout,
-                            build_path_loss_map, cells_of, drop_ues,
-                            macro_path_loss_db, path_loss, wrap_displacement,
-                            wrap_distance)
+                            antenna_gain_db, build_hex_layout, cells_of,
+                            drop_ues, macro_path_loss_db, path_loss,
+                            wrap_displacement, wrap_distance)
 from ulsim.topology import _shadow_draws
 
 
@@ -118,45 +117,45 @@ class TestPathLoss:
 
 class TestDrops:
     def test_ue_count(self, small_layout):
-        ues = drop_ues(small_layout, ues_per_cell=5, seed=11)
-        assert len(ues) == 5 * small_layout.n_cells
+        positions, serving, plmap = drop_ues(small_layout, ues_per_cell=5,
+                                             seed=11)
+        n = 5 * small_layout.n_cells
+        assert positions.shape == (n, 2) and serving.shape == (n,)
+        assert plmap.loss_db.shape == (n, small_layout.n_cells)
 
     def test_min_site_distance(self, small_layout):
-        ues = drop_ues(small_layout, ues_per_cell=5, seed=11)
-        for ue in ues:
+        positions, _, _ = drop_ues(small_layout, ues_per_cell=5, seed=11)
+        for pos in positions:
             for s in range(small_layout.n_sites):
-                d = wrap_distance(ue.position, small_layout.site_positions[s],
+                d = wrap_distance(pos, small_layout.site_positions[s],
                                   small_layout)
                 assert d >= MIN_UE_SITE_DISTANCE_M - 1e-9
 
     def test_attachment_consistency(self, small_layout):
         # Serving cell is the argmin of the same loss matrix the map exposes.
-        ues = drop_ues(small_layout, ues_per_cell=4, seed=7)
-        plmap = build_path_loss_map(small_layout, ues, seed=7)
-        serving = np.array([ue.serving_cell for ue in ues])
+        _, serving, plmap = drop_ues(small_layout, ues_per_cell=4, seed=7)
         assert np.array_equal(serving, np.argmin(plmap.loss_db, axis=1))
 
     def test_determinism(self, small_layout):
         a = drop_ues(small_layout, ues_per_cell=3, seed=5)
         b = drop_ues(small_layout, ues_per_cell=3, seed=5)
-        assert all(np.array_equal(x.position, y.position) for x, y in zip(a, b))
+        assert all(np.array_equal(x, y) for x, y in zip(a[:2], b[:2]))
+        assert np.array_equal(a[2].loss_db, b[2].loss_db)
         c = drop_ues(small_layout, ues_per_cell=3, seed=6)
-        assert not all(np.array_equal(x.position, y.position)
-                       for x, y in zip(a, c))
+        assert not np.array_equal(a[0], c[0])
 
     def test_cosite_sectors_share_shadowing(self, small_layout):
         # Within one site, sector losses differ only by the antenna pattern,
         # so subtracting the (shadow-free) pattern-only matrix leaves equal
         # values for the three co-site columns.
-        ues = drop_ues(small_layout, ues_per_cell=4, seed=9)
-        plmap = build_path_loss_map(small_layout, ues, seed=9)
+        positions, _, plmap = drop_ues(small_layout, ues_per_cell=4, seed=9)
         cells = cells_of(small_layout)
         for u in (0, 7, 33):
             base = []
             for cell in cells[:3]:      # three sectors of site 0
                 disp = wrap_displacement(
                     small_layout.site_positions[cell.site_id],
-                    ues[u].position, small_layout)
+                    positions[u], small_layout)
                 bearing = math.degrees(math.atan2(disp[1], disp[0]))
                 gain = float(antenna_gain_db(bearing - cell.boresight_deg))
                 base.append(plmap.loss_db[u, cell.cell_id] + gain)
@@ -170,10 +169,9 @@ class TestDrops:
 
 class TestPathLossMap:
     def test_cross_losses_sorted_and_exclude_serving(self, small_layout):
-        ues = drop_ues(small_layout, ues_per_cell=2, seed=3)
-        plmap = build_path_loss_map(small_layout, ues, seed=3)
+        _, serving, plmap = drop_ues(small_layout, ues_per_cell=2, seed=3)
         u = 5
-        s = ues[u].serving_cell
+        s = serving[u]
         cross = plmap.cross_losses(u, s)
         assert len(cross) == small_layout.n_cells - 1
         assert np.all(np.diff(cross) >= 0)
