@@ -41,6 +41,10 @@ class PfState:
     beta: float = 1.0
     ewma: float = 0.01
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.ewma < 1.0:
+            raise ValueError(f"ewma must be in (0, 1), got {self.ewma}")
+
     @classmethod
     def fresh(cls, n_ues: int, **weights) -> "PfState":
         """No UE served yet; weights are alpha, beta and ewma."""

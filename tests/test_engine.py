@@ -176,12 +176,33 @@ class TestSimulate:
         acc = simulate(snap, cfg)
         assert acc.bits.sum() > 0
 
-    def test_schedules_on_delayed_estimate(self, monkeypatch):
-        # Slots 0 .. D-1 schedule on the warm-up estimate; slot t on the
-        # estimate measured in slot t - D, recomputed here from each slot's
-        # SINR (unscheduled UEs keep their previous estimate).
+    def test_fading_changes_results(self):
         snap = self.small_snapshot()
-        cfg = maxpower_config(slots=12, delay_slots=3, drops=1, fading=1)
+        base = simulate(snap, maxpower_config(slots=15, drops=1))
+        faded = simulate(snap, maxpower_config(slots=15, drops=1,
+                                               fading=True), fading_seed=3)
+        assert not np.array_equal(base.bits, faded.bits)
+
+    def test_explicit_powers_override(self):
+        snap = self.small_snapshot()
+        cfg = maxpower_config(slots=5, drops=1)
+        lo = simulate(snap, cfg, powers_dbm=np.full(6, -10.0))
+        hi = simulate(snap, cfg, powers_dbm=np.full(6, 23.0))
+        assert lo.energy_j.sum() < hi.energy_j.sum()
+
+
+class TestApplyDelay:
+    """Slots 0 .. D-1 schedule on the warm-up estimate; slot t on the
+    estimate measured in slot t - D."""
+
+    D = 3
+
+    def record(self, monkeypatch):
+        """Run 12 faded slots; return the estimate each slot scheduled on and
+        the estimate each slot measured, recomputed here from its SINR
+        (unscheduled UEs keep their previous estimate)."""
+        snap = TestSimulate().small_snapshot()
+        cfg = maxpower_config(slots=12, delay_slots=self.D, drops=1, fading=1)
         used, slots = [], []
         real_allocate, real_slot = engine.allocate, engine.compute_slot
 
@@ -202,25 +223,21 @@ class TestSimulate:
             rate = amc_realized(mean_sinr, cfg.curve) * cfg.noise.rb_bandwidth_hz
             prev = np.where(scheduled, rate, prev)
             measured.append(prev)
-        assert all(np.array_equal(used[t], used[0]) for t in range(3))
-        assert all(np.array_equal(used[t], measured[t - 3])
-                   for t in range(3, 12))
+        return used, measured
+
+    def test_returns_delayed_entry(self, monkeypatch):
+        used, measured = self.record(monkeypatch)
+        assert len(used) == 12
+        assert all(np.array_equal(used[t], measured[t - self.D])
+                   for t in range(self.D, 12))
+        # The estimates do change, so the check above pins the lag.
         assert not all(np.array_equal(measured[t], measured[t + 1])
                        for t in range(11))
 
-    def test_fading_changes_results(self):
-        snap = self.small_snapshot()
-        base = simulate(snap, maxpower_config(slots=15, drops=1))
-        faded = simulate(snap, maxpower_config(slots=15, drops=1,
-                                               fading=True), fading_seed=3)
-        assert not np.array_equal(base.bits, faded.bits)
-
-    def test_explicit_powers_override(self):
-        snap = self.small_snapshot()
-        cfg = maxpower_config(slots=5, drops=1)
-        lo = simulate(snap, cfg, powers_dbm=np.full(6, -10.0))
-        hi = simulate(snap, cfg, powers_dbm=np.full(6, 23.0))
-        assert lo.energy_j.sum() < hi.energy_j.sum()
+    def test_fallback_during_warmup(self, monkeypatch):
+        used, measured = self.record(monkeypatch)
+        assert all(np.array_equal(used[t], used[0]) for t in range(self.D))
+        assert not np.array_equal(used[self.D], used[0])
 
 
 class TestDrops:

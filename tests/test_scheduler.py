@@ -94,6 +94,11 @@ class TestPfMetric:
         assert np.allclose(pf.avg_rate, [0.99 * 101.0, 0.99 * 300.0, 0.0])
         assert pf.served_once.tolist() == [True, True, False]
 
+    def test_update_avg_validates_ewma(self):
+        for ewma in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                PfState.fresh(1, ewma=ewma)
+
 
 class TestPerRbPower:
     def test_uncapped(self):
