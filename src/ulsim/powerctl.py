@@ -6,7 +6,9 @@ that weighs a UE's own throughput against the throughput it costs the cells it
 interferes with, and maximizes the weighted sum by bisection on the derivative.
 
 Every controller is a pure function of one UE's path-loss row and static
-parameters, so per-UE solves are independent and fully distributed.
+parameters, so per-UE solves are independent and fully distributed; the code
+computes all UEs of a drop together, as array expressions and one batched
+C&B solve.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ __all__ = [
     "rlpc_power",
     "max_power",
     "cnb_rs",
-    "cnb_neighbors",
+    "cnb_neighbor_losses",
     "cnb_ri",
     "cnb_objective",
     "cnb_solve",
@@ -48,6 +50,10 @@ _FD_STEP_DB = 0.01
 # Screening spacing for derivative sign changes between breakpoints; the
 # smooth parts of the objective vary on multi-dB scales, so 1 dB suffices.
 _SCREEN_STEP_DB = 1.0
+# UEs per objective evaluation in the batched solve: whole-batch temporaries
+# fall out of cache and cost about 3x as much per neighbor term; 64 rows run
+# no faster than 32 and hold twice the temporaries, 16 run about 10 % slower.
+_CHUNK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -125,38 +131,40 @@ def pl_threshold_db(p_max_dbm: float, noise: NoiseModel) -> float:
     return p_max_dbm - noise.n0_dbm
 
 
-def fpc_power(pl_db: float, p: FpcParams) -> float:
-    """Fractional compensation: min(p_max, p0 + kappa * PL)."""
-    return min(p.p_max_dbm, p.p0_dbm + p.kappa * pl_db)
+def fpc_power(pl_db, p: FpcParams):
+    """Fractional compensation: min(p_max, p0 + kappa * PL); PL may be an array."""
+    return np.minimum(p.p_max_dbm, p.p0_dbm + p.kappa * pl_db)
 
 
-def rlpc_power(pl_db: float, pl_min_db: float, p: RlpcParams) -> float:
+def rlpc_power(pl_db, pl_min_db, p: RlpcParams):
     """Reverse-link: min(p_max, p0 + phi*PL + (1-phi)*PL_min_neighbor)."""
-    return min(p.p_max_dbm, p.p0_dbm + p.phi * pl_db + (1.0 - p.phi) * pl_min_db)
+    return np.minimum(p.p_max_dbm,
+                      p.p0_dbm + p.phi * pl_db + (1.0 - p.phi) * pl_min_db)
 
 
 def max_power(p: MaxPowerParams) -> float:
     return p.p_max_dbm
 
 
-def cnb_rs(p_dbm, pl_db: float, params: CnbParams, curve: AmcCurve,
+def cnb_rs(p_dbm, pl_db, params: CnbParams, curve: AmcCurve,
            noise: NoiseModel):
     """Own-throughput estimate: f(SNR(P) / assumed IoT); nondecreasing in P."""
     sinr = snr_of(p_dbm, pl_db, noise) / db_to_linear(params.iot_s_db)
     return amc_smooth(sinr, curve)
 
 
-def cnb_neighbors(ue_id: int, plmap: PathLossMap, serving_cell: int,
-                  params: CnbParams, noise: NoiseModel) -> np.ndarray:
-    """Cross losses toward cells this UE can interfere above the noise floor.
+def cnb_neighbor_losses(plmap: PathLossMap, serving: np.ndarray,
+                        params: CnbParams, noise: NoiseModel) -> np.ndarray:
+    """Cross losses toward the cells each UE can interfere above the noise floor.
 
-    Non-serving cells with loss strictly below the threshold, ascending.
+    Row u holds UE u's non-serving losses strictly below the threshold,
+    ascending, then inf for every other cell: the layout cnb_solve reads.
     """
     th = params.pl_th_db
     if th is None:
         th = pl_threshold_db(params.p_max_dbm, noise)
-    losses = plmap.cross_losses(ue_id, serving_cell)
-    return losses[losses < th]
+    cross = plmap.sorted_cross_losses(serving)
+    return np.where(cross < th, cross, np.inf)
 
 
 def cnb_ri(p_dbm, cross_losses, params: CnbParams, curve: AmcCurve,
@@ -180,36 +188,57 @@ def cnb_ri(p_dbm, cross_losses, params: CnbParams, curve: AmcCurve,
     return val if val.ndim else float(val)
 
 
-def cnb_objective(p_dbm, pl_db: float, cross_losses, params: CnbParams,
+def cnb_objective(p_dbm, pl_db, cross_losses, params: CnbParams,
                   curve: AmcCurve, noise: NoiseModel):
     """Weighted sum R_S(P) + zeta * R_I(P) maximized by the controller."""
     return (cnb_rs(p_dbm, pl_db, params, curve, noise)
             + params.zeta * cnb_ri(p_dbm, cross_losses, params, curve, noise))
 
 
-def _cnb_breakpoints(pl_db: float, cross, params: CnbParams, curve: AmcCurve,
-                     noise: NoiseModel) -> np.ndarray:
-    """Powers (dBm) where the piecewise objective kinks or jumps.
+def _cnb_breakpoints(pl_db: np.ndarray, cross: np.ndarray, params: CnbParams,
+                     curve: AmcCurve, noise: NoiseModel) -> np.ndarray:
+    """Powers (dBm) where each row's piecewise objective kinks or jumps.
 
     One point where the own-throughput curve saturates, and per neighbor the
     powers at which the neighbor's assumed SINR crosses the decodable-region
     ceiling (cost becomes nonzero) and floor (cost saturates).
     """
     x_cap = (2.0 ** (curve.t_max / curve.a) - 1.0) / curve.b
-    pts = [pl_db + noise.n0_dbm + params.iot_s_db + 10.0 * np.log10(x_cap)]
+    cap = pl_db + noise.n0_dbm + params.iot_s_db + 10.0 * np.log10(x_cap)
+    pts = [cap[:, None]]
     snr_i = db_to_linear(params.snr_i_db)
     iot_i = db_to_linear(params.iot_i_db)
-    cross = np.asarray(cross, dtype=float)
     for edge_db in (curve.sinr_ceiling_db, curve.sinr_floor_db):
         inr = snr_i / db_to_linear(edge_db) - iot_i
-        if inr > 0 and cross.size:
-            pts.extend(cross + noise.n0_dbm + 10.0 * np.log10(inr))
-    return np.asarray(pts)
+        if inr > 0:
+            pts.append(cross + noise.n0_dbm + 10.0 * np.log10(inr))
+    return np.concatenate(pts, axis=1)
 
 
-def cnb_solve(pl_db: float, cross_losses, params: CnbParams, curve: AmcCurve,
-              noise: NoiseModel, return_iters: bool = False):
-    """Maximize the objective over [bisect_lo, p_max] dBm by bisection.
+def _objective_rows(p_dbm: np.ndarray, pl_db: np.ndarray, cross: np.ndarray,
+                    params: CnbParams, curve: AmcCurve,
+                    noise: NoiseModel) -> np.ndarray:
+    """cnb_objective of the powers p_dbm[r] for the UE (pl_db[r], cross[r]).
+
+    Evaluated _CHUNK_ROWS rows at a time, so the (rows, powers, neighbors)
+    temporaries stay in cache.
+    """
+    out = np.empty(p_dbm.shape)
+    for a in range(0, len(p_dbm), _CHUNK_ROWS):
+        b = a + _CHUNK_ROWS
+        out[a:b] = cnb_objective(p_dbm[a:b], pl_db[a:b, None],
+                                 cross[a:b, None, :], params, curve, noise)
+    return out
+
+
+def cnb_solve(pl_db, cross_losses, params: CnbParams, curve: AmcCurve,
+              noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize each UE's objective over [bisect_lo, p_max] dBm by bisection.
+
+    pl_db holds n serving losses; row u of the (n, K) cross_losses holds UE
+    u's neighbor losses ascending, then inf (see cnb_neighbor_losses).
+    Returns the n powers (dBm) and the n iteration counts, each the longest
+    bracketing loop run for that UE.
 
     The stationarity test is a central finite difference of the objective
     (the capped throughput curve makes the objective piecewise, which finite
@@ -226,52 +255,82 @@ def cnb_solve(pl_db: float, cross_losses, params: CnbParams, curve: AmcCurve,
     the best objective value among the located peaks and breakpoints, making
     ties deterministic. No bracketing loop exceeds ceil(log2(range/tol))
     iterations.
+
+    UEs are solved together in groups of equal neighbor count, so every
+    objective row sums exactly that UE's terms and each power is the one a
+    solve of that UE alone returns.
     """
+    pl = np.asarray(pl_db, dtype=float)
     cross = np.asarray(cross_losses, dtype=float)
+    counts = np.isfinite(cross).sum(axis=1)
+    powers = np.empty(len(pl))
+    iters = np.empty(len(pl), dtype=int)
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        powers[rows], iters[rows] = _solve_group(pl[rows], cross[rows, :k],
+                                                 params, curve, noise)
+    return powers, iters
+
+
+def _solve_group(pl: np.ndarray, cross: np.ndarray, params: CnbParams,
+                 curve: AmcCurve, noise: NoiseModel):
+    """cnb_solve for UEs that all have cross.shape[1] neighbors."""
+    n = len(pl)
     lo, hi = params.bisect_lo_dbm, params.bisect_hi_dbm
     step = _FD_STEP_DB
     n_steps = int(round((hi - lo) / step))
 
-    def value(p):
-        return np.atleast_1d(
-            cnb_objective(np.asarray(p, dtype=float), pl_db, cross, params,
-                          curve, noise))
+    def value(p, ue):
+        return _objective_rows(p, pl[ue], cross[ue], params, curve, noise)
 
-    def bisect(left: float, right: float) -> tuple[float, int]:
-        it = 0
-        while right - left >= params.tol_db:
-            mid = 0.5 * (left + right)
-            y = value([mid - step, mid + step])
-            if (y[1] - y[0]) / (2.0 * step) > _PLATEAU_EPS:
-                left = mid
-            else:
-                right = mid
-            it += 1
+    def bisect(left, right, ue):
+        """Bisect the brackets [left, right] of the UEs ue, each until narrower
+        than tol_db; returns the midpoints and the iterations each took."""
+        left, right = left.copy(), right.copy()
+        it = np.zeros(len(ue), dtype=int)
+        active = np.flatnonzero(right - left >= params.tol_db)
+        while active.size:
+            mid = 0.5 * (left[active] + right[active])
+            y = value(np.stack([mid - step, mid + step], axis=1), ue[active])
+            rising = (y[:, 1] - y[:, 0]) / (2.0 * step) > _PLATEAU_EPS
+            left[active] = np.where(rising, mid, left[active])
+            right[active] = np.where(rising, right[active], mid)
+            it[active] += 1
+            active = active[right[active] - left[active] >= params.tol_db]
         return 0.5 * (left + right), it
 
-    stationary, iters = bisect(lo, hi)
+    every = np.arange(n)
+    stationary, iters = bisect(np.full(n, lo), np.full(n, hi), every)
 
-    brk = _cnb_breakpoints(pl_db, cross, params, curve, noise)
+    brk = _cnb_breakpoints(pl, cross, params, curve, noise)
     margin = 2.0 * step
-    screen = np.concatenate([np.arange(lo + margin, hi - margin, _SCREEN_STEP_DB),
-                             brk - margin, brk + margin, [hi - margin]])
-    screen = np.unique(np.clip(screen, lo + margin, hi - margin))
-    slope = (value(screen + step) - value(screen - step)) / (2.0 * step)
+    lattice = np.arange(lo + margin, hi - margin, _SCREEN_STEP_DB)
+    screen = np.concatenate([np.broadcast_to(lattice, (n, len(lattice))),
+                             brk - margin, brk + margin,
+                             np.full((n, 1), hi - margin)], axis=1)
+    # Sorted but not deduplicated: equal neighbors share a sign, so the
+    # rise-to-fall pairs are those of the deduplicated screen.
+    screen = np.sort(np.clip(screen, lo + margin, hi - margin), axis=1)
+    slope = ((value(screen + step, every) - value(screen - step, every))
+             / (2.0 * step))
     sign = slope > _PLATEAU_EPS
-    peaks = [stationary]
-    for i in range(len(screen) - 1):
-        if sign[i] and not sign[i + 1]:
-            p, it = bisect(screen[i], screen[i + 1])
-            peaks.append(p)
-            iters = max(iters, it)
+    ue, i = np.nonzero(sign[:, :-1] & ~sign[:, 1:])
+    peaks, peak_iters = bisect(screen[ue, i], screen[ue, i + 1], ue)
+    np.maximum.at(iters, ue, peak_iters)
 
-    raw = np.concatenate([peaks, brk, [lo, hi]])
+    # Each UE's peaks in a row of its own, padded with its stationary point.
+    rank = np.arange(len(ue)) - np.searchsorted(ue, ue)
+    extra = np.repeat(stationary[:, None], rank.max(initial=-1) + 1, axis=1)
+    extra[ue, rank] = peaks
+
+    raw = np.concatenate([stationary[:, None], extra, brk,
+                          np.full((n, 1), lo), np.full((n, 1), hi)], axis=1)
     k = (raw - lo) / step
-    ks = np.unique(np.clip(np.concatenate([np.floor(k), np.ceil(k)]), 0, n_steps))
+    ks = np.clip(np.concatenate([np.floor(k), np.ceil(k)], axis=1), 0, n_steps)
     cands = lo + ks * step
-    vals = value(cands)
-    best = float(cands[vals >= vals.max()].min())
-    return (best, iters) if return_iters else best
+    vals = value(cands, every)
+    best = np.where(vals >= vals.max(axis=1, keepdims=True), cands, np.inf)
+    return best.min(axis=1), iters
 
 
 def compute_powers(spec: ControllerSpec, plmap: PathLossMap,
@@ -282,18 +341,13 @@ def compute_powers(spec: ControllerSpec, plmap: PathLossMap,
     Each UE's power depends only on its own row of the path-loss map.
     """
     n_ues = plmap.loss_db.shape[0]
-    out = np.empty(n_ues)
-    for u in range(n_ues):
-        s = int(serving[u])
-        if spec.kind == "maxpower":
-            out[u] = max_power(spec.params)
-        elif spec.kind == "fpc":
-            out[u] = fpc_power(plmap.serving_loss(u, s), spec.params)
-        elif spec.kind == "rlpc":
-            out[u] = rlpc_power(plmap.serving_loss(u, s),
-                                plmap.min_cross_loss(u, s), spec.params)
-        else:
-            cross = cnb_neighbors(u, plmap, s, spec.params, noise)
-            out[u] = cnb_solve(plmap.serving_loss(u, s), cross, spec.params,
-                               curve, noise)
-    return out
+    pl = plmap.loss_db[np.arange(n_ues), serving]
+    if spec.kind == "maxpower":
+        return np.full(n_ues, max_power(spec.params))
+    if spec.kind == "fpc":
+        return fpc_power(pl, spec.params)
+    if spec.kind == "rlpc":
+        return rlpc_power(pl, plmap.sorted_cross_losses(serving)[:, 0],
+                          spec.params)
+    cross = cnb_neighbor_losses(plmap, serving, spec.params, noise)
+    return cnb_solve(pl, cross, spec.params, curve, noise)[0]

@@ -18,16 +18,11 @@ import numpy as np
 
 __all__ = [
     "SiteLayout",
-    "Cell",
     "PathLossMap",
     "build_hex_layout",
-    "cells_of",
-    "wrap_distance",
-    "wrap_displacement",
     "drop_ues",
     "macro_path_loss_db",
     "antenna_gain_db",
-    "path_loss",
 ]
 
 SECTORS_PER_SITE = 3
@@ -57,13 +52,6 @@ class SiteLayout:
 
 
 @dataclass(frozen=True)
-class Cell:
-    cell_id: int
-    site_id: int
-    boresight_deg: float
-
-
-@dataclass(frozen=True)
 class PathLossMap:
     """Full (UE x cell) large-scale loss matrix in dB.
 
@@ -73,16 +61,12 @@ class PathLossMap:
 
     loss_db: np.ndarray                 # (n_ues, n_cells)
 
-    def serving_loss(self, ue_id: int, serving_cell: int) -> float:
-        return float(self.loss_db[ue_id, serving_cell])
-
-    def cross_losses(self, ue_id: int, serving_cell: int) -> np.ndarray:
-        """Losses toward every non-serving cell, ascending."""
-        row = np.delete(self.loss_db[ue_id], serving_cell)
-        return np.sort(row)
-
-    def min_cross_loss(self, ue_id: int, serving_cell: int) -> float:
-        return float(self.cross_losses(ue_id, serving_cell)[0])
+    def sorted_cross_losses(self, serving: np.ndarray) -> np.ndarray:
+        """(n_ues, n_cells - 1): each UE's losses toward its non-serving
+        cells, ascending along the row."""
+        loss = self.loss_db.copy()
+        loss[np.arange(loss.shape[0]), serving] = np.inf
+        return np.sort(loss, axis=1)[:, :-1]
 
 
 def _axial_rot60(q: int, r: int) -> tuple[int, int]:
@@ -134,30 +118,6 @@ def build_hex_layout(rings: int, isd: float) -> SiteLayout:
     )
 
 
-def cells_of(layout: SiteLayout) -> list[Cell]:
-    """Enumerate the sectorized cells: 3 per site, boresights 0/120/240."""
-    return [
-        Cell(cell_id=s * layout.sectors_per_site + k,
-             site_id=s,
-             boresight_deg=120.0 * k)
-        for s in range(layout.n_sites)
-        for k in range(layout.sectors_per_site)
-    ]
-
-
-def wrap_displacement(origin, point, layout: SiteLayout) -> np.ndarray:
-    """Shortest displacement origin -> point on the wrap-around torus."""
-    diffs = np.asarray(point) + layout.wrap_vectors - np.asarray(origin)
-    k = int(np.argmin(np.einsum("ij,ij->i", diffs, diffs)))
-    return diffs[k]
-
-
-def wrap_distance(p, q, layout: SiteLayout) -> float:
-    """Toroidal distance: minimum over wrap translations of |p - (q + w)|."""
-    diffs = np.asarray(q) + layout.wrap_vectors - np.asarray(p)
-    return float(np.sqrt(np.einsum("ij,ij->i", diffs, diffs).min()))
-
-
 def _voronoi_reduce(points: np.ndarray, layout: SiteLayout) -> np.ndarray:
     """Map points into the Voronoi cell of the wrap lattice around the origin."""
     basis = np.stack([layout.wrap_vectors[1], layout.wrap_vectors[2]], axis=1)
@@ -201,19 +161,6 @@ def antenna_gain_db(angle_off_deg, boresight_gain_db: float = BORESIGHT_GAIN_DB)
     """Sectorized 2D pattern: boresight gain - min(12*(theta/70)^2, 25) dB."""
     off = np.abs((np.asarray(angle_off_deg, dtype=float) + 180.0) % 360.0 - 180.0)
     return boresight_gain_db - np.minimum(12.0 * (off / 70.0) ** 2, 25.0)
-
-
-def path_loss(ue_pos, cell: Cell, shadow_db: float, layout: SiteLayout,
-              boresight_gain_db: float = BORESIGHT_GAIN_DB,
-              min_dist_m: float = MIN_UE_SITE_DISTANCE_M) -> float:
-    """Large-scale loss of a single UE-cell link in dB."""
-    disp = wrap_displacement(layout.site_positions[cell.site_id], ue_pos, layout)
-    d = float(np.hypot(*disp))
-    if d < min_dist_m:
-        raise ValueError(f"UE-site distance {d:.2f} m below minimum {min_dist_m} m")
-    bearing = math.degrees(math.atan2(disp[1], disp[0]))
-    gain = float(antenna_gain_db(bearing - cell.boresight_deg, boresight_gain_db))
-    return float(macro_path_loss_db(d)) + shadow_db + PENETRATION_LOSS_DB - gain
 
 
 def _pos_rng(seed: int) -> np.random.Generator:

@@ -42,8 +42,8 @@ class TestCriterion1BisectionOracle:
         for pl, cross, zeta in sample_instances(1000, seed=0):
             params = CnbParams(zeta=zeta)
             t0 = time.perf_counter()
-            sol, iters = cnb_solve(pl, cross, params, CURVE, NOISE,
-                                   return_iters=True)
+            (sol,), (iters,) = cnb_solve(np.array([pl]), np.array([cross]),
+                                         params, CURVE, NOISE)
             solve_time += time.perf_counter() - t0
             assert iters <= 9
             vals = cnb_objective(grid, pl, cross, params, CURVE, NOISE)

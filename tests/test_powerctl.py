@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import powerctl_oracle as oracle
+from ulsim.engine import drop_seed
 from ulsim.linkbudget import AmcCurve, NoiseModel
 from ulsim.powerctl import (CnbParams, ControllerSpec, FpcParams,
-                            MaxPowerParams, RlpcParams, cnb_neighbors,
+                            MaxPowerParams, RlpcParams, cnb_neighbor_losses,
                             cnb_objective, cnb_ri, cnb_rs, cnb_solve,
                             compute_powers, fpc_power, max_power,
                             pl_threshold_db, rlpc_power)
-from ulsim.topology import PathLossMap
+from ulsim.topology import PathLossMap, build_hex_layout, drop_ues
 from ulsim.units import db_to_linear
 
 NOISE = NoiseModel()
@@ -25,6 +27,13 @@ def grid_argmax(pl, cross, params):
     grid = oracle_grid(params.bisect_lo_dbm, params.p_max_dbm)
     vals = cnb_objective(grid, pl, cross, params, CURVE, NOISE)
     return float(grid[np.argmax(vals)])
+
+
+def solve_one(pl, cross, params):
+    """Batched solve of a single UE: (power, iterations)."""
+    powers, iters = cnb_solve(np.array([pl]), np.array([cross], dtype=float),
+                              params, CURVE, NOISE)
+    return powers[0], iters[0]
 
 
 def random_instance(rng):
@@ -87,17 +96,28 @@ class TestThreshold:
 
     def test_neighbors_strict_and_sorted(self):
         params = CnbParams(pl_th_db=130.0)
-        loss = np.array([[100.0, 135.0, 130.0, 120.0, 125.0]])
+        loss = np.array([[100.0, 135.0, 130.0, 120.0, 125.0],
+                         [129.0, 100.0, 131.0, 90.0, 130.0]])
         plmap = PathLossMap(loss_db=loss)
-        got = cnb_neighbors(0, plmap, serving_cell=0, params=params, noise=NOISE)
-        # 135 above, 130 exactly at threshold: both excluded.
-        assert np.array_equal(got, [120.0, 125.0])
+        got = cnb_neighbor_losses(plmap, np.array([0, 3]), params, NOISE)
+        # 135 above, 130 exactly at threshold: both excluded. The serving
+        # cell is excluded even below the threshold; the rest pads with inf.
+        inf = np.inf
+        assert np.array_equal(got, [[120.0, 125.0, inf, inf],
+                                    [100.0, 129.0, inf, inf]])
 
     def test_neighbors_may_be_empty(self):
         params = CnbParams(pl_th_db=110.0)
         plmap = PathLossMap(loss_db=np.array([[100.0, 140.0, 150.0]]))
-        got = cnb_neighbors(0, plmap, serving_cell=0, params=params, noise=NOISE)
-        assert got.size == 0
+        got = cnb_neighbor_losses(plmap, np.array([0]), params, NOISE)
+        assert got.shape == (1, 2) and not np.isfinite(got).any()
+
+    def test_default_threshold_is_p_max_minus_n0(self):
+        th = pl_threshold_db(23.0, NOISE)
+        loss = np.array([[100.0, th, np.nextafter(th, 0.0)]])
+        got = cnb_neighbor_losses(PathLossMap(loss_db=loss), np.array([0]),
+                                  CnbParams(), NOISE)
+        assert np.array_equal(got, [[np.nextafter(th, 0.0), np.inf]])
 
 
 class TestUtilityTerms:
@@ -155,27 +175,26 @@ class TestSolve:
         rng = np.random.default_rng(20240817)
         for _ in range(200):
             pl, cross, params = random_instance(rng)
-            sol, iters = cnb_solve(pl, cross, params, CURVE, NOISE,
-                                   return_iters=True)
+            sol, iters = solve_one(pl, cross, params)
             assert iters <= 9
             assert abs(sol - grid_argmax(pl, cross, params)) <= 0.2
 
     def test_spec_single_neighbor_instance(self):
         params = CnbParams(zeta=1.3)
-        sol = cnb_solve(105.0, [110.0], params, CURVE, NOISE)
+        sol, _ = solve_one(105.0, [110.0], params)
         assert abs(sol - grid_argmax(105.0, [110.0], params)) <= 0.2
 
     def test_bound_safety(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             pl, cross, params = random_instance(rng)
-            sol = cnb_solve(pl, cross, params, CURVE, NOISE)
+            sol, _ = solve_one(pl, cross, params)
             assert params.bisect_lo_dbm <= sol <= params.p_max_dbm
 
     def test_empty_neighbors_uncapped_gives_p_max(self):
         # Own rate still rising at the cap power: 23 dBm is the unique max.
         params = CnbParams()
-        sol = cnb_solve(125.0, [], params, CURVE, NOISE)
+        sol, _ = solve_one(125.0, [], params)
         assert abs(sol - 23.0) < 1e-9
         assert abs(sol - grid_argmax(125.0, [], params)) <= 0.2
 
@@ -183,7 +202,7 @@ class TestSolve:
         # Own rate saturates inside the range; the lowest maximizer wins,
         # matching the tie convention of the dense-grid oracle.
         params = CnbParams()
-        sol = cnb_solve(100.0, [], params, CURVE, NOISE)
+        sol, _ = solve_one(100.0, [], params)
         best = grid_argmax(100.0, [], params)
         assert abs(sol - best) <= 0.2
         assert sol < 23.0
@@ -194,8 +213,8 @@ class TestSolve:
             pl, cross, _ = random_instance(rng)
             if len(cross) == 0:
                 continue
-            p_hi = cnb_solve(pl, cross, CnbParams(zeta=1.3), CURVE, NOISE)
-            p_lo = cnb_solve(pl, cross, CnbParams(zeta=0.7), CURVE, NOISE)
+            p_hi, _ = solve_one(pl, cross, CnbParams(zeta=1.3))
+            p_lo, _ = solve_one(pl, cross, CnbParams(zeta=0.7))
             assert p_lo >= p_hi - 1e-9
             # Same ordering holds for the oracle itself.
             assert (grid_argmax(pl, cross, CnbParams(zeta=0.7))
@@ -203,9 +222,60 @@ class TestSolve:
 
     def test_determinism(self):
         params = CnbParams(zeta=1.1)
-        a = cnb_solve(112.0, [115.0, 121.0], params, CURVE, NOISE)
-        b = cnb_solve(112.0, [115.0, 121.0], params, CURVE, NOISE)
+        a = solve_one(112.0, [115.0, 121.0], params)
+        b = solve_one(112.0, [115.0, 121.0], params)
         assert a == b
+
+
+def random_batch(rng, n):
+    """n UEs with serving losses over the own-rate plateau and rising regions
+    and 0-40 neighbors each, inf-padded; a few shared neighbor counts make
+    some equal-count groups longer than one evaluation chunk."""
+    pl = rng.uniform(60.0, 145.0, size=n)
+    if rng.random() < 0.5:
+        counts = rng.integers(0, 41, size=n)
+    else:
+        counts = rng.choice(rng.integers(0, 41, size=3), size=n)
+    counts[:2] = [0, 1][:n]
+    cross = np.full((n, 40), np.inf)
+    for u, k in enumerate(counts):
+        cross[u, :k] = np.sort(pl[u] + rng.uniform(0.0, 40.0, size=k))
+    return pl, cross
+
+
+class TestBatchedSolveOracle:
+    """The batched solver returns exactly the scalar solver's powers and
+    iteration counts (tests/powerctl_oracle.py)."""
+
+    def _check(self, pl, cross, params):
+        powers, iters = cnb_solve(pl, cross, params, CURVE, NOISE)
+        want = [oracle.cnb_solve(pl[u], cross[u][np.isfinite(cross[u])], params,
+                                 CURVE, NOISE, return_iters=True)
+                for u in range(len(pl))]
+        assert np.array_equal(powers, [w[0] for w in want])
+        assert np.array_equal(iters, [w[1] for w in want])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 150),
+           st.floats(0.1, 3.0), st.sampled_from([0.03, 0.1, 1.0]),
+           st.sampled_from([-10.0, 0.0, 22.97, 22.995]))
+    # A 105-row group (longer than one chunk) and two UEs whose best power is
+    # an extra rise-to-fall bracket's peak, not the main bisection's.
+    @example(seed=70, n=150, zeta=1.3, tol=0.1, lo=-10.0)
+    def test_matches_scalar_oracle(self, seed, n, zeta, tol, lo):
+        pl, cross = random_batch(np.random.default_rng(seed), n)
+        self._check(pl, cross, CnbParams(zeta=zeta, tol_db=tol,
+                                         bisect_lo_dbm=lo))
+
+    @pytest.mark.parametrize("zeta", [1.3, 0.7])
+    def test_full_drop_matches_oracle(self, zeta):
+        layout = build_hex_layout(rings=2, isd=500.0)
+        _, serving, plmap = drop_ues(layout, 10, seed=drop_seed(42, 0))
+        spec = ControllerSpec("cnb", CnbParams(zeta=zeta))
+        got = compute_powers(spec, plmap, serving, NOISE, CURVE)
+        want, _ = oracle.compute_powers(spec, plmap.loss_db, serving, NOISE,
+                                        CURVE)
+        assert np.array_equal(got, want)
 
 
 class TestComputePowers:
@@ -236,3 +306,13 @@ class TestComputePowers:
         out = compute_powers(spec, PathLossMap(loss_db=perturbed), serving,
                              NOISE, CURVE)
         assert out[0] == base[0]
+
+    def test_baselines_match_per_ue_oracle(self):
+        plmap, serving = self._plmap()
+        for spec in (ControllerSpec("maxpower", MaxPowerParams()),
+                     ControllerSpec("fpc", FpcParams()),
+                     ControllerSpec("rlpc", RlpcParams())):
+            got = compute_powers(spec, plmap, serving, NOISE, CURVE)
+            want, _ = oracle.compute_powers(spec, plmap.loss_db, serving,
+                                            NOISE, CURVE)
+            assert np.array_equal(got, want)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ulsim.topology import (MIN_UE_SITE_DISTANCE_M, PENETRATION_LOSS_DB, Cell,
-                            antenna_gain_db, build_hex_layout, cells_of,
-                            drop_ues, macro_path_loss_db, path_loss,
-                            wrap_displacement, wrap_distance)
+from topology_oracle import (Cell, cells_of, path_loss, wrap_displacement,
+                             wrap_distance)
+from ulsim.topology import (MIN_UE_SITE_DISTANCE_M, PENETRATION_LOSS_DB,
+                            antenna_gain_db, build_hex_layout, drop_ues,
+                            macro_path_loss_db)
 from ulsim.topology import _shadow_draws
 
 
@@ -170,11 +171,12 @@ class TestDrops:
 class TestPathLossMap:
     def test_cross_losses_sorted_and_exclude_serving(self, small_layout):
         _, serving, plmap = drop_ues(small_layout, ues_per_cell=2, seed=3)
-        u = 5
-        s = serving[u]
-        cross = plmap.cross_losses(u, s)
-        assert len(cross) == small_layout.n_cells - 1
-        assert np.all(np.diff(cross) >= 0)
-        assert plmap.min_cross_loss(u, s) == cross[0]
+        cross = plmap.sorted_cross_losses(serving)
+        n = len(serving)
+        assert cross.shape == (n, small_layout.n_cells - 1)
+        assert np.all(np.diff(cross, axis=1) >= 0)
+        for u in range(n):
+            row = plmap.loss_db[u]
+            assert np.array_equal(cross[u], np.sort(np.delete(row, serving[u])))
         # Serving loss is the row minimum by attachment.
-        assert plmap.serving_loss(u, s) <= cross[0] + 1e-12
+        assert np.all(plmap.loss_db[np.arange(n), serving] <= cross[:, 0])
