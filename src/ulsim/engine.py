@@ -18,7 +18,7 @@ import numpy as np
 from .linkbudget import AmcCurve, NoiseModel, amc_realized, snr_of
 from .powerctl import (P_MAX_DBM, SCHEMES, CnbParams, ControllerSpec,
                        FpcParams, MaxPowerParams, RlpcParams, compute_powers)
-from .scheduler import PfState, RbGrid, allocate
+from .scheduler import PfState, RbGrid, allocate, dbm_to_mw
 from .topology import (MIN_UE_SITE_DISTANCE_M, PathLossMap, SiteLayout,
                        build_hex_layout, drop_ues)
 from .units import db_to_linear
@@ -232,31 +232,36 @@ def build_snapshot(config: SimConfig, drop_seed: int) -> NetworkSnapshot:
 
 
 def compute_slot(occ: np.ndarray, p_mw: np.ndarray, snapshot: NetworkSnapshot,
-                 config: SimConfig, fading_gain: np.ndarray | None = None,
-                 gains: np.ndarray | None = None):
+                 config: SimConfig, gains: np.ndarray | None = None,
+                 work: np.ndarray | None = None):
     """Couple interference across cells per RB index and realize throughput.
 
     occ and p_mw give per (cell, RB) the occupying UE (-1 if idle) and its
     power in mW, as allocate returns them. Returns (bits per UE this slot,
     mean per-RB SINR per scheduled UE, mean SNR sample, mean IoT sample,
-    energy per UE in joules, scheduled mask).
-    fading_gain, when given, multiplies the linear (UE, cell) channel gains;
-    gains lets callers pass the precomputed large-scale gain matrix.
+    energy per UE in joules, scheduled mask); the means are 0 for UEs not
+    scheduled. gains is the linear (UE, cell) channel gain matrix, by
+    default the large-scale one. work, a float array of shape occ.shape +
+    (n_cells,), is overwritten: a caller that runs many slots passes one
+    buffer so no slot allocates its own.
     """
     n_ues = snapshot.n_ues
     if gains is None:
         gains = db_to_linear(-snapshot.plmap.loss_db)
-    if fading_gain is not None:
-        gains = gains * fading_gain
+    if work is None:
+        work = np.empty(occ.shape + gains.shape[1:])
 
     combine = db_to_linear(config.combining_gain_db)
     n0 = config.noise.n0_mw
 
-    # Received power at every victim cell from every (cell, RB) transmitter.
-    src_gain = gains[occ]                       # (C, K, V); occ=-1 rows unused
-    contrib = p_mw[:, :, None] * src_gain       # zero where idle
-    total_rx = contrib.sum(axis=0)              # (K, V)
-    own = np.einsum("ckc->ck", contrib)         # signal at the serving cell
+    # Received power at every victim cell from every (cell, RB) transmitter,
+    # (C, K, V). mode="wrap" takes straight into work (the default mode
+    # buffers it) and maps an idle occ = -1 to the last UE's row, as gains[occ]
+    # does; p_mw = 0 zeroes it.
+    np.take(gains, occ, axis=0, out=work, mode="wrap")
+    np.multiply(p_mw[:, :, None], work, out=work)
+    total_rx = work.sum(axis=0)                 # (K, V)
+    own = np.einsum("ckc->ck", work)            # signal at the serving cell
     interference = total_rx.T - own             # (C, K), other-cell co-channel
 
     active = occ >= 0
@@ -305,30 +310,35 @@ def simulate(snapshot: NetworkSnapshot, config: SimConfig,
     est0 = amc_realized(snr0, config.curve,
                         staircase=config.staircase) * config.noise.rb_bandwidth_hz
 
+    # Per-drop buffers: the slot loop fills them in place.
+    work = np.empty((n_cells, config.grid.total_rbs, n_cells))
+    gains = base_gains = db_to_linear(-snapshot.plmap.loss_db)
     fad_rng = None
     if config.fading:
         fad_rng = np.random.default_rng(
             np.random.SeedSequence([0 if fading_seed is None else int(fading_seed), 2]))
+        gains = np.empty_like(base_gains)
+    powers_mw = dbm_to_mw(powers_dbm)
 
-    base_gains = db_to_linear(-snapshot.plmap.loss_db)
     # Slot t schedules on the estimate measured in slot t - delay_slots.
     history: deque[np.ndarray] = deque(maxlen=config.delay_slots)
     for _ in range(config.slots):
         est = history[0] if len(history) == config.delay_slots else est0
         occ, p_mw = allocate(snapshot.serving, est, pf, config.grid,
-                             powers_dbm, config.p_max_dbm, n_cells)
+                             powers_dbm, config.p_max_dbm, n_cells, powers_mw)
 
-        fading_gain = None
         if fad_rng is not None:
-            fading_gain = fad_rng.exponential(1.0, size=(n_ues, n_cells))
+            # Rayleigh fading: unit-mean exponential power gain per link.
+            fad_rng.standard_exponential(out=gains)
+            np.multiply(gains, base_gains, out=gains)
 
         bits, mean_sinr, mean_snr, mean_iot, energy, scheduled = compute_slot(
-            occ, p_mw, snapshot, config, fading_gain, gains=base_gains)
+            occ, p_mw, snapshot, config, gains, work)
 
         acc.bits += bits
         acc.energy_j += energy
-        acc.snr_lin_sum += np.where(scheduled, mean_snr, 0.0)
-        acc.iot_lin_sum += np.where(scheduled, mean_iot, 0.0)
+        acc.snr_lin_sum += mean_snr
+        acc.iot_lin_sum += mean_iot
         acc.sched_slots += scheduled
 
         pf.update(scheduled, bits / config.slot_duration_s)

@@ -18,6 +18,7 @@ __all__ = [
     "RbGrid",
     "PfState",
     "allocate",
+    "dbm_to_mw",
 ]
 
 
@@ -84,17 +85,26 @@ def _rank_in_cell(cell: np.ndarray) -> np.ndarray:
     return np.arange(cell.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
+def dbm_to_mw(p_dbm) -> np.ndarray:
+    """10^(p/10) per entry through libm's pow, not numpy's SIMD one, which
+    differs in the last bit."""
+    return np.array([10.0 ** (p / 10.0)
+                     for p in np.asarray(p_dbm, dtype=float).tolist()])
+
+
 def allocate(serving: np.ndarray, est_rates: np.ndarray, pf: PfState,
              grid: RbGrid, tx_power_dbm: np.ndarray, p_max_dbm: float,
-             n_cells: int) -> tuple[np.ndarray, np.ndarray]:
+             n_cells: int, tx_power_mw: np.ndarray | None = None
+             ) -> tuple[np.ndarray, np.ndarray]:
     """Allocate all data RBs of every cell for one slot.
 
     serving, est_rates (the delayed per-RB rate estimates) and tx_power_dbm
-    are per UE. Returns per (cell, RB) the occupying UE (-1 if idle) and its
-    power in mW: the controller's per-RB power, scaled down when the grant's
-    RBs would exceed p_max in total. In a cell with a never-served decodable
-    UE, only such UEs are scheduled, with equal weight. Deterministic: ties
-    break by UE id.
+    are per UE; tx_power_mw, dbm_to_mw(tx_power_dbm), lets a caller that
+    allocates every slot convert the powers once. Returns per (cell, RB) the
+    occupying UE (-1 if idle) and its power in mW: the controller's per-RB
+    power, scaled down when the grant's RBs would exceed p_max in total. In a
+    cell with a never-served decodable UE, only such UEs are scheduled, with
+    equal weight. Deterministic: ties break by UE id.
     """
     w = pf.weights(est_rates)
     boot = np.isinf(w)
@@ -127,11 +137,15 @@ def allocate(serving: np.ndarray, est_rates: np.ndarray, pf: PfState,
     bonus = _rank_in_cell(cell[by_frac]) < leftover[cell[by_frac]]
     sizes[by_frac[bonus]] += 1
 
-    # libm's log10 and pow, not numpy's SIMD ones, which differ in the last bit.
-    log_len = np.array([math.log10(k) for k in range(1, grid.data_rbs + 1)])
-    power_dbm = np.minimum(tx_power_dbm[ue],
-                           p_max_dbm - 10.0 * log_len[sizes - 1])
-    power_mw = np.array([10.0 ** (p / 10.0) for p in power_dbm.tolist()])
+    # A k-RB grant's per-RB power is min(tx, p_max - 10 log10(k)) dBm, in mW
+    # that of the smaller term. libm's log10, not numpy's SIMD one, which
+    # differs in the last bit.
+    cap_dbm = np.array([p_max_dbm - 10.0 * math.log10(k)
+                        for k in range(1, grid.data_rbs + 1)])
+    if tx_power_mw is None:
+        tx_power_mw = dbm_to_mw(tx_power_dbm)
+    power_mw = np.where(cap_dbm[sizes - 1] < tx_power_dbm[ue],
+                        dbm_to_mw(cap_dbm)[sizes - 1], tx_power_mw[ue])
 
     # Grants lie back to back from the control boundary, in rank order.
     rb_cell = np.repeat(cell, sizes)

@@ -1,7 +1,9 @@
 """Acceptance gate: solver oracle equivalence, formula exactness,
 monotonicity, system-level trend directions, engine oracle, determinism."""
 
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -92,12 +94,24 @@ def desk_cfg(scheme, zeta=1.3):
 @pytest.fixture(scope="module")
 def desk_runs():
     """Shared full-scale runs: one per scheme plus the zeta sweep (paired
-    seeds come from the identical seed in every config)."""
-    runs = {s: report.run_config(desk_cfg(s))
-            for s in ("fpc", "rlpc", "maxpower", "cnb")}
-    sweep = {1.3: runs["cnb"]}
-    for z in (1.1, 0.9, 0.7):
-        sweep[z] = report.run_config(desk_cfg("cnb", zeta=z))
+    seeds come from the identical seed in every config).
+
+    The 7 runs are independent and deterministic, so two spawned worker
+    processes share them, each with its BLAS pinned to one thread.
+    """
+    schemes = ("fpc", "rlpc", "maxpower", "cnb")
+    zetas = (1.1, 0.9, 0.7)
+    cfgs = ([desk_cfg(s) for s in schemes]
+            + [desk_cfg("cnb", zeta=z) for z in zetas])
+    with pytest.MonkeyPatch.context() as mp:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            mp.setenv(var, "1")             # read by the workers at start-up
+        with ProcessPoolExecutor(
+                2, mp_context=multiprocessing.get_context("spawn")) as pool:
+            summaries = list(pool.map(report.run_config, cfgs))
+    runs = dict(zip(schemes, summaries))
+    sweep = {1.3: runs["cnb"], **dict(zip(zetas, summaries[len(schemes):]))}
     return runs, sweep
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -190,6 +191,34 @@ class TestSimulate:
         hi = simulate(snap, cfg, powers_dbm=np.full(6, 23.0))
         assert lo.energy_j.sum() < hi.energy_j.sum()
 
+    # sha256 over the bytes of bits, energy_j, snr_lin_sum, iot_lin_sum and
+    # sched_slots of one 300-slot drop (rings = 1, 4 UEs per cell, seed 7),
+    # recorded before the slot loop ran from per-drop buffers.
+    PINNED = {
+        "cnb": (dict(scheme="cnb"),
+                "8b923e3b69497992c185aa74ce7b7d4fbc9cb341f80b69ed85c55683afd0def9"),
+        "maxpower_fading": (
+            dict(scheme="maxpower", fading=1),
+            "993bcfa038d5d1d084407f9cedc1c1bbf9a686534168b782a6d3e0d01daaf7d7"),
+        "fpc_staircase_fading": (
+            dict(scheme="fpc", staircase=1, fading=1),
+            "4234308b75580cc157f0a4b3a3ba61dd428f545c96f58e4dfeba6fd46f3d230f"),
+        "rlpc_delay1_nocontrol": (
+            dict(scheme="rlpc", delay_slots=1, control_rbs=0),
+            "ac9cd4b6345017b0a7f5f2dbd60049b72654ab8edbe6a6e317de07540b983b6f"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_summaries(self, case):
+        overrides, want = self.PINNED[case]
+        (acc,) = run(SimConfig(rings=1, ues_per_cell=4, slots=300, drops=1,
+                               seed=7, **overrides))
+        h = hashlib.sha256()
+        for a in (acc.bits, acc.energy_j, acc.snr_lin_sum, acc.iot_lin_sum,
+                  acc.sched_slots):
+            h.update(a.tobytes())
+        assert h.hexdigest() == want
+
 
 class TestApplyDelay:
     """Slots 0 .. D-1 schedule on the warm-up estimate; slot t on the
@@ -238,6 +267,65 @@ class TestApplyDelay:
         used, measured = self.record(monkeypatch)
         assert all(np.array_equal(used[t], used[0]) for t in range(self.D))
         assert not np.array_equal(used[self.D], used[0])
+
+
+class TestSlotBuffers:
+    """The slot loop fills per-drop buffers in place; no result may depend
+    on what a buffer held before."""
+
+    def test_reused_work_matches_fresh(self):
+        snap = TestSimulate().small_snapshot()
+        config = maxpower_config(slots=1)
+        gains = 10.0 ** (-snap.plmap.loss_db / 10.0)
+        faded = gains * np.random.default_rng(3).exponential(1.0, gains.shape)
+        ues = {c: np.flatnonzero(snap.serving == c).tolist() for c in range(3)}
+        first = {0: [RbAssignment(ues[0][0], 2, 30, 10.0),
+                     RbAssignment(ues[0][1], 32, 18, -3.0)],
+                 2: [RbAssignment(ues[2][0], 2, 48, 20.0)]}
+        second = {0: [RbAssignment(ues[0][1], 2, 5, 23.0)],
+                  2: [RbAssignment(ues[2][0], 7, 10, 0.0)]}
+        slots = [occupancy(a, 3, config.grid) for a in (first, second, {})]
+        assert (slots[0][0][1] == -1).all()          # cell 1 idles first
+        work = np.full((3, config.grid.total_rbs, 3), np.nan)
+        for (occ, p_mw), g in 2 * list(zip(slots, (gains, faded, gains))):
+            got = compute_slot(occ, p_mw, snap, config, g, work)
+            want = compute_slot(occ, p_mw, snap, config, g)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def record(self, monkeypatch):
+        """Run 12 slots faded from seed 5; return the gains and estimates
+        each slot saw, the estimates as passed and as copied at the call."""
+        snap = TestSimulate().small_snapshot()
+        cfg = maxpower_config(slots=12, delay_slots=2, drops=1, fading=1)
+        gains, est_seen, est_copied = [], [], []
+        real_allocate, real_slot = engine.allocate, engine.compute_slot
+
+        def allocate(serving, est, *args):
+            est_seen.append(est)
+            est_copied.append(est.copy())
+            return real_allocate(serving, est, *args)
+
+        def compute_slot(occ, p_mw, snapshot, config, g, *args):
+            gains.append(g.copy())
+            return real_slot(occ, p_mw, snapshot, config, g, *args)
+
+        monkeypatch.setattr(engine, "allocate", allocate)
+        monkeypatch.setattr(engine, "compute_slot", compute_slot)
+        simulate(snap, cfg, fading_seed=5)
+        return snap, gains, est_seen, est_copied
+
+    def test_fading_draws_the_exponential_stream(self, monkeypatch):
+        snap, gains, _, _ = self.record(monkeypatch)
+        rng = np.random.default_rng(np.random.SeedSequence([5, 2]))
+        base = 10.0 ** (-snap.plmap.loss_db / 10.0)
+        for t in range(3):
+            fad = rng.exponential(1.0, size=(snap.n_ues, snap.n_cells))
+            assert np.array_equal(gains[t], base * fad)
+
+    def test_estimates_are_not_overwritten(self, monkeypatch):
+        _, _, seen, copied = self.record(monkeypatch)
+        assert all(np.array_equal(s, c) for s, c in zip(seen, copied))
+        assert not all(np.array_equal(copied[0], c) for c in copied)
 
 
 class TestDrops:
