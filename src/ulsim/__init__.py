@@ -1,11 +1,10 @@
 """System-level uplink multicell simulator with coordinated power control."""
 
-from .engine import MetricsAccumulator, NetworkSnapshot, SimConfig, run, run_drop
+from .config import SimConfig
+from .engine import MetricsAccumulator, run, run_drop
 from .linkbudget import AmcCurve, NoiseModel
-from .powerctl import (CnbParams, ControllerSpec, FpcParams, MaxPowerParams,
-                       RlpcParams)
 from .report import RunSummary, SweepResult, run_config, run_sweep, summarize
 from .scheduler import PfState, RbGrid
-from .topology import PathLossMap, SiteLayout, build_hex_layout
+from .topology import SiteLayout, build_hex_layout
 
 __version__ = "0.1.0"

@@ -17,8 +17,7 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import report
-from .engine import SimConfig, build_snapshot, drop_seed
-from .powerctl import SCHEMES
+from .engine import build_snapshot, drop_seed
 
 
 def _parse_sweep(arg: str) -> tuple[str, list[str]]:
@@ -37,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Uplink multicell simulator with coordinated power control")
     parser.add_argument("--config", type=Path, default=None,
                         help="flat key=value configuration file")
-    parser.add_argument("--scheme", choices=list(SCHEMES),
+    parser.add_argument("--scheme", choices=cfgmod.SCHEMES,
                         help="power control scheme")
     parser.add_argument("--zeta", type=float, help="coordination weight")
     parser.add_argument("--seeds", type=int, metavar="N",
@@ -83,9 +82,9 @@ def main(argv=None) -> int:
         out = args.out
         out.mkdir(parents=True, exist_ok=True)
         if args.export_plmap:
-            sim = SimConfig(**cfg)
-            snapshot = build_snapshot(sim, drop_seed(sim.seed, 0))
-            report.write_plmap_csv(snapshot.plmap.loss_db, out / "plmap.csv")
+            sim = cfgmod.SimConfig(**cfg)
+            _, loss_db = build_snapshot(sim, drop_seed(sim.seed, 0))
+            report.write_plmap_csv(loss_db, out / "plmap.csv")
         if args.sweep:
             report.write_sweep_json(result, out / "sweep.json")
         else:

@@ -1,4 +1,4 @@
-"""Run configuration: flat key=value files over SimConfig's defaults.
+"""Run configuration: SimConfig, and flat key=value files over its defaults.
 
 The configuration file is plain text, one `key = value` per line, `#` starts a
 comment. CLI flags override file values. The keys, their types and defaults
@@ -8,12 +8,123 @@ cannot silently misspell a parameter.
 
 from __future__ import annotations
 
-from dataclasses import fields
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .engine import SimConfig
+from .linkbudget import AmcCurve, NoiseModel
+from .scheduler import PfState, RbGrid
+from .topology import MIN_UE_SITE_DISTANCE_M, build_hex_layout
 
-__all__ = ["DEFAULTS", "parse_config_file", "set_key"]
+__all__ = ["SCHEMES", "SimConfig", "DEFAULTS", "parse_config_file", "set_key"]
+
+# Power control schemes, in the order the CLI lists them.
+SCHEMES = ("cnb", "fpc", "rlpc", "maxpower")
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """One run: a field per configuration key, in config-file order.
+
+    Each default is written once, here or on the component it configures.
+    Construction checks every key, raising ValueError("<key>: ..."), and
+    builds the components the engine reads: layout, grid, noise and curve.
+    Keys of the schemes not selected are only checked for finiteness.
+    """
+
+    # scheme selection
+    scheme: str = "cnb"                 # one of SCHEMES
+    zeta: float = 1.3                   # C&B weight of the neighbors' rate
+    iot_s_db: float = 9.0               # C&B: assumed own-cell IoT
+    snr_i_db: float = 24.0              # C&B: assumed neighbor-UE SNR
+    iot_i_db: float = 5.0               # C&B: assumed neighbor IoT without us
+    bisect_lo_dbm: float = -10.0        # C&B search range is [this, p_max]
+    tol_db: float = 0.1                 # C&B bisection tolerance
+    p_max_dbm: float = 23.0
+    p0_fpc_dbm: float = -87.0
+    kappa: float = 0.8
+    p0_rlpc_dbm: float = -102.0
+    phi: float = 0.8
+    # topology
+    rings: int = 2
+    isd_m: float = 500.0
+    ues_per_cell: int = 10
+    min_dist_m: float = MIN_UE_SITE_DISTANCE_M
+    # run shape
+    slots: int = 2000
+    drops: int = 5
+    seed: int = 0
+    slot_duration_s: float = 1e-3
+    delay_slots: int = 6
+    fading: int = 0                     # 0 | 1: per-slot Rayleigh fading
+    combining_gain_db: float = 3.0
+    # scheduler
+    alpha: float = PfState.alpha
+    beta: float = PfState.beta
+    ewma: float = PfState.ewma
+    total_rbs: int = RbGrid.total_rbs
+    control_rbs: int = RbGrid.control_rbs
+    # link budget
+    thermal_density_dbm_hz: float = NoiseModel.thermal_density_dbm_hz
+    noise_figure_db: float = NoiseModel.noise_figure_db
+    rb_bandwidth_hz: float = NoiseModel.rb_bandwidth_hz
+    t_max: float = AmcCurve.t_max
+    amc_a: float = AmcCurve.a
+    amc_b: float = AmcCurve.b
+    sinr_floor_db: float = AmcCurve.sinr_floor_db
+    sinr_ceiling_db: float = AmcCurve.sinr_ceiling_db
+    staircase: int = 0                  # 0 | 1: quantize to n_levels MCS steps
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name}: must be finite, got {value}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme: must be one of {', '.join(SCHEMES)}, "
+                             f"got {self.scheme!r}")
+        # build_hex_layout checks rings and isd_m.
+        for name, value in (
+                ("layout", build_hex_layout(self.rings, self.isd_m)),
+                ("grid", RbGrid(self.total_rbs, self.control_rbs)),
+                ("noise", NoiseModel(self.thermal_density_dbm_hz,
+                                     self.noise_figure_db, self.rb_bandwidth_hz)),
+                ("curve", AmcCurve(self.t_max, self.amc_a, self.amc_b,
+                                   self.sinr_floor_db, self.sinr_ceiling_db))):
+            object.__setattr__(self, name, value)
+        # A scheme's own rules hold only when it is the one selected.
+        other = lambda scheme: self.scheme != scheme
+        for key, ok, rule in (
+                ("zeta", other("cnb") or self.zeta > 0, "positive"),
+                ("tol_db", other("cnb") or self.tol_db > 0, "positive"),
+                ("bisect_lo_dbm",
+                 other("cnb") or self.bisect_lo_dbm < self.p_max_dbm,
+                 f"below p_max_dbm = {self.p_max_dbm}"),
+                ("kappa", other("fpc") or 0 <= self.kappa <= 1, "in [0, 1]"),
+                ("phi", other("rlpc") or 0 <= self.phi <= 1, "in [0, 1]"),
+                ("min_dist_m", 0 <= self.min_dist_m < self.isd_m / 2,
+                 "in [0, isd_m/2)"),
+                ("ues_per_cell", self.ues_per_cell >= 1, ">= 1"),
+                ("slots", self.slots >= 1, ">= 1"),
+                ("drops", self.drops >= 1, ">= 1"),
+                ("seed", self.seed >= 0, ">= 0"),
+                ("slot_duration_s", self.slot_duration_s > 0, "positive"),
+                ("delay_slots", self.delay_slots >= 1, ">= 1"),
+                ("fading", self.fading in (0, 1), "0 or 1"),
+                ("ewma", 0 < self.ewma < 1, "in (0, 1)"),
+                ("control_rbs", 0 <= self.control_rbs < self.total_rbs,
+                 f"in [0, total_rbs = {self.total_rbs})"),
+                ("rb_bandwidth_hz", self.rb_bandwidth_hz > 0, "positive"),
+                ("t_max", self.t_max > 0, "positive"),
+                ("amc_a", self.amc_a > 0, "positive"),
+                ("amc_b", self.amc_b > 0, "positive"),
+                ("sinr_floor_db", self.sinr_floor_db < self.sinr_ceiling_db,
+                 f"below sinr_ceiling_db = {self.sinr_ceiling_db}"),
+                ("staircase", self.staircase in (0, 1), "0 or 1")):
+            if not ok:
+                raise ValueError(f"{key}: must be {rule}, "
+                                 f"got {getattr(self, key)!r}")
+
 
 DEFAULTS: dict[str, object] = {f.name: f.default for f in fields(SimConfig)}
 

@@ -9,23 +9,19 @@ metrics.
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linkbudget import AmcCurve, NoiseModel, amc_realized, snr_of
-from .powerctl import (P_MAX_DBM, SCHEMES, CnbParams, ControllerSpec,
-                       FpcParams, MaxPowerParams, RlpcParams, compute_powers)
-from .scheduler import PfState, RbGrid, allocate, dbm_to_mw
-from .topology import (MIN_UE_SITE_DISTANCE_M, PathLossMap, SiteLayout,
-                       build_hex_layout, drop_ues)
+from .config import SimConfig
+from .linkbudget import amc_realized, snr_of
+from .powerctl import compute_powers
+from .scheduler import PfState, allocate, dbm_to_mw
+from .topology import drop_ues
 from .units import db_to_linear
 
 __all__ = [
-    "SimConfig",
-    "NetworkSnapshot",
     "MetricsAccumulator",
     "build_snapshot",
     "drop_seed",
@@ -33,134 +29,6 @@ __all__ = [
     "run_drop",
     "run",
 ]
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """One run: a field per configuration key, in config-file order.
-
-    Each default is written once, here or on the component it configures.
-    Construction checks every key, raising ValueError("<key>: ..."), and
-    builds the components the engine reads: controller, layout, grid, noise
-    and curve. Keys of the schemes not selected are only checked for
-    finiteness.
-    """
-
-    # scheme selection
-    scheme: str = "cnb"                 # cnb | fpc | rlpc | maxpower
-    zeta: float = CnbParams.zeta
-    iot_s_db: float = CnbParams.iot_s_db
-    snr_i_db: float = CnbParams.snr_i_db
-    iot_i_db: float = CnbParams.iot_i_db
-    bisect_lo_dbm: float = CnbParams.bisect_lo_dbm
-    tol_db: float = CnbParams.tol_db
-    p_max_dbm: float = P_MAX_DBM
-    p0_fpc_dbm: float = FpcParams.p0_dbm
-    kappa: float = FpcParams.kappa
-    p0_rlpc_dbm: float = RlpcParams.p0_dbm
-    phi: float = RlpcParams.phi
-    # topology
-    rings: int = 2
-    isd_m: float = 500.0
-    ues_per_cell: int = 10
-    min_dist_m: float = MIN_UE_SITE_DISTANCE_M
-    # run shape
-    slots: int = 2000
-    drops: int = 5
-    seed: int = 0
-    slot_duration_s: float = 1e-3
-    delay_slots: int = 6
-    fading: int = 0                     # 0 | 1: per-slot Rayleigh fading
-    combining_gain_db: float = 3.0
-    # scheduler
-    alpha: float = PfState.alpha
-    beta: float = PfState.beta
-    ewma: float = PfState.ewma
-    total_rbs: int = RbGrid.total_rbs
-    control_rbs: int = RbGrid.control_rbs
-    # link budget
-    thermal_density_dbm_hz: float = NoiseModel.thermal_density_dbm_hz
-    noise_figure_db: float = NoiseModel.noise_figure_db
-    rb_bandwidth_hz: float = NoiseModel.rb_bandwidth_hz
-    t_max: float = AmcCurve.t_max
-    amc_a: float = AmcCurve.a
-    amc_b: float = AmcCurve.b
-    sinr_floor_db: float = AmcCurve.sinr_floor_db
-    sinr_ceiling_db: float = AmcCurve.sinr_ceiling_db
-    staircase: int = 0                  # 0 | 1: quantize to n_levels MCS steps
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(f.default, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name}: must be finite, got {value}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme: must be one of {', '.join(SCHEMES)}, "
-                             f"got {self.scheme!r}")
-        # The component constructors check their own keys.
-        for name, value in (
-                ("controller", ControllerSpec(self.scheme, self._params())),
-                ("layout", build_hex_layout(self.rings, self.isd_m)),
-                ("grid", RbGrid(self.total_rbs, self.control_rbs)),
-                ("noise", NoiseModel(self.thermal_density_dbm_hz,
-                                     self.noise_figure_db, self.rb_bandwidth_hz)),
-                ("curve", AmcCurve(self.t_max, self.amc_a, self.amc_b,
-                                   self.sinr_floor_db, self.sinr_ceiling_db))):
-            object.__setattr__(self, name, value)
-        for key, ok, rule in (
-                ("min_dist_m", 0 <= self.min_dist_m < self.isd_m / 2,
-                 "in [0, isd_m/2)"),
-                ("ues_per_cell", self.ues_per_cell >= 1, ">= 1"),
-                ("slots", self.slots >= 1, ">= 1"),
-                ("drops", self.drops >= 1, ">= 1"),
-                ("seed", self.seed >= 0, ">= 0"),
-                ("slot_duration_s", self.slot_duration_s > 0, "positive"),
-                ("delay_slots", self.delay_slots >= 1, ">= 1"),
-                ("fading", self.fading in (0, 1), "0 or 1"),
-                ("ewma", 0 < self.ewma < 1, "in (0, 1)"),
-                ("control_rbs", 0 <= self.control_rbs < self.total_rbs,
-                 f"in [0, total_rbs = {self.total_rbs})"),
-                ("rb_bandwidth_hz", self.rb_bandwidth_hz > 0, "positive"),
-                ("t_max", self.t_max > 0, "positive"),
-                ("amc_a", self.amc_a > 0, "positive"),
-                ("amc_b", self.amc_b > 0, "positive"),
-                ("sinr_floor_db", self.sinr_floor_db < self.sinr_ceiling_db,
-                 f"below sinr_ceiling_db = {self.sinr_ceiling_db}"),
-                ("staircase", self.staircase in (0, 1), "0 or 1")):
-            if not ok:
-                raise ValueError(f"{key}: must be {rule}, "
-                                 f"got {getattr(self, key)!r}")
-
-    def _params(self):
-        if self.scheme == "cnb":
-            return CnbParams(
-                zeta=self.zeta, iot_s_db=self.iot_s_db, snr_i_db=self.snr_i_db,
-                iot_i_db=self.iot_i_db, p_max_dbm=self.p_max_dbm,
-                bisect_lo_dbm=self.bisect_lo_dbm, tol_db=self.tol_db)
-        if self.scheme == "fpc":
-            return FpcParams(p0_dbm=self.p0_fpc_dbm, kappa=self.kappa,
-                             p_max_dbm=self.p_max_dbm)
-        if self.scheme == "rlpc":
-            return RlpcParams(p0_dbm=self.p0_rlpc_dbm, phi=self.phi,
-                              p_max_dbm=self.p_max_dbm)
-        return MaxPowerParams(p_max_dbm=self.p_max_dbm)
-
-
-@dataclass(frozen=True)
-class NetworkSnapshot:
-    """One drop's static topology: the only channel knowledge controllers see."""
-
-    layout: SiteLayout | None
-    serving: np.ndarray                 # (n_ues,) serving cell index
-    plmap: PathLossMap
-
-    @property
-    def n_ues(self) -> int:
-        return self.plmap.loss_db.shape[0]
-
-    @property
-    def n_cells(self) -> int:
-        return self.plmap.loss_db.shape[1]
 
 
 @dataclass
@@ -225,29 +93,28 @@ def drop_seed(seed: int, drop_index: int) -> int:
     return int(np.random.SeedSequence([seed, drop_index]).generate_state(1)[0])
 
 
-def build_snapshot(config: SimConfig, drop_seed: int) -> NetworkSnapshot:
-    _, serving, plmap = drop_ues(config.layout, config.ues_per_cell,
-                                 config.min_dist_m, drop_seed)
-    return NetworkSnapshot(layout=config.layout, serving=serving, plmap=plmap)
+def build_snapshot(config: SimConfig,
+                   drop_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """One drop's static topology, the only channel knowledge controllers
+    see: each UE's serving cell and the (UE, cell) loss matrix in dB."""
+    _, serving, loss_db = drop_ues(config.layout, config.ues_per_cell,
+                                   config.min_dist_m, drop_seed)
+    return serving, loss_db
 
 
-def compute_slot(occ: np.ndarray, p_mw: np.ndarray, snapshot: NetworkSnapshot,
-                 config: SimConfig, gains: np.ndarray | None = None,
-                 work: np.ndarray | None = None):
+def compute_slot(occ: np.ndarray, p_mw: np.ndarray, gains: np.ndarray,
+                 config: SimConfig, work: np.ndarray | None = None):
     """Couple interference across cells per RB index and realize throughput.
 
     occ and p_mw give per (cell, RB) the occupying UE (-1 if idle) and its
     power in mW, as allocate returns them. Returns (bits per UE this slot,
     mean per-RB SINR per scheduled UE, mean SNR sample, mean IoT sample,
     energy per UE in joules, scheduled mask); the means are 0 for UEs not
-    scheduled. gains is the linear (UE, cell) channel gain matrix, by
-    default the large-scale one. work, a float array of shape occ.shape +
-    (n_cells,), is overwritten: a caller that runs many slots passes one
-    buffer so no slot allocates its own.
+    scheduled. gains is the linear (UE, cell) channel gain matrix. work, a
+    float array of shape occ.shape + (n_cells,), is overwritten: a caller
+    that runs many slots passes one buffer so no slot allocates its own.
     """
-    n_ues = snapshot.n_ues
-    if gains is None:
-        gains = db_to_linear(-snapshot.plmap.loss_db)
+    n_ues = gains.shape[0]
     if work is None:
         work = np.empty(occ.shape + gains.shape[1:])
 
@@ -289,14 +156,13 @@ def compute_slot(occ: np.ndarray, p_mw: np.ndarray, snapshot: NetworkSnapshot,
     return bits, mean(sinr_sum), mean(snr_sum), mean(iot_sum), energy, scheduled
 
 
-def simulate(snapshot: NetworkSnapshot, config: SimConfig,
+def simulate(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
              powers_dbm: np.ndarray | None = None,
              fading_seed: int | None = None) -> MetricsAccumulator:
-    """Run the slot loop on a prebuilt topology snapshot."""
-    n_ues, n_cells = snapshot.plmap.loss_db.shape
+    """Run the slot loop on one drop's topology (see build_snapshot)."""
+    n_ues, n_cells = loss_db.shape
     if powers_dbm is None:
-        powers_dbm = compute_powers(config.controller, snapshot.plmap,
-                                    snapshot.serving, config.noise, config.curve)
+        powers_dbm = compute_powers(config, loss_db, serving)
 
     pf = PfState.fresh(n_ues, alpha=config.alpha, beta=config.beta,
                        ewma=config.ewma)
@@ -304,7 +170,7 @@ def simulate(snapshot: NetworkSnapshot, config: SimConfig,
                                    config.slots * config.slot_duration_s)
 
     # Warm-up rate estimate: large-scale SNR only (no interference knowledge).
-    serving_loss = snapshot.plmap.loss_db[np.arange(n_ues), snapshot.serving]
+    serving_loss = loss_db[np.arange(n_ues), serving]
     snr0 = snr_of(powers_dbm, serving_loss, config.noise) * db_to_linear(
         config.combining_gain_db)
     est0 = amc_realized(snr0, config.curve,
@@ -312,7 +178,7 @@ def simulate(snapshot: NetworkSnapshot, config: SimConfig,
 
     # Per-drop buffers: the slot loop fills them in place.
     work = np.empty((n_cells, config.grid.total_rbs, n_cells))
-    gains = base_gains = db_to_linear(-snapshot.plmap.loss_db)
+    gains = base_gains = db_to_linear(-loss_db)
     fad_rng = None
     if config.fading:
         fad_rng = np.random.default_rng(
@@ -324,7 +190,7 @@ def simulate(snapshot: NetworkSnapshot, config: SimConfig,
     history: deque[np.ndarray] = deque(maxlen=config.delay_slots)
     for _ in range(config.slots):
         est = history[0] if len(history) == config.delay_slots else est0
-        occ, p_mw = allocate(snapshot.serving, est, pf, config.grid,
+        occ, p_mw = allocate(serving, est, pf, config.grid,
                              powers_dbm, config.p_max_dbm, n_cells, powers_mw)
 
         if fad_rng is not None:
@@ -333,7 +199,7 @@ def simulate(snapshot: NetworkSnapshot, config: SimConfig,
             np.multiply(gains, base_gains, out=gains)
 
         bits, mean_sinr, mean_snr, mean_iot, energy, scheduled = compute_slot(
-            occ, p_mw, snapshot, config, gains, work)
+            occ, p_mw, gains, config, work)
 
         acc.bits += bits
         acc.energy_j += energy
@@ -358,7 +224,7 @@ def simulate(snapshot: NetworkSnapshot, config: SimConfig,
 def run_drop(config: SimConfig, drop_index: int) -> MetricsAccumulator:
     """One random topology realization, deterministic given (seed, index)."""
     seed = drop_seed(config.seed, drop_index)
-    return simulate(build_snapshot(config, seed), config, fading_seed=seed)
+    return simulate(*build_snapshot(config, seed), config, fading_seed=seed)
 
 
 def run(config: SimConfig) -> list[MetricsAccumulator]:

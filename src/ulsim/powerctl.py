@@ -13,25 +13,16 @@ C&B solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linkbudget import AmcCurve, NoiseModel, amc_realized, amc_smooth, snr_of
-from .topology import PathLossMap
+from .config import SimConfig
+from .linkbudget import amc_realized, amc_smooth, snr_of
 from .units import db_to_linear
 
 __all__ = [
-    "CnbParams",
-    "FpcParams",
-    "RlpcParams",
-    "MaxPowerParams",
-    "SCHEMES",
-    "ControllerSpec",
     "pl_threshold_db",
     "fpc_power",
     "rlpc_power",
-    "max_power",
     "cnb_rs",
     "cnb_neighbor_losses",
     "cnb_ri",
@@ -39,8 +30,6 @@ __all__ = [
     "cnb_solve",
     "compute_powers",
 ]
-
-P_MAX_DBM = 23.0
 
 # Treat near-zero finite-difference slopes as nonpositive so plateaus (the
 # capped regions of the throughput curve) resolve to the lowest maximizing
@@ -56,119 +45,50 @@ _SCREEN_STEP_DB = 1.0
 _CHUNK_ROWS = 32
 
 
-@dataclass(frozen=True)
-class CnbParams:
-    zeta: float = 1.3
-    iot_s_db: float = 9.0               # assumed own-cell interference level
-    snr_i_db: float = 24.0              # assumed neighbor-UE received SNR
-    iot_i_db: float = 5.0               # assumed neighbor IoT excluding this UE
-    p_max_dbm: float = P_MAX_DBM
-    bisect_lo_dbm: float = -10.0
-    tol_db: float = 0.1
-    pl_th_db: float | None = None       # None: p_max - N0 from the run's noise
-
-    def __post_init__(self):
-        if self.zeta <= 0:
-            raise ValueError(f"zeta: must be positive, got {self.zeta}")
-        if self.tol_db <= 0:
-            raise ValueError(f"tol_db: must be positive, got {self.tol_db}")
-        if self.bisect_lo_dbm >= self.p_max_dbm:
-            raise ValueError(f"bisect_lo_dbm: must be below p_max_dbm = "
-                             f"{self.p_max_dbm}, got {self.bisect_lo_dbm}")
-
-    @property
-    def bisect_hi_dbm(self) -> float:
-        return self.p_max_dbm
-
-
-@dataclass(frozen=True)
-class FpcParams:
-    p0_dbm: float = -87.0
-    kappa: float = 0.8
-    p_max_dbm: float = P_MAX_DBM
-
-    def __post_init__(self):
-        if not 0.0 <= self.kappa <= 1.0:
-            raise ValueError(f"kappa: must be in [0, 1], got {self.kappa}")
-
-
-@dataclass(frozen=True)
-class RlpcParams:
-    p0_dbm: float = -102.0
-    phi: float = 0.8
-    p_max_dbm: float = P_MAX_DBM
-
-    def __post_init__(self):
-        if not 0.0 <= self.phi <= 1.0:
-            raise ValueError(f"phi: must be in [0, 1], got {self.phi}")
-
-
-@dataclass(frozen=True)
-class MaxPowerParams:
-    p_max_dbm: float = P_MAX_DBM
-
-
-# Parameter class of each scheme, in the order the CLI lists them.
-SCHEMES = {"cnb": CnbParams, "fpc": FpcParams, "rlpc": RlpcParams,
-           "maxpower": MaxPowerParams}
-
-
-@dataclass(frozen=True)
-class ControllerSpec:
-    kind: str                           # a key of SCHEMES
-    params: CnbParams | FpcParams | RlpcParams | MaxPowerParams
-
-    def __post_init__(self):
-        if self.kind not in SCHEMES:
-            raise ValueError(f"unknown controller kind {self.kind!r}")
-        if not isinstance(self.params, SCHEMES[self.kind]):
-            raise TypeError(f"controller {self.kind!r} needs "
-                            f"{SCHEMES[self.kind].__name__}")
-
-
-def pl_threshold_db(p_max_dbm: float, noise: NoiseModel) -> float:
+def pl_threshold_db(config: SimConfig) -> float:
     """Cross loss at which max-power interference equals the noise floor."""
-    return p_max_dbm - noise.n0_dbm
+    return config.p_max_dbm - config.noise.n0_dbm
 
 
-def fpc_power(pl_db, p: FpcParams):
+def fpc_power(pl_db, config: SimConfig):
     """Fractional compensation: min(p_max, p0 + kappa * PL); PL may be an array."""
-    return np.minimum(p.p_max_dbm, p.p0_dbm + p.kappa * pl_db)
+    return np.minimum(config.p_max_dbm, config.p0_fpc_dbm + config.kappa * pl_db)
 
 
-def rlpc_power(pl_db, pl_min_db, p: RlpcParams):
+def rlpc_power(pl_db, pl_min_db, config: SimConfig):
     """Reverse-link: min(p_max, p0 + phi*PL + (1-phi)*PL_min_neighbor)."""
-    return np.minimum(p.p_max_dbm,
-                      p.p0_dbm + p.phi * pl_db + (1.0 - p.phi) * pl_min_db)
+    phi = config.phi
+    return np.minimum(config.p_max_dbm,
+                      config.p0_rlpc_dbm + phi * pl_db + (1.0 - phi) * pl_min_db)
 
 
-def max_power(p: MaxPowerParams) -> float:
-    return p.p_max_dbm
-
-
-def cnb_rs(p_dbm, pl_db, params: CnbParams, curve: AmcCurve,
-           noise: NoiseModel):
+def cnb_rs(p_dbm, pl_db, config: SimConfig):
     """Own-throughput estimate: f(SNR(P) / assumed IoT); nondecreasing in P."""
-    sinr = snr_of(p_dbm, pl_db, noise) / db_to_linear(params.iot_s_db)
-    return amc_smooth(sinr, curve)
+    sinr = snr_of(p_dbm, pl_db, config.noise) / db_to_linear(config.iot_s_db)
+    return amc_smooth(sinr, config.curve)
 
 
-def cnb_neighbor_losses(plmap: PathLossMap, serving: np.ndarray,
-                        params: CnbParams, noise: NoiseModel) -> np.ndarray:
+def _sorted_cross_losses(loss_db: np.ndarray, serving: np.ndarray) -> np.ndarray:
+    """(n_ues, n_cells - 1): each UE's losses toward its non-serving cells,
+    ascending along the row."""
+    loss = loss_db.copy()
+    loss[np.arange(loss.shape[0]), serving] = np.inf
+    return np.sort(loss, axis=1)[:, :-1]
+
+
+def cnb_neighbor_losses(loss_db: np.ndarray, serving: np.ndarray,
+                        th_db: float) -> np.ndarray:
     """Cross losses toward the cells each UE can interfere above the noise floor.
 
-    Row u holds UE u's non-serving losses strictly below the threshold,
-    ascending, then inf for every other cell: the layout cnb_solve reads.
+    Row u holds UE u's non-serving losses strictly below th_db (see
+    pl_threshold_db), ascending, then inf for every other cell: the layout
+    cnb_solve reads.
     """
-    th = params.pl_th_db
-    if th is None:
-        th = pl_threshold_db(params.p_max_dbm, noise)
-    cross = plmap.sorted_cross_losses(serving)
-    return np.where(cross < th, cross, np.inf)
+    cross = _sorted_cross_losses(loss_db, serving)
+    return np.where(cross < th_db, cross, np.inf)
 
 
-def cnb_ri(p_dbm, cross_losses, params: CnbParams, curve: AmcCurve,
-           noise: NoiseModel):
+def cnb_ri(p_dbm, cross_losses, config: SimConfig):
     """Neighbor-throughput estimate, summed over interfered cells.
 
     Each term is f(assumed SNR / (assumed IoT + INR_j(P))) with f including
@@ -182,42 +102,41 @@ def cnb_ri(p_dbm, cross_losses, params: CnbParams, curve: AmcCurve,
     if cross.size == 0:
         zero = np.zeros(p.shape)
         return zero if zero.ndim else 0.0
-    inr = db_to_linear(p[..., None] - cross - noise.n0_dbm)
-    sinr = db_to_linear(params.snr_i_db) / (db_to_linear(params.iot_i_db) + inr)
-    val = amc_realized(sinr, curve).sum(axis=-1)
+    inr = db_to_linear(p[..., None] - cross - config.noise.n0_dbm)
+    sinr = db_to_linear(config.snr_i_db) / (db_to_linear(config.iot_i_db) + inr)
+    val = amc_realized(sinr, config.curve).sum(axis=-1)
     return val if val.ndim else float(val)
 
 
-def cnb_objective(p_dbm, pl_db, cross_losses, params: CnbParams,
-                  curve: AmcCurve, noise: NoiseModel):
+def cnb_objective(p_dbm, pl_db, cross_losses, config: SimConfig):
     """Weighted sum R_S(P) + zeta * R_I(P) maximized by the controller."""
-    return (cnb_rs(p_dbm, pl_db, params, curve, noise)
-            + params.zeta * cnb_ri(p_dbm, cross_losses, params, curve, noise))
+    return (cnb_rs(p_dbm, pl_db, config)
+            + config.zeta * cnb_ri(p_dbm, cross_losses, config))
 
 
-def _cnb_breakpoints(pl_db: np.ndarray, cross: np.ndarray, params: CnbParams,
-                     curve: AmcCurve, noise: NoiseModel) -> np.ndarray:
+def _cnb_breakpoints(pl_db: np.ndarray, cross: np.ndarray,
+                     config: SimConfig) -> np.ndarray:
     """Powers (dBm) where each row's piecewise objective kinks or jumps.
 
     One point where the own-throughput curve saturates, and per neighbor the
     powers at which the neighbor's assumed SINR crosses the decodable-region
     ceiling (cost becomes nonzero) and floor (cost saturates).
     """
+    curve, n0_dbm = config.curve, config.noise.n0_dbm
     x_cap = (2.0 ** (curve.t_max / curve.a) - 1.0) / curve.b
-    cap = pl_db + noise.n0_dbm + params.iot_s_db + 10.0 * np.log10(x_cap)
+    cap = pl_db + n0_dbm + config.iot_s_db + 10.0 * np.log10(x_cap)
     pts = [cap[:, None]]
-    snr_i = db_to_linear(params.snr_i_db)
-    iot_i = db_to_linear(params.iot_i_db)
+    snr_i = db_to_linear(config.snr_i_db)
+    iot_i = db_to_linear(config.iot_i_db)
     for edge_db in (curve.sinr_ceiling_db, curve.sinr_floor_db):
         inr = snr_i / db_to_linear(edge_db) - iot_i
         if inr > 0:
-            pts.append(cross + noise.n0_dbm + 10.0 * np.log10(inr))
+            pts.append(cross + n0_dbm + 10.0 * np.log10(inr))
     return np.concatenate(pts, axis=1)
 
 
 def _objective_rows(p_dbm: np.ndarray, pl_db: np.ndarray, cross: np.ndarray,
-                    params: CnbParams, curve: AmcCurve,
-                    noise: NoiseModel) -> np.ndarray:
+                    config: SimConfig) -> np.ndarray:
     """cnb_objective of the powers p_dbm[r] for the UE (pl_db[r], cross[r]).
 
     Evaluated _CHUNK_ROWS rows at a time, so the (rows, powers, neighbors)
@@ -227,12 +146,12 @@ def _objective_rows(p_dbm: np.ndarray, pl_db: np.ndarray, cross: np.ndarray,
     for a in range(0, len(p_dbm), _CHUNK_ROWS):
         b = a + _CHUNK_ROWS
         out[a:b] = cnb_objective(p_dbm[a:b], pl_db[a:b, None],
-                                 cross[a:b, None, :], params, curve, noise)
+                                 cross[a:b, None, :], config)
     return out
 
 
-def cnb_solve(pl_db, cross_losses, params: CnbParams, curve: AmcCurve,
-              noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
+def cnb_solve(pl_db, cross_losses,
+              config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Maximize each UE's objective over [bisect_lo, p_max] dBm by bisection.
 
     pl_db holds n serving losses; row u of the (n, K) cross_losses holds UE
@@ -268,27 +187,26 @@ def cnb_solve(pl_db, cross_losses, params: CnbParams, curve: AmcCurve,
     for k in np.unique(counts):
         rows = np.flatnonzero(counts == k)
         powers[rows], iters[rows] = _solve_group(pl[rows], cross[rows, :k],
-                                                 params, curve, noise)
+                                                 config)
     return powers, iters
 
 
-def _solve_group(pl: np.ndarray, cross: np.ndarray, params: CnbParams,
-                 curve: AmcCurve, noise: NoiseModel):
+def _solve_group(pl: np.ndarray, cross: np.ndarray, config: SimConfig):
     """cnb_solve for UEs that all have cross.shape[1] neighbors."""
     n = len(pl)
-    lo, hi = params.bisect_lo_dbm, params.bisect_hi_dbm
+    lo, hi, tol = config.bisect_lo_dbm, config.p_max_dbm, config.tol_db
     step = _FD_STEP_DB
     n_steps = int(round((hi - lo) / step))
 
     def value(p, ue):
-        return _objective_rows(p, pl[ue], cross[ue], params, curve, noise)
+        return _objective_rows(p, pl[ue], cross[ue], config)
 
     def bisect(left, right, ue):
         """Bisect the brackets [left, right] of the UEs ue, each until narrower
         than tol_db; returns the midpoints and the iterations each took."""
         left, right = left.copy(), right.copy()
         it = np.zeros(len(ue), dtype=int)
-        active = np.flatnonzero(right - left >= params.tol_db)
+        active = np.flatnonzero(right - left >= tol)
         while active.size:
             mid = 0.5 * (left[active] + right[active])
             y = value(np.stack([mid - step, mid + step], axis=1), ue[active])
@@ -296,13 +214,13 @@ def _solve_group(pl: np.ndarray, cross: np.ndarray, params: CnbParams,
             left[active] = np.where(rising, mid, left[active])
             right[active] = np.where(rising, right[active], mid)
             it[active] += 1
-            active = active[right[active] - left[active] >= params.tol_db]
+            active = active[right[active] - left[active] >= tol]
         return 0.5 * (left + right), it
 
     every = np.arange(n)
     stationary, iters = bisect(np.full(n, lo), np.full(n, hi), every)
 
-    brk = _cnb_breakpoints(pl, cross, params, curve, noise)
+    brk = _cnb_breakpoints(pl, cross, config)
     margin = 2.0 * step
     lattice = np.arange(lo + margin, hi - margin, _SCREEN_STEP_DB)
     screen = np.concatenate([np.broadcast_to(lattice, (n, len(lattice))),
@@ -333,21 +251,20 @@ def _solve_group(pl: np.ndarray, cross: np.ndarray, params: CnbParams,
     return best.min(axis=1), iters
 
 
-def compute_powers(spec: ControllerSpec, plmap: PathLossMap,
-                   serving: np.ndarray, noise: NoiseModel,
-                   curve: AmcCurve) -> np.ndarray:
-    """Per-RB transmit power (dBm) of every UE under the given scheme.
+def compute_powers(config: SimConfig, loss_db: np.ndarray,
+                   serving: np.ndarray) -> np.ndarray:
+    """Per-RB transmit power (dBm) of every UE under config.scheme.
 
-    Each UE's power depends only on its own row of the path-loss map.
+    Each UE's power depends only on its own row of the (UE, cell) loss matrix.
     """
-    n_ues = plmap.loss_db.shape[0]
-    pl = plmap.loss_db[np.arange(n_ues), serving]
-    if spec.kind == "maxpower":
-        return np.full(n_ues, max_power(spec.params))
-    if spec.kind == "fpc":
-        return fpc_power(pl, spec.params)
-    if spec.kind == "rlpc":
-        return rlpc_power(pl, plmap.sorted_cross_losses(serving)[:, 0],
-                          spec.params)
-    cross = cnb_neighbor_losses(plmap, serving, spec.params, noise)
-    return cnb_solve(pl, cross, spec.params, curve, noise)[0]
+    n_ues = loss_db.shape[0]
+    pl = loss_db[np.arange(n_ues), serving]
+    if config.scheme == "maxpower":
+        return np.full(n_ues, config.p_max_dbm)
+    if config.scheme == "fpc":
+        return fpc_power(pl, config)
+    if config.scheme == "rlpc":
+        return rlpc_power(pl, _sorted_cross_losses(loss_db, serving)[:, 0],
+                          config)
+    cross = cnb_neighbor_losses(loss_db, serving, pl_threshold_db(config))
+    return cnb_solve(pl, cross, config)[0]

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .engine import MetricsAccumulator, SimConfig, drop_seed, run
+from .config import SimConfig
+from .engine import MetricsAccumulator, drop_seed, run
 
 __all__ = [
     "RunSummary",

@@ -94,13 +94,13 @@ def dbm_to_mw(p_dbm) -> np.ndarray:
 
 def allocate(serving: np.ndarray, est_rates: np.ndarray, pf: PfState,
              grid: RbGrid, tx_power_dbm: np.ndarray, p_max_dbm: float,
-             n_cells: int, tx_power_mw: np.ndarray | None = None
+             n_cells: int, tx_power_mw: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray]:
     """Allocate all data RBs of every cell for one slot.
 
     serving, est_rates (the delayed per-RB rate estimates) and tx_power_dbm
-    are per UE; tx_power_mw, dbm_to_mw(tx_power_dbm), lets a caller that
-    allocates every slot convert the powers once. Returns per (cell, RB) the
+    are per UE; tx_power_mw is dbm_to_mw(tx_power_dbm), so a caller that
+    allocates every slot converts the powers once. Returns per (cell, RB) the
     occupying UE (-1 if idle) and its power in mW: the controller's per-RB
     power, scaled down when the grant's RBs would exceed p_max in total. In a
     cell with a never-served decodable UE, only such UEs are scheduled, with
@@ -142,8 +142,6 @@ def allocate(serving: np.ndarray, est_rates: np.ndarray, pf: PfState,
     # differs in the last bit.
     cap_dbm = np.array([p_max_dbm - 10.0 * math.log10(k)
                         for k in range(1, grid.data_rbs + 1)])
-    if tx_power_mw is None:
-        tx_power_mw = dbm_to_mw(tx_power_dbm)
     power_mw = np.where(cap_dbm[sizes - 1] < tx_power_dbm[ue],
                         dbm_to_mw(cap_dbm)[sizes - 1], tx_power_mw[ue])
 

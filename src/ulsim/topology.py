@@ -12,13 +12,12 @@ penetration loss - sectorized antenna gain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "SiteLayout",
-    "PathLossMap",
     "build_hex_layout",
     "drop_ues",
     "macro_path_loss_db",
@@ -38,9 +37,7 @@ class SiteLayout:
 
     site_positions: np.ndarray          # (n_sites, 2) meters
     sectors_per_site: int
-    inter_site_distance: float
     wrap_vectors: np.ndarray            # (7, 2); row 0 is the identity
-    rings: int
 
     @property
     def n_sites(self) -> int:
@@ -49,24 +46,6 @@ class SiteLayout:
     @property
     def n_cells(self) -> int:
         return self.n_sites * self.sectors_per_site
-
-
-@dataclass(frozen=True)
-class PathLossMap:
-    """Full (UE x cell) large-scale loss matrix in dB.
-
-    Serving-link losses, cross losses toward neighbor cells and minimum
-    neighbor losses are all reads of this single matrix.
-    """
-
-    loss_db: np.ndarray                 # (n_ues, n_cells)
-
-    def sorted_cross_losses(self, serving: np.ndarray) -> np.ndarray:
-        """(n_ues, n_cells - 1): each UE's losses toward its non-serving
-        cells, ascending along the row."""
-        loss = self.loss_db.copy()
-        loss[np.arange(loss.shape[0]), serving] = np.inf
-        return np.sort(loss, axis=1)[:, :-1]
 
 
 def _axial_rot60(q: int, r: int) -> tuple[int, int]:
@@ -112,9 +91,7 @@ def build_hex_layout(rings: int, isd: float) -> SiteLayout:
     return SiteLayout(
         site_positions=sites,
         sectors_per_site=SECTORS_PER_SITE,
-        inter_site_distance=float(isd),
         wrap_vectors=np.array(wraps),
-        rings=rings,
     )
 
 
@@ -127,15 +104,6 @@ def _voronoi_reduce(points: np.ndarray, layout: SiteLayout) -> np.ndarray:
     cand = points[:, None, :] - (base[:, None, :] + offsets[None, :, :]) @ basis.T
     best = np.argmin(np.einsum("nkd,nkd->nk", cand, cand), axis=1)
     return cand[np.arange(len(points)), best]
-
-
-def _site_distances(points: np.ndarray, layout: SiteLayout) -> np.ndarray:
-    """Min over wrap images of the point-to-site distance, per (point, site)."""
-    # (n, w, s, 2)
-    diffs = (points[:, None, None, :] + layout.wrap_vectors[None, :, None, :]
-             - layout.site_positions[None, None, :, :])
-    d2 = np.einsum("nwsd,nwsd->nws", diffs, diffs)
-    return np.sqrt(d2.min(axis=1))
 
 
 def _wrap_geometry(points: np.ndarray, layout: SiteLayout):
@@ -196,7 +164,7 @@ def _sample_positions(layout: SiteLayout, n: int, min_dist: float,
         need = n - filled
         frac = rng.uniform(-0.5, 0.5, size=(need, 2))
         pts = _voronoi_reduce(frac @ basis.T, layout)
-        ok = _site_distances(pts, layout).min(axis=1) >= min_dist
+        ok = _wrap_geometry(pts, layout)[0].min(axis=1) >= min_dist
         kept = pts[ok]
         out[filled:filled + len(kept)] = kept
         filled += len(kept)
@@ -205,7 +173,7 @@ def _sample_positions(layout: SiteLayout, n: int, min_dist: float,
 
 def drop_ues(layout: SiteLayout, ues_per_cell: int,
              min_dist: float = MIN_UE_SITE_DISTANCE_M,
-             seed: int = 0) -> tuple[np.ndarray, np.ndarray, PathLossMap]:
+             seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Drop ues_per_cell * n_cells UEs uniformly over the wrapped network area.
 
     Positions violating the minimum site distance are rejection-resampled.
@@ -217,4 +185,4 @@ def drop_ues(layout: SiteLayout, ues_per_cell: int,
     positions = _sample_positions(layout, n, min_dist, _pos_rng(seed))
     shadow = _shadow_draws(n, layout.n_sites, seed)
     loss = _loss_matrix(positions, shadow, layout)
-    return positions, np.argmin(loss, axis=1), PathLossMap(loss_db=loss)
+    return positions, np.argmin(loss, axis=1), loss

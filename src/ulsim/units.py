@@ -4,14 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["db_to_linear", "linear_to_db"]
+__all__ = ["db_to_linear"]
 
 
 def db_to_linear(db):
     """Convert a dB power ratio to linear scale."""
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
-
-
-def linear_to_db(lin):
-    """Convert a linear power ratio to dB."""
-    return 10.0 * np.log10(np.asarray(lin, dtype=float))

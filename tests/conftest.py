@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from ulsim.engine import NetworkSnapshot, SimConfig
+from ulsim.config import SimConfig
 from ulsim.linkbudget import AmcCurve, NoiseModel
-from ulsim.topology import PathLossMap, build_hex_layout
+from ulsim.topology import build_hex_layout
 
 
 @pytest.fixture(scope="session")
@@ -29,9 +29,14 @@ def small_layout():
 
 
 def make_snapshot(loss_db, serving):
-    """Synthetic snapshot from an explicit loss matrix (no geometry)."""
-    return NetworkSnapshot(layout=None, serving=np.asarray(serving),
-                           plmap=PathLossMap(loss_db=np.asarray(loss_db, dtype=float)))
+    """Synthetic (serving, loss_db) drop from an explicit loss matrix (no
+    geometry), as build_snapshot returns it."""
+    return np.asarray(serving), np.asarray(loss_db, dtype=float)
+
+
+def gains_of(loss_db):
+    """Large-scale linear channel gains of a loss matrix, as simulate's."""
+    return 10.0 ** (-np.asarray(loss_db, dtype=float) / 10.0)
 
 
 def maxpower_config(**kw):

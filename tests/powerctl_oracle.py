@@ -1,31 +1,31 @@
 """Reference oracle for ulsim.powerctl: the scalar per-UE C&B solver and the
 per-UE compute_powers loop that the batched array code replaced, kept
-unchanged except that path-loss rows are read from the loss matrix directly
-and the baseline formulas are written out in their scalar form."""
+unchanged except that path-loss rows are read from the loss matrix directly,
+the parameters from SimConfig, and the baseline formulas are written out in
+their scalar form."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ulsim.linkbudget import AmcCurve, NoiseModel
+from ulsim.config import SimConfig
 from ulsim.powerctl import (_FD_STEP_DB, _PLATEAU_EPS, _SCREEN_STEP_DB,
-                            CnbParams, ControllerSpec, cnb_objective,
-                            pl_threshold_db)
+                            cnb_objective, pl_threshold_db)
 from ulsim.units import db_to_linear
 
 
-def _cnb_breakpoints(pl_db: float, cross, params: CnbParams, curve: AmcCurve,
-                     noise: NoiseModel) -> np.ndarray:
+def _cnb_breakpoints(pl_db: float, cross, config: SimConfig) -> np.ndarray:
     """Powers (dBm) where the piecewise objective kinks or jumps.
 
     One point where the own-throughput curve saturates, and per neighbor the
     powers at which the neighbor's assumed SINR crosses the decodable-region
     ceiling (cost becomes nonzero) and floor (cost saturates).
     """
+    curve, noise = config.curve, config.noise
     x_cap = (2.0 ** (curve.t_max / curve.a) - 1.0) / curve.b
-    pts = [pl_db + noise.n0_dbm + params.iot_s_db + 10.0 * np.log10(x_cap)]
-    snr_i = db_to_linear(params.snr_i_db)
-    iot_i = db_to_linear(params.iot_i_db)
+    pts = [pl_db + noise.n0_dbm + config.iot_s_db + 10.0 * np.log10(x_cap)]
+    snr_i = db_to_linear(config.snr_i_db)
+    iot_i = db_to_linear(config.iot_i_db)
     cross = np.asarray(cross, dtype=float)
     for edge_db in (curve.sinr_ceiling_db, curve.sinr_floor_db):
         inr = snr_i / db_to_linear(edge_db) - iot_i
@@ -34,8 +34,8 @@ def _cnb_breakpoints(pl_db: float, cross, params: CnbParams, curve: AmcCurve,
     return np.asarray(pts)
 
 
-def cnb_solve(pl_db: float, cross_losses, params: CnbParams, curve: AmcCurve,
-              noise: NoiseModel, return_iters: bool = False):
+def cnb_solve(pl_db: float, cross_losses, config: SimConfig,
+              return_iters: bool = False):
     """Maximize the objective over [bisect_lo, p_max] dBm by bisection.
 
     The stationarity test is a central finite difference of the objective
@@ -55,18 +55,17 @@ def cnb_solve(pl_db: float, cross_losses, params: CnbParams, curve: AmcCurve,
     iterations.
     """
     cross = np.asarray(cross_losses, dtype=float)
-    lo, hi = params.bisect_lo_dbm, params.bisect_hi_dbm
+    lo, hi = config.bisect_lo_dbm, config.p_max_dbm
     step = _FD_STEP_DB
     n_steps = int(round((hi - lo) / step))
 
     def value(p):
         return np.atleast_1d(
-            cnb_objective(np.asarray(p, dtype=float), pl_db, cross, params,
-                          curve, noise))
+            cnb_objective(np.asarray(p, dtype=float), pl_db, cross, config))
 
     def bisect(left: float, right: float) -> tuple[float, int]:
         it = 0
-        while right - left >= params.tol_db:
+        while right - left >= config.tol_db:
             mid = 0.5 * (left + right)
             y = value([mid - step, mid + step])
             if (y[1] - y[0]) / (2.0 * step) > _PLATEAU_EPS:
@@ -78,7 +77,7 @@ def cnb_solve(pl_db: float, cross_losses, params: CnbParams, curve: AmcCurve,
 
     stationary, iters = bisect(lo, hi)
 
-    brk = _cnb_breakpoints(pl_db, cross, params, curve, noise)
+    brk = _cnb_breakpoints(pl_db, cross, config)
     margin = 2.0 * step
     screen = np.concatenate([np.arange(lo + margin, hi - margin, _SCREEN_STEP_DB),
                              brk - margin, brk + margin, [hi - margin]])
@@ -101,22 +100,19 @@ def cnb_solve(pl_db: float, cross_losses, params: CnbParams, curve: AmcCurve,
     return (best, iters) if return_iters else best
 
 
-def cnb_neighbors(loss_row: np.ndarray, serving_cell: int, params: CnbParams,
-                  noise: NoiseModel) -> np.ndarray:
+def cnb_neighbors(loss_row: np.ndarray, serving_cell: int,
+                  config: SimConfig) -> np.ndarray:
     """Cross losses toward cells this UE can interfere above the noise floor.
 
     Non-serving cells with loss strictly below the threshold, ascending.
     """
-    th = params.pl_th_db
-    if th is None:
-        th = pl_threshold_db(params.p_max_dbm, noise)
+    th = pl_threshold_db(config)
     losses = np.sort(np.delete(loss_row, serving_cell))
     return losses[losses < th]
 
 
-def compute_powers(spec: ControllerSpec, loss_db: np.ndarray,
-                   serving: np.ndarray, noise: NoiseModel,
-                   curve: AmcCurve) -> tuple[np.ndarray, np.ndarray]:
+def compute_powers(config: SimConfig, loss_db: np.ndarray,
+                   serving: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-UE power (dBm) and C&B iteration count (0 for the other schemes),
     one scalar solve per UE."""
     n_ues = loss_db.shape[0]
@@ -125,17 +121,16 @@ def compute_powers(spec: ControllerSpec, loss_db: np.ndarray,
     for u in range(n_ues):
         s = int(serving[u])
         pl = float(loss_db[u, s])
-        p = spec.params
-        if spec.kind == "maxpower":
-            out[u] = p.p_max_dbm
-        elif spec.kind == "fpc":
-            out[u] = min(p.p_max_dbm, p.p0_dbm + p.kappa * pl)
-        elif spec.kind == "rlpc":
+        c = config
+        if c.scheme == "maxpower":
+            out[u] = c.p_max_dbm
+        elif c.scheme == "fpc":
+            out[u] = min(c.p_max_dbm, c.p0_fpc_dbm + c.kappa * pl)
+        elif c.scheme == "rlpc":
             pl_min = float(np.sort(np.delete(loss_db[u], s))[0])
-            out[u] = min(p.p_max_dbm,
-                         p.p0_dbm + p.phi * pl + (1.0 - p.phi) * pl_min)
+            out[u] = min(c.p_max_dbm,
+                         c.p0_rlpc_dbm + c.phi * pl + (1.0 - c.phi) * pl_min)
         else:
-            cross = cnb_neighbors(loss_db[u], s, spec.params, noise)
-            out[u], iters[u] = cnb_solve(pl, cross, spec.params, curve, noise,
-                                         return_iters=True)
+            cross = cnb_neighbors(loss_db[u], s, config)
+            out[u], iters[u] = cnb_solve(pl, cross, config, return_iters=True)
     return out, iters

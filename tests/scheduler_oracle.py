@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ulsim.powerctl import P_MAX_DBM
+from ulsim.config import SimConfig
 from ulsim.scheduler import PfState, RbGrid
 
 
@@ -55,7 +55,7 @@ def _weights(est_rates: np.ndarray, avg: np.ndarray,
 
 def allocate(cell_ues, est_rates, pf: PfState, grid: RbGrid,
              tx_power_dbm=None,
-             p_max_dbm: float = P_MAX_DBM) -> list[RbAssignment]:
+             p_max_dbm: float = SimConfig.p_max_dbm) -> list[RbAssignment]:
     """Allocate all data RBs of one cell for one slot.
 
     cell_ues are global UE ids; est_rates are the (delayed) per-RB rate

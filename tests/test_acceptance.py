@@ -8,16 +8,15 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import make_snapshot, maxpower_config
+from conftest import gains_of, maxpower_config
 from scheduler_oracle import RbAssignment, occupancy
 from ulsim import report
-from ulsim.config import DEFAULTS
+from ulsim.config import DEFAULTS, SimConfig
 from ulsim.engine import compute_slot
-from ulsim.linkbudget import AmcCurve, NoiseModel, amc_realized, amc_smooth
-from ulsim.powerctl import (CnbParams, FpcParams, RlpcParams, cnb_objective,
-                            cnb_ri, cnb_rs, cnb_solve, fpc_power, rlpc_power)
+from ulsim.linkbudget import AmcCurve, amc_realized, amc_smooth
+from ulsim.powerctl import (cnb_objective, cnb_ri, cnb_rs, cnb_solve,
+                            fpc_power, rlpc_power)
 
-NOISE = NoiseModel()
 CURVE = AmcCurve()
 
 
@@ -42,13 +41,13 @@ class TestCriterion1BisectionOracle:
         grid = oracle_grid()
         solve_time = 0.0
         for pl, cross, zeta in sample_instances(1000, seed=0):
-            params = CnbParams(zeta=zeta)
+            config = SimConfig(scheme="cnb", zeta=zeta)
             t0 = time.perf_counter()
             (sol,), (iters,) = cnb_solve(np.array([pl]), np.array([cross]),
-                                         params, CURVE, NOISE)
+                                         config)
             solve_time += time.perf_counter() - t0
             assert iters <= 9
-            vals = cnb_objective(grid, pl, cross, params, CURVE, NOISE)
+            vals = cnb_objective(grid, pl, cross, config)
             best = grid[np.argmax(vals)]  # ties resolve to the lowest power
             assert abs(sol - best) <= 0.2, (pl, list(cross), zeta, sol, best)
         assert solve_time < 5.0
@@ -56,14 +55,14 @@ class TestCriterion1BisectionOracle:
 
 class TestCriterion2FormulaExactness:
     def test_fpc_hand_values(self):
-        p = FpcParams()
-        assert abs(fpc_power(100.0, p) - (-7.0)) <= 1e-12
-        assert abs(fpc_power(140.0, p) - 23.0) <= 1e-12
+        config = SimConfig(scheme="fpc")
+        assert abs(fpc_power(100.0, config) - (-7.0)) <= 1e-12
+        assert abs(fpc_power(140.0, config) - 23.0) <= 1e-12
 
     def test_rlpc_hand_values(self):
-        p = RlpcParams()
-        assert abs(rlpc_power(120.0, 110.0, p) - 16.0) <= 1e-12
-        assert abs(rlpc_power(160.0, 150.0, p) - 23.0) <= 1e-12
+        config = SimConfig(scheme="rlpc")
+        assert abs(rlpc_power(120.0, 110.0, config) - 16.0) <= 1e-12
+        assert abs(rlpc_power(160.0, 150.0, config) - 23.0) <= 1e-12
 
     def test_amc_value_at_zero_db(self):
         # 0.7035 * log2(1.7041) = 0.54099853..., i.e. 0.5410 (0.5411 was a rounding slip).
@@ -77,9 +76,9 @@ class TestCriterion3Monotonicity:
     def test_rs_nondecreasing_ri_nonincreasing(self):
         grid = np.arange(-10.0, 23.0 + 1e-9, 0.05)
         for pl, cross, zeta in sample_instances(500, seed=1):
-            params = CnbParams(zeta=zeta)
-            rs = cnb_rs(grid, pl, params, CURVE, NOISE)
-            ri = cnb_ri(grid, cross, params, CURVE, NOISE)
+            config = SimConfig(scheme="cnb", zeta=zeta)
+            rs = cnb_rs(grid, pl, config)
+            ri = cnb_ri(grid, cross, config)
             assert np.all(np.diff(rs) >= 0.0)
             assert np.all(np.diff(np.atleast_1d(ri)) <= 0.0)
 
@@ -169,14 +168,13 @@ class TestCriterion6EngineOracle:
     P0, P1 = 2.0, -1.0
 
     def test_per_slot_sinr_and_bits(self):
-        snapshot = make_snapshot(self.LOSS, serving=[0, 1])
         config = maxpower_config(slots=1, ues_per_cell=1)
         allocations = {
             0: [RbAssignment(0, rb_start=2, rb_len=6, per_rb_power_dbm=self.P0)],
             1: [RbAssignment(1, rb_start=4, rb_len=4, per_rb_power_dbm=self.P1)],
         }
         bits, mean_sinr, _, _, energy, _ = compute_slot(
-            *occupancy(allocations, 2, config.grid), snapshot, config)
+            *occupancy(allocations, 2, config.grid), gains_of(self.LOSS), config)
 
         # Independent scalar recomputation: received = p * gain * combining,
         # sinr = signal / (other-cell interference + per-RB noise).
@@ -218,7 +216,7 @@ class TestCriterion7DeterminismAndMerge:
         assert a.per_ue_snr_db == b.per_ue_snr_db
 
     def test_partitioned_merge_equals_pooled(self):
-        from ulsim.engine import SimConfig, run
+        from ulsim.engine import run
 
         sim = SimConfig(**self.small_cfg())
         accs = run(sim)

@@ -8,8 +8,7 @@ import pytest
 
 import ulsim
 from ulsim import cli
-from ulsim.config import DEFAULTS, parse_config_file, set_key
-from ulsim.engine import SimConfig
+from ulsim.config import DEFAULTS, SimConfig, parse_config_file, set_key
 
 
 class TestConfigFile:
@@ -56,7 +55,7 @@ class TestConfigFile:
     def test_build_sim_config(self):
         cfg = set_key(dict(DEFAULTS), "scheme", "rlpc")
         sim = SimConfig(**cfg)
-        assert sim.controller.kind == "rlpc"
+        assert sim.scheme == "rlpc"
         assert sim.rings == 2 and sim.slots == 2000
         assert sim.grid.data_rbs == 48
 
@@ -68,6 +67,25 @@ class TestConfigFile:
         assert [type(v) for v in cfg.values()] == [type(v) for v in
                                                     DEFAULTS.values()]
         assert SimConfig(**cfg) == SimConfig()
+
+
+@pytest.mark.parametrize("scheme, key, value, ok", [
+    ("maxpower", "p_max_dbm", "-60", True),     # below bisect_lo_dbm
+    ("fpc", "zeta", "-1", True),
+    ("cnb", "kappa", "1.5", True),
+    ("rlpc", "tol_db", "0", True),
+    ("fpc", "zeta", "nan", False),
+])
+def test_unselected_scheme_keys_only_finite(tmp_path, scheme, key, value, ok):
+    """A scheme's own rules apply only when it is selected; the keys of the
+    other schemes are only checked for finiteness."""
+    path = tmp_path / "run.cfg"
+    path.write_text(f"scheme = {scheme}\n{key} = {value}\n")
+    if ok:
+        assert parse_config_file(path)[key] == float(value)
+    else:
+        with pytest.raises(ValueError, match=key):
+            parse_config_file(path)
 
 
 def run_cli(args):

@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cnb_config, make_snapshot, maxpower_config
+from conftest import cnb_config, gains_of, make_snapshot, maxpower_config
 from scheduler_oracle import RbAssignment, occupancy
 from ulsim import engine
-from ulsim.engine import (MetricsAccumulator, SimConfig, build_snapshot,
-                          compute_slot, drop_seed, run, run_drop, simulate)
+from ulsim.config import SimConfig
+from ulsim.engine import (MetricsAccumulator, build_snapshot, compute_slot,
+                          drop_seed, run, run_drop, simulate)
 from ulsim.linkbudget import AmcCurve, NoiseModel, amc_realized
-from ulsim.powerctl import CnbParams, ControllerSpec
 from ulsim.report import summarize
 from ulsim.scheduler import RbGrid
 
@@ -34,7 +34,6 @@ class TestSimConfig:
 
     def test_components_take_their_defaults(self):
         cfg = SimConfig()
-        assert cfg.controller == ControllerSpec("cnb", CnbParams())
         assert cfg.grid == RbGrid()
         assert cfg.noise == NoiseModel()
         assert cfg.curve == AmcCurve()
@@ -76,7 +75,6 @@ class TestComputeSlotOracle:
     P0, P1 = 0.0, 3.0
 
     def scenario(self):
-        snapshot = make_snapshot(self.LOSS, serving=[0, 1])
         config = maxpower_config(slots=1, ues_per_cell=1)
         allocations = {
             0: [RbAssignment(ue_id=0, rb_start=2, rb_len=8,
@@ -84,7 +82,8 @@ class TestComputeSlotOracle:
             1: [RbAssignment(ue_id=1, rb_start=2, rb_len=4,
                              per_rb_power_dbm=self.P1)],
         }
-        return snapshot, config, occupancy(allocations, 2, config.grid)
+        return gains_of(self.LOSS), config, occupancy(allocations, 2,
+                                                      config.grid)
 
     def expected(self, config):
         n0 = 10.0 ** (config.noise.n0_dbm / 10.0)
@@ -111,9 +110,9 @@ class TestComputeSlotOracle:
         return bits0, bits1, energy0, energy1, mean_sinr0, sinr1
 
     def test_bits_and_sinr_match_hand_computation(self):
-        snapshot, config, slot = self.scenario()
+        gains, config, slot = self.scenario()
         bits, mean_sinr, mean_snr, mean_iot, energy, sched = compute_slot(
-            *slot, snapshot, config)
+            *slot, gains, config)
         b0, b1, e0, e1, s0, s1 = self.expected(config)
         assert np.isclose(bits[0], b0, rtol=1e-9)
         assert np.isclose(bits[1], b1, rtol=1e-9)
@@ -124,8 +123,8 @@ class TestComputeSlotOracle:
         assert sched.tolist() == [True, True]
 
     def test_snr_iot_samples(self):
-        snapshot, config, slot = self.scenario()
-        _, _, mean_snr, mean_iot, _, _ = compute_slot(*slot, snapshot, config)
+        gains, config, slot = self.scenario()
+        _, _, mean_snr, mean_iot, _, _ = compute_slot(*slot, gains, config)
         n0 = 10.0 ** (config.noise.n0_dbm / 10.0)
         combine = 10.0 ** (config.combining_gain_db / 10.0)
         sig0 = 10.0 ** (self.P0 / 10.0) * 10.0 ** (-110.0 / 10.0) * combine
@@ -135,9 +134,9 @@ class TestComputeSlotOracle:
         assert mean_iot[1] > 1.0
 
     def test_idle_network(self):
-        snapshot, config, _ = self.scenario()
+        gains, config, _ = self.scenario()
         bits, _, _, _, energy, sched = compute_slot(
-            *occupancy({}, 2, config.grid), snapshot, config)
+            *occupancy({}, 2, config.grid), gains, config)
         assert not bits.any() and not energy.any() and not sched.any()
 
 
@@ -152,21 +151,21 @@ class TestSimulate:
     def test_deterministic(self):
         snap = self.small_snapshot()
         cfg = cnb_config(slots=20, drops=1)
-        a = simulate(snap, cfg)
-        b = simulate(snap, cfg)
+        a = simulate(*snap, cfg)
+        b = simulate(*snap, cfg)
         assert np.array_equal(a.bits, b.bits)
         assert np.array_equal(a.energy_j, b.energy_j)
 
     def test_all_ues_eventually_served(self):
         snap = self.small_snapshot()
         cfg = maxpower_config(slots=30, drops=1)
-        acc = simulate(snap, cfg)
+        acc = simulate(*snap, cfg)
         assert np.all(acc.sched_slots > 0)
 
     def test_energy_respects_power_cap(self):
         snap = self.small_snapshot()
         cfg = maxpower_config(slots=10, drops=1)
-        acc = simulate(snap, cfg)
+        acc = simulate(*snap, cfg)
         # Total per-slot transmit power per UE is capped at 23 dBm ~ 0.2 W.
         max_energy = 10 * cfg.slot_duration_s * 10 ** (23.0 / 10.0) / 1000.0
         assert np.all(acc.energy_j <= max_energy + 1e-12)
@@ -174,21 +173,21 @@ class TestSimulate:
     def test_shorter_than_delay(self):
         snap = self.small_snapshot()
         cfg = maxpower_config(slots=3, delay_slots=6, drops=1)
-        acc = simulate(snap, cfg)
+        acc = simulate(*snap, cfg)
         assert acc.bits.sum() > 0
 
     def test_fading_changes_results(self):
         snap = self.small_snapshot()
-        base = simulate(snap, maxpower_config(slots=15, drops=1))
-        faded = simulate(snap, maxpower_config(slots=15, drops=1,
-                                               fading=True), fading_seed=3)
+        base = simulate(*snap, maxpower_config(slots=15, drops=1))
+        faded = simulate(*snap, maxpower_config(slots=15, drops=1,
+                                                fading=True), fading_seed=3)
         assert not np.array_equal(base.bits, faded.bits)
 
     def test_explicit_powers_override(self):
         snap = self.small_snapshot()
         cfg = maxpower_config(slots=5, drops=1)
-        lo = simulate(snap, cfg, powers_dbm=np.full(6, -10.0))
-        hi = simulate(snap, cfg, powers_dbm=np.full(6, 23.0))
+        lo = simulate(*snap, cfg, powers_dbm=np.full(6, -10.0))
+        hi = simulate(*snap, cfg, powers_dbm=np.full(6, 23.0))
         assert lo.energy_j.sum() < hi.energy_j.sum()
 
     # sha256 over the bytes of bits, energy_j, snr_lin_sum, iot_lin_sum and
@@ -245,7 +244,7 @@ class TestApplyDelay:
 
         monkeypatch.setattr(engine, "allocate", allocate)
         monkeypatch.setattr(engine, "compute_slot", compute_slot)
-        simulate(snap, cfg, fading_seed=4)
+        simulate(*snap, cfg, fading_seed=4)
 
         measured, prev = [], used[0]
         for _, mean_sinr, _, _, _, scheduled in slots:
@@ -274,11 +273,11 @@ class TestSlotBuffers:
     on what a buffer held before."""
 
     def test_reused_work_matches_fresh(self):
-        snap = TestSimulate().small_snapshot()
+        serving, loss = TestSimulate().small_snapshot()
         config = maxpower_config(slots=1)
-        gains = 10.0 ** (-snap.plmap.loss_db / 10.0)
+        gains = gains_of(loss)
         faded = gains * np.random.default_rng(3).exponential(1.0, gains.shape)
-        ues = {c: np.flatnonzero(snap.serving == c).tolist() for c in range(3)}
+        ues = {c: np.flatnonzero(serving == c).tolist() for c in range(3)}
         first = {0: [RbAssignment(ues[0][0], 2, 30, 10.0),
                      RbAssignment(ues[0][1], 32, 18, -3.0)],
                  2: [RbAssignment(ues[2][0], 2, 48, 20.0)]}
@@ -288,8 +287,8 @@ class TestSlotBuffers:
         assert (slots[0][0][1] == -1).all()          # cell 1 idles first
         work = np.full((3, config.grid.total_rbs, 3), np.nan)
         for (occ, p_mw), g in 2 * list(zip(slots, (gains, faded, gains))):
-            got = compute_slot(occ, p_mw, snap, config, g, work)
-            want = compute_slot(occ, p_mw, snap, config, g)
+            got = compute_slot(occ, p_mw, g, config, work)
+            want = compute_slot(occ, p_mw, g, config)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def record(self, monkeypatch):
@@ -305,21 +304,21 @@ class TestSlotBuffers:
             est_copied.append(est.copy())
             return real_allocate(serving, est, *args)
 
-        def compute_slot(occ, p_mw, snapshot, config, g, *args):
+        def compute_slot(occ, p_mw, g, config, *args):
             gains.append(g.copy())
-            return real_slot(occ, p_mw, snapshot, config, g, *args)
+            return real_slot(occ, p_mw, g, config, *args)
 
         monkeypatch.setattr(engine, "allocate", allocate)
         monkeypatch.setattr(engine, "compute_slot", compute_slot)
-        simulate(snap, cfg, fading_seed=5)
+        simulate(*snap, cfg, fading_seed=5)
         return snap, gains, est_seen, est_copied
 
     def test_fading_draws_the_exponential_stream(self, monkeypatch):
-        snap, gains, _, _ = self.record(monkeypatch)
+        (_, loss), gains, _, _ = self.record(monkeypatch)
         rng = np.random.default_rng(np.random.SeedSequence([5, 2]))
-        base = 10.0 ** (-snap.plmap.loss_db / 10.0)
+        base = gains_of(loss)
         for t in range(3):
-            fad = rng.exponential(1.0, size=(snap.n_ues, snap.n_cells))
+            fad = rng.exponential(1.0, size=loss.shape)
             assert np.array_equal(gains[t], base * fad)
 
     def test_estimates_are_not_overwritten(self, monkeypatch):
@@ -354,14 +353,12 @@ class TestDrops:
         accs = run(cfg)
         seeds = summarize(accs, cfg).seeds
         assert seeds == (drop_seed(3, 0), drop_seed(3, 1))
-        again = simulate(build_snapshot(cfg, seeds[1]), cfg,
+        again = simulate(*build_snapshot(cfg, seeds[1]), cfg,
                          fading_seed=seeds[1])
         assert np.array_equal(accs[1].bits, again.bits)
 
     def test_build_snapshot_shapes(self):
         cfg = maxpower_config(rings=1, ues_per_cell=2)
-        snap = build_snapshot(cfg, drop_seed=9)
-        assert snap.n_cells == 21
-        assert snap.n_ues == 42
-        assert np.array_equal(snap.serving,
-                              np.argmin(snap.plmap.loss_db, axis=1))
+        serving, loss = build_snapshot(cfg, drop_seed=9)
+        assert loss.shape == (42, 21)
+        assert np.array_equal(serving, np.argmin(loss, axis=1))

@@ -4,35 +4,37 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import powerctl_oracle as oracle
+from ulsim import powerctl
+from ulsim.config import SimConfig
 from ulsim.engine import drop_seed
-from ulsim.linkbudget import AmcCurve, NoiseModel
-from ulsim.powerctl import (CnbParams, ControllerSpec, FpcParams,
-                            MaxPowerParams, RlpcParams, cnb_neighbor_losses,
-                            cnb_objective, cnb_ri, cnb_rs, cnb_solve,
-                            compute_powers, fpc_power, max_power,
+from ulsim.linkbudget import NoiseModel
+from ulsim.powerctl import (cnb_neighbor_losses, cnb_objective, cnb_ri,
+                            cnb_rs, cnb_solve, compute_powers, fpc_power,
                             pl_threshold_db, rlpc_power)
-from ulsim.topology import PathLossMap, build_hex_layout, drop_ues
-from ulsim.units import db_to_linear
+from ulsim.topology import build_hex_layout, drop_ues
 
 NOISE = NoiseModel()
-CURVE = AmcCurve()
+
+
+def cnb(**kw):
+    return SimConfig(scheme="cnb", **kw)
 
 
 def oracle_grid(lo=-10.0, hi=23.0, step=0.01):
     return lo + np.arange(int(round((hi - lo) / step)) + 1) * step
 
 
-def grid_argmax(pl, cross, params):
+def grid_argmax(pl, cross, config):
     """Dense-grid maximizer; ties resolve to the smallest power."""
-    grid = oracle_grid(params.bisect_lo_dbm, params.p_max_dbm)
-    vals = cnb_objective(grid, pl, cross, params, CURVE, NOISE)
+    grid = oracle_grid(config.bisect_lo_dbm, config.p_max_dbm)
+    vals = cnb_objective(grid, pl, cross, config)
     return float(grid[np.argmax(vals)])
 
 
-def solve_one(pl, cross, params):
+def solve_one(pl, cross, config):
     """Batched solve of a single UE: (power, iterations)."""
     powers, iters = cnb_solve(np.array([pl]), np.array([cross], dtype=float),
-                              params, CURVE, NOISE)
+                              config)
     return powers[0], iters[0]
 
 
@@ -41,65 +43,62 @@ def random_instance(rng):
     n = rng.integers(0, 7)
     cross = np.sort(pl + rng.uniform(0.0, 40.0, size=n))
     zeta = rng.uniform(0.5, 1.5)
-    return pl, cross, CnbParams(zeta=zeta)
+    return pl, cross, cnb(zeta=zeta)
 
 
 class TestBaselines:
     def test_fpc_hand_values(self):
-        p = FpcParams()
-        assert abs(fpc_power(100.0, p) - (-7.0)) < 1e-12
-        assert abs(fpc_power(140.0, p) - 23.0) < 1e-12
-        assert abs(fpc_power(50.0, FpcParams(kappa=0.0)) - (-87.0)) < 1e-12
+        config = SimConfig(scheme="fpc")
+        assert abs(fpc_power(100.0, config) - (-7.0)) < 1e-12
+        assert abs(fpc_power(140.0, config) - 23.0) < 1e-12
+        flat = SimConfig(scheme="fpc", kappa=0.0)
+        assert abs(fpc_power(50.0, flat) - (-87.0)) < 1e-12
 
     def test_fpc_monotone(self):
-        p = FpcParams()
+        config = SimConfig(scheme="fpc")
         pls = np.linspace(60, 160, 101)
-        out = [fpc_power(pl, p) for pl in pls]
+        out = [fpc_power(pl, config) for pl in pls]
         assert np.all(np.diff(out) >= 0)
 
     def test_rlpc_hand_values(self):
-        p = RlpcParams()
-        assert abs(rlpc_power(120.0, 110.0, p) - 16.0) < 1e-12
-        assert abs(rlpc_power(160.0, 150.0, p) - 23.0) < 1e-12
+        config = SimConfig(scheme="rlpc")
+        assert abs(rlpc_power(120.0, 110.0, config) - 16.0) < 1e-12
+        assert abs(rlpc_power(160.0, 150.0, config) - 23.0) < 1e-12
 
     def test_rlpc_phi_one_reduces_to_fpc(self):
-        p = RlpcParams(phi=1.0)
-        f = FpcParams(p0_dbm=-102.0, kappa=1.0)
+        r = SimConfig(scheme="rlpc", phi=1.0)
+        f = SimConfig(scheme="fpc", p0_fpc_dbm=-102.0, kappa=1.0)
         for pl in (90.0, 110.0, 130.0):
-            assert abs(rlpc_power(pl, 70.0, p) - fpc_power(pl, f)) < 1e-12
+            assert abs(rlpc_power(pl, 70.0, r) - fpc_power(pl, f)) < 1e-12
 
     def test_max_power(self):
-        assert max_power(MaxPowerParams()) == 23.0
+        loss = np.array([[100.0, 130.0], [140.0, 90.0]])
+        got = compute_powers(SimConfig(scheme="maxpower"), loss,
+                             np.array([0, 1]))
+        assert np.array_equal(got, [23.0, 23.0])
 
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            FpcParams(kappa=1.5)
-        with pytest.raises(ValueError):
-            RlpcParams(phi=-0.1)
-        with pytest.raises(ValueError):
-            CnbParams(zeta=0.0)
-        with pytest.raises(ValueError):
-            CnbParams(tol_db=0.0)
-        with pytest.raises(TypeError):
-            ControllerSpec("fpc", MaxPowerParams())
-        with pytest.raises(ValueError):
-            ControllerSpec("nope", MaxPowerParams())
+        for bad in (dict(scheme="fpc", kappa=1.5),
+                    dict(scheme="rlpc", phi=-0.1),
+                    dict(scheme="cnb", zeta=0.0),
+                    dict(scheme="cnb", tol_db=0.0),
+                    dict(scheme="nope")):
+            with pytest.raises(ValueError):
+                SimConfig(**bad)
 
 
 class TestThreshold:
     def test_pl_threshold_value(self):
         # Interference from a max-power UE equals the noise floor at the
         # threshold loss: 23 - (-116.447) = 139.447 dB.
-        th = pl_threshold_db(23.0, NOISE)
+        th = pl_threshold_db(cnb())
         assert np.isclose(th, 23.0 - NOISE.n0_dbm, atol=1e-12)
         assert np.isclose(th, 139.44727, atol=1e-5)
 
     def test_neighbors_strict_and_sorted(self):
-        params = CnbParams(pl_th_db=130.0)
         loss = np.array([[100.0, 135.0, 130.0, 120.0, 125.0],
                          [129.0, 100.0, 131.0, 90.0, 130.0]])
-        plmap = PathLossMap(loss_db=loss)
-        got = cnb_neighbor_losses(plmap, np.array([0, 3]), params, NOISE)
+        got = cnb_neighbor_losses(loss, np.array([0, 3]), 130.0)
         # 135 above, 130 exactly at threshold: both excluded. The serving
         # cell is excluded even below the threshold; the rest pads with inf.
         inf = np.inf
@@ -107,66 +106,78 @@ class TestThreshold:
                                     [100.0, 129.0, inf, inf]])
 
     def test_neighbors_may_be_empty(self):
-        params = CnbParams(pl_th_db=110.0)
-        plmap = PathLossMap(loss_db=np.array([[100.0, 140.0, 150.0]]))
-        got = cnb_neighbor_losses(plmap, np.array([0]), params, NOISE)
+        loss = np.array([[100.0, 140.0, 150.0]])
+        got = cnb_neighbor_losses(loss, np.array([0]), 110.0)
         assert got.shape == (1, 2) and not np.isfinite(got).any()
 
-    def test_default_threshold_is_p_max_minus_n0(self):
-        th = pl_threshold_db(23.0, NOISE)
-        loss = np.array([[100.0, th, np.nextafter(th, 0.0)]])
-        got = cnb_neighbor_losses(PathLossMap(loss_db=loss), np.array([0]),
-                                  CnbParams(), NOISE)
-        assert np.array_equal(got, [[np.nextafter(th, 0.0), np.inf]])
+    def test_default_threshold_is_p_max_minus_n0(self, monkeypatch):
+        # compute_powers hands cnb_solve exactly the neighbors strictly
+        # below p_max - N0 of the run's config, for any p_max.
+        seen = []
+        real = powerctl.cnb_solve
+
+        def cnb_solve(pl, cross, config):
+            seen.append(cross)
+            return real(pl, cross, config)
+
+        monkeypatch.setattr(powerctl, "cnb_solve", cnb_solve)
+        for p_max in (23.0, 10.0):
+            config = cnb(p_max_dbm=p_max)
+            th = pl_threshold_db(config)
+            assert th == p_max - NOISE.n0_dbm
+            below = np.nextafter(th, 0.0)
+            loss = np.array([[100.0, th, below], [below, th, 90.0]])
+            compute_powers(config, loss, np.array([0, 2]))
+            assert np.array_equal(seen[-1], [[below, np.inf],
+                                             [below, np.inf]])
 
 
 class TestUtilityTerms:
     def test_rs_limits(self):
-        params = CnbParams()
-        assert cnb_rs(-200.0, 110.0, params, CURVE, NOISE) < 1e-6
-        assert cnb_rs(200.0, 110.0, params, CURVE, NOISE) == 4.18
+        config = cnb()
+        assert cnb_rs(-200.0, 110.0, config) < 1e-6
+        assert cnb_rs(200.0, 110.0, config) == 4.18
 
     def test_rs_at_reference_point(self):
         # p - pl - n0 - iot_s = 0 dB.
-        params = CnbParams()
+        config = cnb()
         pl = 110.0
         p = pl + NOISE.n0_dbm + 9.0
-        assert np.isclose(cnb_rs(p, pl, params, CURVE, NOISE),
+        assert np.isclose(cnb_rs(p, pl, config),
                           0.5409985337910148, atol=1e-12)
 
     def test_ri_empty(self):
-        params = CnbParams()
-        assert cnb_ri(5.0, [], params, CURVE, NOISE) == 0.0
+        config = cnb()
+        assert cnb_ri(5.0, [], config) == 0.0
 
     def test_ri_low_power_saturates_per_neighbor(self):
         # Assumed neighbor SINR 24 - 5 = 19 dB sits above the decodable
         # ceiling, so a vanishing interferer costs nothing: full rate 4.18.
-        params = CnbParams()
-        assert np.isclose(cnb_ri(-200.0, [120.0], params, CURVE, NOISE), 4.18)
-        assert np.isclose(cnb_ri(-200.0, [115.0, 120.0, 125.0], params,
-                                 CURVE, NOISE), 3 * 4.18)
+        config = cnb()
+        assert np.isclose(cnb_ri(-200.0, [120.0], config), 4.18)
+        assert np.isclose(cnb_ri(-200.0, [115.0, 120.0, 125.0], config),
+                          3 * 4.18)
 
     def test_ri_high_power_kills_neighbors(self):
-        params = CnbParams()
-        assert cnb_ri(200.0, [120.0], params, CURVE, NOISE) == 0.0
+        config = cnb()
+        assert cnb_ri(200.0, [120.0], config) == 0.0
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_monotonicity(self, seed):
         rng = np.random.default_rng(seed)
-        pl, cross, params = random_instance(rng)
+        pl, cross, config = random_instance(rng)
         grid = np.arange(-10.0, 23.0 + 1e-9, 0.5)
-        rs = np.array([cnb_rs(p, pl, params, CURVE, NOISE) for p in grid])
-        ri = np.array([cnb_ri(p, cross, params, CURVE, NOISE) for p in grid])
+        rs = np.array([cnb_rs(p, pl, config) for p in grid])
+        ri = np.array([cnb_ri(p, cross, config) for p in grid])
         assert np.all(np.diff(rs) >= -1e-12)
         assert np.all(np.diff(ri) <= 1e-12)
 
     def test_objective_composition(self):
-        params = CnbParams(zeta=1.3)
+        config = cnb(zeta=1.3)
         pl, cross = 105.0, [110.0, 120.0]
-        got = cnb_objective(3.0, pl, cross, params, CURVE, NOISE)
-        want = (cnb_rs(3.0, pl, params, CURVE, NOISE)
-                + 1.3 * cnb_ri(3.0, cross, params, CURVE, NOISE))
+        got = cnb_objective(3.0, pl, cross, config)
+        want = cnb_rs(3.0, pl, config) + 1.3 * cnb_ri(3.0, cross, config)
         assert np.isclose(got, want, rtol=1e-15)
 
 
@@ -174,36 +185,36 @@ class TestSolve:
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(20240817)
         for _ in range(200):
-            pl, cross, params = random_instance(rng)
-            sol, iters = solve_one(pl, cross, params)
+            pl, cross, config = random_instance(rng)
+            sol, iters = solve_one(pl, cross, config)
             assert iters <= 9
-            assert abs(sol - grid_argmax(pl, cross, params)) <= 0.2
+            assert abs(sol - grid_argmax(pl, cross, config)) <= 0.2
 
     def test_spec_single_neighbor_instance(self):
-        params = CnbParams(zeta=1.3)
-        sol, _ = solve_one(105.0, [110.0], params)
-        assert abs(sol - grid_argmax(105.0, [110.0], params)) <= 0.2
+        config = cnb(zeta=1.3)
+        sol, _ = solve_one(105.0, [110.0], config)
+        assert abs(sol - grid_argmax(105.0, [110.0], config)) <= 0.2
 
     def test_bound_safety(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            pl, cross, params = random_instance(rng)
-            sol, _ = solve_one(pl, cross, params)
-            assert params.bisect_lo_dbm <= sol <= params.p_max_dbm
+            pl, cross, config = random_instance(rng)
+            sol, _ = solve_one(pl, cross, config)
+            assert config.bisect_lo_dbm <= sol <= config.p_max_dbm
 
     def test_empty_neighbors_uncapped_gives_p_max(self):
         # Own rate still rising at the cap power: 23 dBm is the unique max.
-        params = CnbParams()
-        sol, _ = solve_one(125.0, [], params)
+        config = cnb()
+        sol, _ = solve_one(125.0, [], config)
         assert abs(sol - 23.0) < 1e-9
-        assert abs(sol - grid_argmax(125.0, [], params)) <= 0.2
+        assert abs(sol - grid_argmax(125.0, [], config)) <= 0.2
 
     def test_empty_neighbors_capped_gives_plateau_edge(self):
         # Own rate saturates inside the range; the lowest maximizer wins,
         # matching the tie convention of the dense-grid oracle.
-        params = CnbParams()
-        sol, _ = solve_one(100.0, [], params)
-        best = grid_argmax(100.0, [], params)
+        config = cnb()
+        sol, _ = solve_one(100.0, [], config)
+        best = grid_argmax(100.0, [], config)
         assert abs(sol - best) <= 0.2
         assert sol < 23.0
 
@@ -213,17 +224,17 @@ class TestSolve:
             pl, cross, _ = random_instance(rng)
             if len(cross) == 0:
                 continue
-            p_hi, _ = solve_one(pl, cross, CnbParams(zeta=1.3))
-            p_lo, _ = solve_one(pl, cross, CnbParams(zeta=0.7))
+            p_hi, _ = solve_one(pl, cross, cnb(zeta=1.3))
+            p_lo, _ = solve_one(pl, cross, cnb(zeta=0.7))
             assert p_lo >= p_hi - 1e-9
             # Same ordering holds for the oracle itself.
-            assert (grid_argmax(pl, cross, CnbParams(zeta=0.7))
-                    >= grid_argmax(pl, cross, CnbParams(zeta=1.3)) - 1e-9)
+            assert (grid_argmax(pl, cross, cnb(zeta=0.7))
+                    >= grid_argmax(pl, cross, cnb(zeta=1.3)) - 1e-9)
 
     def test_determinism(self):
-        params = CnbParams(zeta=1.1)
-        a = solve_one(112.0, [115.0, 121.0], params)
-        b = solve_one(112.0, [115.0, 121.0], params)
+        config = cnb(zeta=1.1)
+        a = solve_one(112.0, [115.0, 121.0], config)
+        b = solve_one(112.0, [115.0, 121.0], config)
         assert a == b
 
 
@@ -247,10 +258,10 @@ class TestBatchedSolveOracle:
     """The batched solver returns exactly the scalar solver's powers and
     iteration counts (tests/powerctl_oracle.py)."""
 
-    def _check(self, pl, cross, params):
-        powers, iters = cnb_solve(pl, cross, params, CURVE, NOISE)
-        want = [oracle.cnb_solve(pl[u], cross[u][np.isfinite(cross[u])], params,
-                                 CURVE, NOISE, return_iters=True)
+    def _check(self, pl, cross, config):
+        powers, iters = cnb_solve(pl, cross, config)
+        want = [oracle.cnb_solve(pl[u], cross[u][np.isfinite(cross[u])], config,
+                                 return_iters=True)
                 for u in range(len(pl))]
         assert np.array_equal(powers, [w[0] for w in want])
         assert np.array_equal(iters, [w[1] for w in want])
@@ -264,55 +275,49 @@ class TestBatchedSolveOracle:
     @example(seed=70, n=150, zeta=1.3, tol=0.1, lo=-10.0)
     def test_matches_scalar_oracle(self, seed, n, zeta, tol, lo):
         pl, cross = random_batch(np.random.default_rng(seed), n)
-        self._check(pl, cross, CnbParams(zeta=zeta, tol_db=tol,
-                                         bisect_lo_dbm=lo))
+        self._check(pl, cross, cnb(zeta=zeta, tol_db=tol, bisect_lo_dbm=lo))
 
     @pytest.mark.parametrize("zeta", [1.3, 0.7])
     def test_full_drop_matches_oracle(self, zeta):
         layout = build_hex_layout(rings=2, isd=500.0)
-        _, serving, plmap = drop_ues(layout, 10, seed=drop_seed(42, 0))
-        spec = ControllerSpec("cnb", CnbParams(zeta=zeta))
-        got = compute_powers(spec, plmap, serving, NOISE, CURVE)
-        want, _ = oracle.compute_powers(spec, plmap.loss_db, serving, NOISE,
-                                        CURVE)
+        _, serving, loss = drop_ues(layout, 10, seed=drop_seed(42, 0))
+        config = cnb(zeta=zeta)
+        got = compute_powers(config, loss, serving)
+        want, _ = oracle.compute_powers(config, loss, serving)
         assert np.array_equal(got, want)
 
 
 class TestComputePowers:
-    def _plmap(self):
+    SCHEMES = ("maxpower", "fpc", "rlpc", "cnb")
+
+    def _drop(self):
         rng = np.random.default_rng(8)
         loss = rng.uniform(95.0, 140.0, size=(6, 9))
         serving = np.argmin(loss, axis=1)
-        return PathLossMap(loss_db=loss), serving
+        return loss, serving
 
     def test_shapes_and_caps(self):
-        plmap, serving = self._plmap()
-        for spec in (ControllerSpec("maxpower", MaxPowerParams()),
-                     ControllerSpec("fpc", FpcParams()),
-                     ControllerSpec("rlpc", RlpcParams()),
-                     ControllerSpec("cnb", CnbParams(pl_th_db=139.447))):
-            out = compute_powers(spec, plmap, serving, NOISE, CURVE)
+        loss, serving = self._drop()
+        for scheme in self.SCHEMES:
+            out = compute_powers(SimConfig(scheme=scheme), loss, serving)
             assert out.shape == (6,)
             assert np.all(out <= 23.0 + 1e-12)
 
     def test_distributed_row_independence(self):
         # A UE's power depends only on its own path-loss row.
-        plmap, serving = self._plmap()
-        spec = ControllerSpec("cnb", CnbParams(pl_th_db=139.447))
-        base = compute_powers(spec, plmap, serving, NOISE, CURVE)
-        perturbed = plmap.loss_db.copy()
+        loss, serving = self._drop()
+        config = cnb()
+        base = compute_powers(config, loss, serving)
+        perturbed = loss.copy()
         perturbed[1:] += np.random.default_rng(1).uniform(
             -3, 3, size=perturbed[1:].shape)
-        out = compute_powers(spec, PathLossMap(loss_db=perturbed), serving,
-                             NOISE, CURVE)
+        out = compute_powers(config, perturbed, serving)
         assert out[0] == base[0]
 
     def test_baselines_match_per_ue_oracle(self):
-        plmap, serving = self._plmap()
-        for spec in (ControllerSpec("maxpower", MaxPowerParams()),
-                     ControllerSpec("fpc", FpcParams()),
-                     ControllerSpec("rlpc", RlpcParams())):
-            got = compute_powers(spec, plmap, serving, NOISE, CURVE)
-            want, _ = oracle.compute_powers(spec, plmap.loss_db, serving,
-                                            NOISE, CURVE)
+        loss, serving = self._drop()
+        for scheme in self.SCHEMES[:3]:
+            config = SimConfig(scheme=scheme)
+            got = compute_powers(config, loss, serving)
+            want, _ = oracle.compute_powers(config, loss, serving)
             assert np.array_equal(got, want)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ulsim import report
-from ulsim.config import DEFAULTS
-from ulsim.engine import SimConfig, run
+from ulsim.config import DEFAULTS, SimConfig
+from ulsim.engine import run
 
 
 def tiny_cfg(**over):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scheduler_oracle import allocate_network
-from ulsim.scheduler import PfState, RbGrid, allocate
+from ulsim.scheduler import PfState, RbGrid, allocate, dbm_to_mw
 
 P_MAX = 23.0
 
@@ -30,7 +30,7 @@ def schedule(rates, pf, grid, serving=None, powers=None, n_cells=1):
     serving = np.zeros(n, dtype=int) if serving is None else np.asarray(serving)
     powers = np.full(n, P_MAX) if powers is None else np.asarray(powers)
     return allocate(serving, np.asarray(rates, dtype=float), pf, grid, powers,
-                    P_MAX, n_cells)
+                    P_MAX, n_cells, dbm_to_mw(powers))
 
 
 def grants(occ_row, grid):
@@ -236,7 +236,7 @@ def example_state(serving, est, avg, powers, n_cells):
 @example(example_state([0, 0, 1, 1], [39, 7, 42, 4], [1, 1, 1, 1],
                        [23.0] * 4, 2))
 def test_matches_per_cell_oracle(state):
-    occ, p_mw = allocate(*state[:5], P_MAX, state[5])
+    occ, p_mw = allocate(*state[:5], P_MAX, state[5], dbm_to_mw(state[4]))
     want_occ, want_p_mw = allocate_network(*state[:5], P_MAX, state[5])
     assert np.array_equal(occ, want_occ)
     assert np.array_equal(p_mw, want_p_mw)

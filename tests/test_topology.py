@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from topology_oracle import (Cell, cells_of, path_loss, wrap_displacement,
                              wrap_distance)
+from ulsim.powerctl import _sorted_cross_losses
 from ulsim.topology import (MIN_UE_SITE_DISTANCE_M, PENETRATION_LOSS_DB,
                             antenna_gain_db, build_hex_layout, drop_ues,
                             macro_path_loss_db)
@@ -17,7 +18,6 @@ class TestLayout:
     def test_two_ring_cluster(self, layout):
         assert layout.n_sites == 19
         assert layout.n_cells == 57
-        assert layout.inter_site_distance == 500.0
 
     def test_one_ring_cluster(self, small_layout):
         assert small_layout.n_sites == 7
@@ -118,11 +118,11 @@ class TestPathLoss:
 
 class TestDrops:
     def test_ue_count(self, small_layout):
-        positions, serving, plmap = drop_ues(small_layout, ues_per_cell=5,
-                                             seed=11)
+        positions, serving, loss = drop_ues(small_layout, ues_per_cell=5,
+                                            seed=11)
         n = 5 * small_layout.n_cells
         assert positions.shape == (n, 2) and serving.shape == (n,)
-        assert plmap.loss_db.shape == (n, small_layout.n_cells)
+        assert loss.shape == (n, small_layout.n_cells)
 
     def test_min_site_distance(self, small_layout):
         positions, _, _ = drop_ues(small_layout, ues_per_cell=5, seed=11)
@@ -134,14 +134,13 @@ class TestDrops:
 
     def test_attachment_consistency(self, small_layout):
         # Serving cell is the argmin of the same loss matrix the map exposes.
-        _, serving, plmap = drop_ues(small_layout, ues_per_cell=4, seed=7)
-        assert np.array_equal(serving, np.argmin(plmap.loss_db, axis=1))
+        _, serving, loss = drop_ues(small_layout, ues_per_cell=4, seed=7)
+        assert np.array_equal(serving, np.argmin(loss, axis=1))
 
     def test_determinism(self, small_layout):
         a = drop_ues(small_layout, ues_per_cell=3, seed=5)
         b = drop_ues(small_layout, ues_per_cell=3, seed=5)
-        assert all(np.array_equal(x, y) for x, y in zip(a[:2], b[:2]))
-        assert np.array_equal(a[2].loss_db, b[2].loss_db)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
         c = drop_ues(small_layout, ues_per_cell=3, seed=6)
         assert not np.array_equal(a[0], c[0])
 
@@ -149,7 +148,7 @@ class TestDrops:
         # Within one site, sector losses differ only by the antenna pattern,
         # so subtracting the (shadow-free) pattern-only matrix leaves equal
         # values for the three co-site columns.
-        positions, _, plmap = drop_ues(small_layout, ues_per_cell=4, seed=9)
+        positions, _, loss = drop_ues(small_layout, ues_per_cell=4, seed=9)
         cells = cells_of(small_layout)
         for u in (0, 7, 33):
             base = []
@@ -159,7 +158,7 @@ class TestDrops:
                     positions[u], small_layout)
                 bearing = math.degrees(math.atan2(disp[1], disp[0]))
                 gain = float(antenna_gain_db(bearing - cell.boresight_deg))
-                base.append(plmap.loss_db[u, cell.cell_id] + gain)
+                base.append(loss[u, cell.cell_id] + gain)
             assert np.allclose(base, base[0], atol=1e-9)
 
     def test_shadowing_std(self):
@@ -170,13 +169,13 @@ class TestDrops:
 
 class TestPathLossMap:
     def test_cross_losses_sorted_and_exclude_serving(self, small_layout):
-        _, serving, plmap = drop_ues(small_layout, ues_per_cell=2, seed=3)
-        cross = plmap.sorted_cross_losses(serving)
+        _, serving, loss = drop_ues(small_layout, ues_per_cell=2, seed=3)
+        cross = _sorted_cross_losses(loss, serving)
         n = len(serving)
         assert cross.shape == (n, small_layout.n_cells - 1)
         assert np.all(np.diff(cross, axis=1) >= 0)
         for u in range(n):
-            row = plmap.loss_db[u]
+            row = loss[u]
             assert np.array_equal(cross[u], np.sort(np.delete(row, serving[u])))
         # Serving loss is the row minimum by attachment.
-        assert np.all(plmap.loss_db[np.arange(n), serving] <= cross[:, 0])
+        assert np.all(loss[np.arange(n), serving] <= cross[:, 0])

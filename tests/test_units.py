@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ulsim.units import db_to_linear, linear_to_db
+from ulsim.units import db_to_linear
 
 
 def test_known_values():
@@ -10,12 +10,11 @@ def test_known_values():
     assert db_to_linear(10.0) == 10.0
     assert db_to_linear(-10.0) == 0.1
     assert np.isclose(db_to_linear(3.0), 1.9952623149688795, rtol=0, atol=1e-15)
-    assert linear_to_db(100.0) == 20.0
 
 
 @given(st.floats(min_value=-200.0, max_value=200.0))
 def test_db_round_trip(x):
-    assert abs(linear_to_db(db_to_linear(x)) - x) < 1e-12 * max(1.0, abs(x))
+    assert abs(10.0 * np.log10(db_to_linear(x)) - x) < 1e-12 * max(1.0, abs(x))
 
 
 @given(st.floats(min_value=-100.0, max_value=100.0),
