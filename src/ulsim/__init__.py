@@ -2,9 +2,8 @@
 
 from .config import SimConfig
 from .engine import MetricsAccumulator, run, run_drop
-from .linkbudget import AmcCurve, NoiseModel
 from .report import RunSummary, SweepResult, run_config, run_sweep, summarize
-from .scheduler import PfState, RbGrid
+from .scheduler import PfState
 from .topology import SiteLayout, build_hex_layout
 
 __version__ = "0.1.0"

@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .linkbudget import AmcCurve, NoiseModel
-from .scheduler import PfState, RbGrid
+import numpy as np
+
+from .scheduler import PfState
 from .topology import MIN_UE_SITE_DISTANCE_M, build_hex_layout
 
 __all__ = ["SCHEMES", "SimConfig", "DEFAULTS", "parse_config_file", "set_key"]
@@ -26,9 +27,8 @@ SCHEMES = ("cnb", "fpc", "rlpc", "maxpower")
 class SimConfig:
     """One run: a field per configuration key, in config-file order.
 
-    Each default is written once, here or on the component it configures.
-    Construction checks every key, raising ValueError("<key>: ..."), and
-    builds the components the engine reads: layout, grid, noise and curve.
+    Each default is written once, here or on PfState. Construction checks
+    every key, raising ValueError("<key>: ..."), and builds the layout.
     Keys of the schemes not selected are only checked for finiteness.
     """
 
@@ -62,18 +62,18 @@ class SimConfig:
     alpha: float = PfState.alpha
     beta: float = PfState.beta
     ewma: float = PfState.ewma
-    total_rbs: int = RbGrid.total_rbs
-    control_rbs: int = RbGrid.control_rbs
+    total_rbs: int = 50
+    control_rbs: int = 2
     # link budget
-    thermal_density_dbm_hz: float = NoiseModel.thermal_density_dbm_hz
-    noise_figure_db: float = NoiseModel.noise_figure_db
-    rb_bandwidth_hz: float = NoiseModel.rb_bandwidth_hz
-    t_max: float = AmcCurve.t_max
-    amc_a: float = AmcCurve.a
-    amc_b: float = AmcCurve.b
-    sinr_floor_db: float = AmcCurve.sinr_floor_db
-    sinr_ceiling_db: float = AmcCurve.sinr_ceiling_db
-    staircase: int = 0                  # 0 | 1: quantize to n_levels MCS steps
+    thermal_density_dbm_hz: float = -174.0
+    noise_figure_db: float = 5.0
+    rb_bandwidth_hz: float = 180_000.0
+    t_max: float = 4.18                 # AMC cap, bits/s/Hz
+    amc_a: float = 0.7035
+    amc_b: float = 0.7041
+    sinr_floor_db: float = -6.5         # decodable SINR region
+    sinr_ceiling_db: float = 18.0
+    staircase: int = 0                  # 0 | 1: quantize to MCS_LEVELS steps
 
     def __post_init__(self):
         for f in fields(self):
@@ -84,14 +84,8 @@ class SimConfig:
             raise ValueError(f"scheme: must be one of {', '.join(SCHEMES)}, "
                              f"got {self.scheme!r}")
         # build_hex_layout checks rings and isd_m.
-        for name, value in (
-                ("layout", build_hex_layout(self.rings, self.isd_m)),
-                ("grid", RbGrid(self.total_rbs, self.control_rbs)),
-                ("noise", NoiseModel(self.thermal_density_dbm_hz,
-                                     self.noise_figure_db, self.rb_bandwidth_hz)),
-                ("curve", AmcCurve(self.t_max, self.amc_a, self.amc_b,
-                                   self.sinr_floor_db, self.sinr_ceiling_db))):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "layout",
+                           build_hex_layout(self.rings, self.isd_m))
         # A scheme's own rules hold only when it is the one selected.
         other = lambda scheme: self.scheme != scheme
         for key, ok, rule in (
@@ -124,6 +118,20 @@ class SimConfig:
             if not ok:
                 raise ValueError(f"{key}: must be {rule}, "
                                  f"got {getattr(self, key)!r}")
+
+    @property
+    def data_rbs(self) -> int:
+        return self.total_rbs - self.control_rbs
+
+    @property
+    def n0_dbm(self) -> float:
+        """Per-RB noise power (~ -116.45 dBm with defaults)."""
+        return (self.thermal_density_dbm_hz
+                + 10.0 * np.log10(self.rb_bandwidth_hz) + self.noise_figure_db)
+
+    @property
+    def n0_mw(self) -> float:
+        return 10.0 ** (self.n0_dbm / 10.0)
 
 
 DEFAULTS: dict[str, object] = {f.name: f.default for f in fields(SimConfig)}

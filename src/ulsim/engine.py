@@ -17,7 +17,7 @@ import numpy as np
 from .config import SimConfig
 from .linkbudget import amc_realized, snr_of
 from .powerctl import compute_powers
-from .scheduler import PfState, allocate, dbm_to_mw
+from .scheduler import PfState, allocate, grant_power_mw
 from .topology import drop_ues
 from .units import db_to_linear
 
@@ -103,7 +103,7 @@ def build_snapshot(config: SimConfig,
 
 
 def compute_slot(occ: np.ndarray, p_mw: np.ndarray, gains: np.ndarray,
-                 config: SimConfig, work: np.ndarray | None = None):
+                 config: SimConfig, work: np.ndarray):
     """Couple interference across cells per RB index and realize throughput.
 
     occ and p_mw give per (cell, RB) the occupying UE (-1 if idle) and its
@@ -115,11 +115,8 @@ def compute_slot(occ: np.ndarray, p_mw: np.ndarray, gains: np.ndarray,
     that runs many slots passes one buffer so no slot allocates its own.
     """
     n_ues = gains.shape[0]
-    if work is None:
-        work = np.empty(occ.shape + gains.shape[1:])
-
     combine = db_to_linear(config.combining_gain_db)
-    n0 = config.noise.n0_mw
+    n0 = config.n0_mw
 
     # Received power at every victim cell from every (cell, RB) transmitter,
     # (C, K, V). mode="wrap" takes straight into work (the default mode
@@ -137,8 +134,8 @@ def compute_slot(occ: np.ndarray, p_mw: np.ndarray, gains: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         sinr = np.where(active, sig / (intf + n0), 0.0)
 
-    eff = amc_realized(sinr, config.curve, staircase=config.staircase)
-    rb_bits = np.where(active, eff, 0.0) * (config.noise.rb_bandwidth_hz
+    eff = amc_realized(sinr, config, staircase=config.staircase)
+    rb_bits = np.where(active, eff, 0.0) * (config.rb_bandwidth_hz
                                             * config.slot_duration_s)
 
     ue_flat = occ[active]
@@ -157,12 +154,10 @@ def compute_slot(occ: np.ndarray, p_mw: np.ndarray, gains: np.ndarray,
 
 
 def simulate(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
-             powers_dbm: np.ndarray | None = None,
-             fading_seed: int | None = None) -> MetricsAccumulator:
+             fading_seed: int = 0) -> MetricsAccumulator:
     """Run the slot loop on one drop's topology (see build_snapshot)."""
     n_ues, n_cells = loss_db.shape
-    if powers_dbm is None:
-        powers_dbm = compute_powers(config, loss_db, serving)
+    powers_dbm = compute_powers(config, loss_db, serving)
 
     pf = PfState.fresh(n_ues, alpha=config.alpha, beta=config.beta,
                        ewma=config.ewma)
@@ -171,27 +166,26 @@ def simulate(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
 
     # Warm-up rate estimate: large-scale SNR only (no interference knowledge).
     serving_loss = loss_db[np.arange(n_ues), serving]
-    snr0 = snr_of(powers_dbm, serving_loss, config.noise) * db_to_linear(
+    snr0 = snr_of(powers_dbm, serving_loss, config) * db_to_linear(
         config.combining_gain_db)
-    est0 = amc_realized(snr0, config.curve,
-                        staircase=config.staircase) * config.noise.rb_bandwidth_hz
+    est0 = amc_realized(snr0, config,
+                        staircase=config.staircase) * config.rb_bandwidth_hz
 
     # Per-drop buffers: the slot loop fills them in place.
-    work = np.empty((n_cells, config.grid.total_rbs, n_cells))
+    work = np.empty((n_cells, config.total_rbs, n_cells))
     gains = base_gains = db_to_linear(-loss_db)
     fad_rng = None
     if config.fading:
         fad_rng = np.random.default_rng(
-            np.random.SeedSequence([0 if fading_seed is None else int(fading_seed), 2]))
+            np.random.SeedSequence([fading_seed, 2]))
         gains = np.empty_like(base_gains)
-    powers_mw = dbm_to_mw(powers_dbm)
+    grant_mw = grant_power_mw(powers_dbm, config)
 
     # Slot t schedules on the estimate measured in slot t - delay_slots.
     history: deque[np.ndarray] = deque(maxlen=config.delay_slots)
     for _ in range(config.slots):
         est = history[0] if len(history) == config.delay_slots else est0
-        occ, p_mw = allocate(serving, est, pf, config.grid,
-                             powers_dbm, config.p_max_dbm, n_cells, powers_mw)
+        occ, p_mw = allocate(serving, est, pf, config, n_cells, grant_mw)
 
         if fad_rng is not None:
             # Rayleigh fading: unit-mean exponential power gain per link.
@@ -212,9 +206,9 @@ def simulate(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
         # Measured per-RB rate estimate; unscheduled UEs keep their last one.
         prev = history[-1] if history else est0
         new_est = np.where(scheduled,
-                           amc_realized(mean_sinr, config.curve,
+                           amc_realized(mean_sinr, config,
                                         staircase=config.staircase)
-                           * config.noise.rb_bandwidth_hz,
+                           * config.rb_bandwidth_hz,
                            prev)
         history.append(new_est)
 

@@ -47,7 +47,7 @@ _CHUNK_ROWS = 32
 
 def pl_threshold_db(config: SimConfig) -> float:
     """Cross loss at which max-power interference equals the noise floor."""
-    return config.p_max_dbm - config.noise.n0_dbm
+    return config.p_max_dbm - config.n0_dbm
 
 
 def fpc_power(pl_db, config: SimConfig):
@@ -64,8 +64,8 @@ def rlpc_power(pl_db, pl_min_db, config: SimConfig):
 
 def cnb_rs(p_dbm, pl_db, config: SimConfig):
     """Own-throughput estimate: f(SNR(P) / assumed IoT); nondecreasing in P."""
-    sinr = snr_of(p_dbm, pl_db, config.noise) / db_to_linear(config.iot_s_db)
-    return amc_smooth(sinr, config.curve)
+    sinr = snr_of(p_dbm, pl_db, config) / db_to_linear(config.iot_s_db)
+    return amc_smooth(sinr, config)
 
 
 def _sorted_cross_losses(loss_db: np.ndarray, serving: np.ndarray) -> np.ndarray:
@@ -99,12 +99,9 @@ def cnb_ri(p_dbm, cross_losses, config: SimConfig):
     """
     cross = np.asarray(cross_losses, dtype=float)
     p = np.asarray(p_dbm, dtype=float)
-    if cross.size == 0:
-        zero = np.zeros(p.shape)
-        return zero if zero.ndim else 0.0
-    inr = db_to_linear(p[..., None] - cross - config.noise.n0_dbm)
+    inr = db_to_linear(p[..., None] - cross - config.n0_dbm)
     sinr = db_to_linear(config.snr_i_db) / (db_to_linear(config.iot_i_db) + inr)
-    val = amc_realized(sinr, config.curve).sum(axis=-1)
+    val = amc_realized(sinr, config).sum(axis=-1)
     return val if val.ndim else float(val)
 
 
@@ -122,13 +119,13 @@ def _cnb_breakpoints(pl_db: np.ndarray, cross: np.ndarray,
     powers at which the neighbor's assumed SINR crosses the decodable-region
     ceiling (cost becomes nonzero) and floor (cost saturates).
     """
-    curve, n0_dbm = config.curve, config.noise.n0_dbm
-    x_cap = (2.0 ** (curve.t_max / curve.a) - 1.0) / curve.b
+    n0_dbm = config.n0_dbm
+    x_cap = (2.0 ** (config.t_max / config.amc_a) - 1.0) / config.amc_b
     cap = pl_db + n0_dbm + config.iot_s_db + 10.0 * np.log10(x_cap)
     pts = [cap[:, None]]
     snr_i = db_to_linear(config.snr_i_db)
     iot_i = db_to_linear(config.iot_i_db)
-    for edge_db in (curve.sinr_ceiling_db, curve.sinr_floor_db):
+    for edge_db in (config.sinr_ceiling_db, config.sinr_floor_db):
         inr = snr_i / db_to_linear(edge_db) - iot_i
         if inr > 0:
             pts.append(cross + n0_dbm + 10.0 * np.log10(inr))

@@ -11,25 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from .config import SimConfig
+
 __all__ = [
-    "RbGrid",
     "PfState",
     "allocate",
     "dbm_to_mw",
+    "grant_power_mw",
 ]
-
-
-@dataclass(frozen=True)
-class RbGrid:
-    total_rbs: int = 50
-    control_rbs: int = 2
-
-    @property
-    def data_rbs(self) -> int:
-        return self.total_rbs - self.control_rbs
 
 
 @dataclass
@@ -92,19 +86,29 @@ def dbm_to_mw(p_dbm) -> np.ndarray:
                      for p in np.asarray(p_dbm, dtype=float).tolist()])
 
 
+def grant_power_mw(tx_power_dbm: np.ndarray, config: SimConfig) -> np.ndarray:
+    """(UE, data_rbs): entry [u, k-1] is UE u's per-RB power in mW in a k-RB
+    grant, the controller's tx_power_dbm[u] scaled down when k RBs would
+    exceed p_max in total: min(tx, p_max - 10 log10(k)) dBm, in mW that of
+    the smaller term. libm's log10, not numpy's SIMD one, which differs in
+    the last bit."""
+    tx_dbm = np.asarray(tx_power_dbm, dtype=float)
+    cap_dbm = np.array([config.p_max_dbm - 10.0 * math.log10(k)
+                        for k in range(1, config.data_rbs + 1)])
+    return np.where(cap_dbm < tx_dbm[:, None], dbm_to_mw(cap_dbm),
+                    dbm_to_mw(tx_dbm)[:, None])
+
+
 def allocate(serving: np.ndarray, est_rates: np.ndarray, pf: PfState,
-             grid: RbGrid, tx_power_dbm: np.ndarray, p_max_dbm: float,
-             n_cells: int, tx_power_mw: np.ndarray
+             config: SimConfig, n_cells: int, grant_mw: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray]:
     """Allocate all data RBs of every cell for one slot.
 
-    serving, est_rates (the delayed per-RB rate estimates) and tx_power_dbm
-    are per UE; tx_power_mw is dbm_to_mw(tx_power_dbm), so a caller that
-    allocates every slot converts the powers once. Returns per (cell, RB) the
-    occupying UE (-1 if idle) and its power in mW: the controller's per-RB
-    power, scaled down when the grant's RBs would exceed p_max in total. In a
-    cell with a never-served decodable UE, only such UEs are scheduled, with
-    equal weight. Deterministic: ties break by UE id.
+    serving and est_rates (the delayed per-RB rate estimates) are per UE;
+    grant_mw is grant_power_mw of the UEs' powers, built once per drop.
+    Returns per (cell, RB) the occupying UE (-1 if idle) and its per-RB power
+    in mW. In a cell with a never-served decodable UE, only such UEs are
+    scheduled, with equal weight. Deterministic: ties break by UE id.
     """
     w = pf.weights(est_rates)
     boot = np.isinf(w)
@@ -116,7 +120,7 @@ def allocate(serving: np.ndarray, est_rates: np.ndarray, pf: PfState,
     ue = np.flatnonzero(w > 0)
     ue = ue[np.lexsort((ue, -w[ue], serving[ue]))]
     rank = _rank_in_cell(serving[ue])
-    keep = rank < grid.data_rbs
+    keep = rank < config.data_rbs
     ue, rank = ue[keep], rank[keep]
     cell = serving[ue]
     ww = w[ue]
@@ -127,7 +131,7 @@ def allocate(serving: np.ndarray, est_rates: np.ndarray, pf: PfState,
     n = np.bincount(cell, minlength=n_cells)
     first = np.cumsum(n) - n
     total = np.array([ww[a:a + k].sum() for a, k in zip(first, n)])
-    remaining = grid.data_rbs - n
+    remaining = config.data_rbs - n
     target = ww / total[cell] * remaining[cell]
     base = np.floor(target).astype(int)
     sizes = 1 + base
@@ -137,19 +141,11 @@ def allocate(serving: np.ndarray, est_rates: np.ndarray, pf: PfState,
     bonus = _rank_in_cell(cell[by_frac]) < leftover[cell[by_frac]]
     sizes[by_frac[bonus]] += 1
 
-    # A k-RB grant's per-RB power is min(tx, p_max - 10 log10(k)) dBm, in mW
-    # that of the smaller term. libm's log10, not numpy's SIMD one, which
-    # differs in the last bit.
-    cap_dbm = np.array([p_max_dbm - 10.0 * math.log10(k)
-                        for k in range(1, grid.data_rbs + 1)])
-    power_mw = np.where(cap_dbm[sizes - 1] < tx_power_dbm[ue],
-                        dbm_to_mw(cap_dbm)[sizes - 1], tx_power_mw[ue])
-
     # Grants lie back to back from the control boundary, in rank order.
     rb_cell = np.repeat(cell, sizes)
-    rb = grid.control_rbs + _rank_in_cell(rb_cell)
-    occ = np.full((n_cells, grid.total_rbs), -1, dtype=int)
-    p_mw = np.zeros((n_cells, grid.total_rbs))
+    rb = config.control_rbs + _rank_in_cell(rb_cell)
+    occ = np.full((n_cells, config.total_rbs), -1, dtype=int)
+    p_mw = np.zeros((n_cells, config.total_rbs))
     occ[rb_cell, rb] = np.repeat(ue, sizes)
-    p_mw[rb_cell, rb] = np.repeat(power_mw, sizes)
+    p_mw[rb_cell, rb] = np.repeat(grant_mw[ue, sizes - 1], sizes)
     return occ, p_mw

@@ -1,21 +1,20 @@
-"""Shared fixtures: default link-budget models and a small reusable layout."""
+"""Shared fixtures: the default configuration and small reusable layouts."""
 
 import numpy as np
 import pytest
 
 from ulsim.config import SimConfig
-from ulsim.linkbudget import AmcCurve, NoiseModel
 from ulsim.topology import build_hex_layout
 
 
 @pytest.fixture(scope="session")
 def noise():
-    return NoiseModel()
+    return SimConfig()
 
 
 @pytest.fixture(scope="session")
 def curve():
-    return AmcCurve()
+    return SimConfig()
 
 
 @pytest.fixture(scope="session")

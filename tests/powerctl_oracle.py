@@ -21,16 +21,15 @@ def _cnb_breakpoints(pl_db: float, cross, config: SimConfig) -> np.ndarray:
     powers at which the neighbor's assumed SINR crosses the decodable-region
     ceiling (cost becomes nonzero) and floor (cost saturates).
     """
-    curve, noise = config.curve, config.noise
-    x_cap = (2.0 ** (curve.t_max / curve.a) - 1.0) / curve.b
-    pts = [pl_db + noise.n0_dbm + config.iot_s_db + 10.0 * np.log10(x_cap)]
+    x_cap = (2.0 ** (config.t_max / config.amc_a) - 1.0) / config.amc_b
+    pts = [pl_db + config.n0_dbm + config.iot_s_db + 10.0 * np.log10(x_cap)]
     snr_i = db_to_linear(config.snr_i_db)
     iot_i = db_to_linear(config.iot_i_db)
     cross = np.asarray(cross, dtype=float)
-    for edge_db in (curve.sinr_ceiling_db, curve.sinr_floor_db):
+    for edge_db in (config.sinr_ceiling_db, config.sinr_floor_db):
         inr = snr_i / db_to_linear(edge_db) - iot_i
         if inr > 0 and cross.size:
-            pts.extend(cross + noise.n0_dbm + 10.0 * np.log10(inr))
+            pts.extend(cross + config.n0_dbm + 10.0 * np.log10(inr))
     return np.asarray(pts)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ulsim.config import SimConfig
-from ulsim.scheduler import PfState, RbGrid
+from ulsim.scheduler import PfState
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,14 @@ def _weights(est_rates: np.ndarray, avg: np.ndarray,
     return w
 
 
-def allocate(cell_ues, est_rates, pf: PfState, grid: RbGrid,
-             tx_power_dbm=None,
-             p_max_dbm: float = SimConfig.p_max_dbm) -> list[RbAssignment]:
+def allocate(cell_ues, est_rates, pf: PfState, config: SimConfig,
+             tx_power_dbm=None) -> list[RbAssignment]:
     """Allocate all data RBs of one cell for one slot.
 
     cell_ues are global UE ids; est_rates are the (delayed) per-RB rate
-    estimates aligned with cell_ues. Never-served UEs with a decodable rate
-    preempt the PF metric. Deterministic: ties break by ue_id.
+    estimates aligned with cell_ues; config gives the RB grid and p_max.
+    Never-served UEs with a decodable rate preempt the PF metric.
+    Deterministic: ties break by ue_id.
     """
     cell_ues = np.asarray(cell_ues, dtype=int)
     if cell_ues.size == 0:
@@ -76,13 +76,13 @@ def allocate(cell_ues, est_rates, pf: PfState, grid: RbGrid,
 
     # Highest weight first, ue_id breaks ties; at most one UE per RB.
     order = eligible[np.lexsort((cell_ues[eligible], -w[eligible]))]
-    order = order[:grid.data_rbs]
+    order = order[:config.data_rbs]
     ww = w[order]
 
     # One RB each, remainder apportioned by weight share (largest remainder).
     n = len(order)
     sizes = np.ones(n, dtype=int)
-    remaining = grid.data_rbs - n
+    remaining = config.data_rbs - n
     if remaining > 0:
         target = ww / ww.sum() * remaining
         base = np.floor(target).astype(int)
@@ -94,14 +94,14 @@ def allocate(cell_ues, est_rates, pf: PfState, grid: RbGrid,
             sizes[take] += 1
 
     out = []
-    start = grid.control_rbs
+    start = config.control_rbs
     for idx, size in zip(order, sizes):
         ue = int(cell_ues[idx])
         if tx_power_dbm is None:
             power = np.nan
         else:
             power = per_rb_power_dbm(float(np.asarray(tx_power_dbm)[idx]),
-                                     int(size), p_max_dbm)
+                                     int(size), config.p_max_dbm)
         out.append(RbAssignment(ue_id=ue, rb_start=start, rb_len=int(size),
                                 per_rb_power_dbm=power))
         start += int(size)
@@ -109,10 +109,10 @@ def allocate(cell_ues, est_rates, pf: PfState, grid: RbGrid,
 
 
 def occupancy(allocations: SlotAllocation, n_cells: int,
-              grid: RbGrid) -> tuple[np.ndarray, np.ndarray]:
+              config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per (cell, RB): occupying UE index (-1 if idle) and power in mW."""
-    occ = np.full((n_cells, grid.total_rbs), -1, dtype=int)
-    p_mw = np.zeros((n_cells, grid.total_rbs))
+    occ = np.full((n_cells, config.total_rbs), -1, dtype=int)
+    p_mw = np.zeros((n_cells, config.total_rbs))
     for c, entries in allocations.items():
         for e in entries:
             occ[c, e.rb_start:e.rb_start + e.rb_len] = e.ue_id
@@ -121,16 +121,15 @@ def occupancy(allocations: SlotAllocation, n_cells: int,
     return occ, p_mw
 
 
-def allocate_network(serving, est_rates, pf: PfState, grid: RbGrid,
-                     tx_power_dbm, p_max_dbm: float, n_cells: int):
+def allocate_network(serving, est_rates, pf: PfState, config: SimConfig,
+                     tx_power_dbm, n_cells: int):
     """The whole-network slot schedule as 57 per-cell calls built it."""
     serving = np.asarray(serving)
     allocations: SlotAllocation = {}
     for c in range(n_cells):
         ues = np.flatnonzero(serving == c)
-        entries = allocate(ues, np.asarray(est_rates)[ues], pf, grid,
-                           tx_power_dbm=np.asarray(tx_power_dbm)[ues],
-                           p_max_dbm=p_max_dbm)
+        entries = allocate(ues, np.asarray(est_rates)[ues], pf, config,
+                           tx_power_dbm=np.asarray(tx_power_dbm)[ues])
         if entries:
             allocations[c] = entries
-    return occupancy(allocations, n_cells, grid)
+    return occupancy(allocations, n_cells, config)

@@ -10,14 +10,14 @@ import pytest
 
 from conftest import gains_of, maxpower_config
 from scheduler_oracle import RbAssignment, occupancy
-from ulsim import report
+from ulsim import engine, report
 from ulsim.config import DEFAULTS, SimConfig
 from ulsim.engine import compute_slot
-from ulsim.linkbudget import AmcCurve, amc_realized, amc_smooth
+from ulsim.linkbudget import amc_realized, amc_smooth
 from ulsim.powerctl import (cnb_objective, cnb_ri, cnb_rs, cnb_solve,
                             fpc_power, rlpc_power)
 
-CURVE = AmcCurve()
+CURVE = SimConfig()
 
 
 def oracle_grid(step=0.01, lo=-10.0, hi=23.0):
@@ -90,25 +90,39 @@ def desk_cfg(scheme, zeta=1.3):
     return cfg
 
 
+def run_desk_drop(task):
+    """One (config dict, drop index) task of the desk runs."""
+    cfg, drop = task
+    return engine.run_drop(SimConfig(**cfg), drop)
+
+
 @pytest.fixture(scope="module")
 def desk_runs():
     """Shared full-scale runs: one per scheme plus the zeta sweep (paired
     seeds come from the identical seed in every config).
 
-    The 7 runs are independent and deterministic, so two spawned worker
-    processes share them, each with its BLAS pinned to one thread.
+    The 35 drops of the 7 runs are independent and deterministic, so two
+    spawned worker processes share them drop by drop, each with its BLAS
+    pinned to one thread; each run's summary pools its drops in drop order,
+    as report.run_config does.
     """
     schemes = ("fpc", "rlpc", "maxpower", "cnb")
     zetas = (1.1, 0.9, 0.7)
     cfgs = ([desk_cfg(s) for s in schemes]
             + [desk_cfg("cnb", zeta=z) for z in zetas])
+    tasks = [(cfg, d) for cfg in cfgs for d in range(cfg["drops"])]
     with pytest.MonkeyPatch.context() as mp:
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS"):
             mp.setenv(var, "1")             # read by the workers at start-up
         with ProcessPoolExecutor(
                 2, mp_context=multiprocessing.get_context("spawn")) as pool:
-            summaries = list(pool.map(report.run_config, cfgs))
+            accs = list(pool.map(run_desk_drop, tasks))
+    summaries = []
+    for cfg in cfgs:
+        drops, accs = accs[:cfg["drops"]], accs[cfg["drops"]:]
+        summaries.append(report.summarize(drops, SimConfig(**cfg),
+                                          config_echo=cfg))
     runs = dict(zip(schemes, summaries))
     sweep = {1.3: runs["cnb"], **dict(zip(zetas, summaries[len(schemes):]))}
     return runs, sweep
@@ -174,11 +188,12 @@ class TestCriterion6EngineOracle:
             1: [RbAssignment(1, rb_start=4, rb_len=4, per_rb_power_dbm=self.P1)],
         }
         bits, mean_sinr, _, _, energy, _ = compute_slot(
-            *occupancy(allocations, 2, config.grid), gains_of(self.LOSS), config)
+            *occupancy(allocations, 2, config), gains_of(self.LOSS), config,
+            np.empty((2, config.total_rbs, 2)))
 
         # Independent scalar recomputation: received = p * gain * combining,
         # sinr = signal / (other-cell interference + per-RB noise).
-        n0 = 10.0 ** (config.noise.n0_dbm / 10.0)
+        n0 = 10.0 ** (config.n0_dbm / 10.0)
         comb = 10.0 ** (config.combining_gain_db / 10.0)
         rx = lambda p_dbm, loss: 10.0 ** ((p_dbm - loss) / 10.0) * comb
         sig0 = rx(self.P0, self.LOSS[0][0])
@@ -189,9 +204,9 @@ class TestCriterion6EngineOracle:
         # UE0 holds RBs 2..7, UE1 holds 4..7: overlap on 4 RBs.
         sinr0 = [sig0 / n0] * 2 + [sig0 / (i01 + n0)] * 4
         sinr1 = [sig1 / (i10 + n0)] * 4
-        rb_bits = config.noise.rb_bandwidth_hz * config.slot_duration_s
-        want_bits0 = sum(amc_realized(s, config.curve) for s in sinr0) * rb_bits
-        want_bits1 = sum(amc_realized(s, config.curve) for s in sinr1) * rb_bits
+        rb_bits = config.rb_bandwidth_hz * config.slot_duration_s
+        want_bits0 = sum(amc_realized(s, config) for s in sinr0) * rb_bits
+        want_bits1 = sum(amc_realized(s, config) for s in sinr1) * rb_bits
 
         assert abs(bits[0] - want_bits0) <= 1e-9 * want_bits0
         assert abs(bits[1] - want_bits1) <= 1e-9 * want_bits1

@@ -57,7 +57,7 @@ class TestConfigFile:
         sim = SimConfig(**cfg)
         assert sim.scheme == "rlpc"
         assert sim.rings == 2 and sim.slots == 2000
-        assert sim.grid.data_rbs == 48
+        assert sim.data_rbs == 48
 
     def test_defaults_round_trip_through_a_file(self, tmp_path):
         path = tmp_path / "run.cfg"

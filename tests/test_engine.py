@@ -10,9 +10,8 @@ from ulsim import engine
 from ulsim.config import SimConfig
 from ulsim.engine import (MetricsAccumulator, build_snapshot, compute_slot,
                           drop_seed, run, run_drop, simulate)
-from ulsim.linkbudget import AmcCurve, NoiseModel, amc_realized
+from ulsim.linkbudget import amc_realized
 from ulsim.report import summarize
-from ulsim.scheduler import RbGrid
 
 
 class TestSimConfig:
@@ -34,9 +33,9 @@ class TestSimConfig:
 
     def test_components_take_their_defaults(self):
         cfg = SimConfig()
-        assert cfg.grid == RbGrid()
-        assert cfg.noise == NoiseModel()
-        assert cfg.curve == AmcCurve()
+        assert cfg.data_rbs == 48
+        assert cfg.n0_dbm == -174.0 + 10.0 * np.log10(180_000.0) + 5.0
+        assert cfg.n0_mw == 10.0 ** (cfg.n0_dbm / 10.0)
 
 
 class TestAccumulator:
@@ -68,6 +67,11 @@ class TestAccumulator:
         assert a.time_avg_iot_db()[1] == 0.0
 
 
+def work(config, n_cells=2):
+    """A fresh compute_slot buffer for n_cells cells."""
+    return np.empty((n_cells, config.total_rbs, n_cells))
+
+
 class TestComputeSlotOracle:
     """Two cells, two UEs, partial RB overlap, checked by scalar arithmetic."""
 
@@ -82,11 +86,10 @@ class TestComputeSlotOracle:
             1: [RbAssignment(ue_id=1, rb_start=2, rb_len=4,
                              per_rb_power_dbm=self.P1)],
         }
-        return gains_of(self.LOSS), config, occupancy(allocations, 2,
-                                                      config.grid)
+        return gains_of(self.LOSS), config, occupancy(allocations, 2, config)
 
     def expected(self, config):
-        n0 = 10.0 ** (config.noise.n0_dbm / 10.0)
+        n0 = 10.0 ** (config.n0_dbm / 10.0)
         combine = 10.0 ** (config.combining_gain_db / 10.0)
         g = lambda db: 10.0 ** (-db / 10.0)
         mw = lambda dbm: 10.0 ** (dbm / 10.0)
@@ -100,10 +103,10 @@ class TestComputeSlotOracle:
         sinr0_ov = sig0 / (i0 + n0)
         sinr0_cl = sig0 / n0
         sinr1 = sig1 / (i1 + n0)
-        rb_bits = config.noise.rb_bandwidth_hz * config.slot_duration_s
-        bits0 = (4 * amc_realized(sinr0_ov, config.curve)
-                 + 4 * amc_realized(sinr0_cl, config.curve)) * rb_bits
-        bits1 = 4 * amc_realized(sinr1, config.curve) * rb_bits
+        rb_bits = config.rb_bandwidth_hz * config.slot_duration_s
+        bits0 = (4 * amc_realized(sinr0_ov, config)
+                 + 4 * amc_realized(sinr0_cl, config)) * rb_bits
+        bits1 = 4 * amc_realized(sinr1, config) * rb_bits
         energy0 = 8 * mw(self.P0) * config.slot_duration_s / 1000.0
         energy1 = 4 * mw(self.P1) * config.slot_duration_s / 1000.0
         mean_sinr0 = (4 * sinr0_ov + 4 * sinr0_cl) / 8
@@ -112,7 +115,7 @@ class TestComputeSlotOracle:
     def test_bits_and_sinr_match_hand_computation(self):
         gains, config, slot = self.scenario()
         bits, mean_sinr, mean_snr, mean_iot, energy, sched = compute_slot(
-            *slot, gains, config)
+            *slot, gains, config, work(config))
         b0, b1, e0, e1, s0, s1 = self.expected(config)
         assert np.isclose(bits[0], b0, rtol=1e-9)
         assert np.isclose(bits[1], b1, rtol=1e-9)
@@ -124,8 +127,9 @@ class TestComputeSlotOracle:
 
     def test_snr_iot_samples(self):
         gains, config, slot = self.scenario()
-        _, _, mean_snr, mean_iot, _, _ = compute_slot(*slot, gains, config)
-        n0 = 10.0 ** (config.noise.n0_dbm / 10.0)
+        _, _, mean_snr, mean_iot, _, _ = compute_slot(*slot, gains, config,
+                                                      work(config))
+        n0 = 10.0 ** (config.n0_dbm / 10.0)
         combine = 10.0 ** (config.combining_gain_db / 10.0)
         sig0 = 10.0 ** (self.P0 / 10.0) * 10.0 ** (-110.0 / 10.0) * combine
         assert np.isclose(mean_snr[0], sig0 / n0, rtol=1e-9)
@@ -136,7 +140,7 @@ class TestComputeSlotOracle:
     def test_idle_network(self):
         gains, config, _ = self.scenario()
         bits, _, _, _, energy, sched = compute_slot(
-            *occupancy({}, 2, config.grid), gains, config)
+            *occupancy({}, 2, config), gains, config, work(config))
         assert not bits.any() and not energy.any() and not sched.any()
 
 
@@ -185,9 +189,8 @@ class TestSimulate:
 
     def test_explicit_powers_override(self):
         snap = self.small_snapshot()
-        cfg = maxpower_config(slots=5, drops=1)
-        lo = simulate(*snap, cfg, powers_dbm=np.full(6, -10.0))
-        hi = simulate(*snap, cfg, powers_dbm=np.full(6, 23.0))
+        lo = simulate(*snap, maxpower_config(slots=5, drops=1, p_max_dbm=-10.0))
+        hi = simulate(*snap, maxpower_config(slots=5, drops=1, p_max_dbm=23.0))
         assert lo.energy_j.sum() < hi.energy_j.sum()
 
     # sha256 over the bytes of bits, energy_j, snr_lin_sum, iot_lin_sum and
@@ -248,7 +251,7 @@ class TestApplyDelay:
 
         measured, prev = [], used[0]
         for _, mean_sinr, _, _, _, scheduled in slots:
-            rate = amc_realized(mean_sinr, cfg.curve) * cfg.noise.rb_bandwidth_hz
+            rate = amc_realized(mean_sinr, cfg) * cfg.rb_bandwidth_hz
             prev = np.where(scheduled, rate, prev)
             measured.append(prev)
         return used, measured
@@ -283,12 +286,13 @@ class TestSlotBuffers:
                  2: [RbAssignment(ues[2][0], 2, 48, 20.0)]}
         second = {0: [RbAssignment(ues[0][1], 2, 5, 23.0)],
                   2: [RbAssignment(ues[2][0], 7, 10, 0.0)]}
-        slots = [occupancy(a, 3, config.grid) for a in (first, second, {})]
+        slots = [occupancy(a, 3, config) for a in (first, second, {})]
         assert (slots[0][0][1] == -1).all()          # cell 1 idles first
-        work = np.full((3, config.grid.total_rbs, 3), np.nan)
+        reused = np.full((3, config.total_rbs, 3), np.nan)
         for (occ, p_mw), g in 2 * list(zip(slots, (gains, faded, gains))):
-            got = compute_slot(occ, p_mw, g, config, work)
-            want = compute_slot(occ, p_mw, g, config)
+            got = compute_slot(occ, p_mw, g, config, reused)
+            want = compute_slot(occ, p_mw, g, config,
+                                np.empty((3, config.total_rbs, 3)))
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def record(self, monkeypatch):

@@ -2,7 +2,8 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ulsim.linkbudget import AmcCurve, NoiseModel, amc_realized, amc_smooth, snr_of
+from ulsim.config import SimConfig
+from ulsim.linkbudget import MCS_LEVELS, amc_realized, amc_smooth, snr_of
 from ulsim.units import db_to_linear
 
 
@@ -40,7 +41,7 @@ class TestAmcSmooth:
     @given(st.floats(min_value=-20.0, max_value=40.0),
            st.floats(min_value=0.0, max_value=5.0))
     def test_monotone(self, x_db, step_db):
-        curve = AmcCurve()
+        curve = SimConfig()
         lo = amc_smooth(db_to_linear(x_db), curve)
         hi = amc_smooth(db_to_linear(x_db + step_db), curve)
         assert hi >= lo
@@ -65,7 +66,7 @@ class TestAmcRealized:
         stair = amc_realized(x, curve, staircase=True)
         assert 0.0 < stair <= amc_realized(x, curve)
         # 29 uniform steps in dB: value constant within one step.
-        span = (curve.sinr_ceiling_db - curve.sinr_floor_db) / curve.n_levels
+        span = (curve.sinr_ceiling_db - curve.sinr_floor_db) / MCS_LEVELS
         same = amc_realized(db_to_linear(5.0 + 0.25 * span), curve,
                             staircase=True)
         assert stair == same
@@ -73,7 +74,7 @@ class TestAmcRealized:
     @given(st.floats(min_value=-15.0, max_value=30.0),
            st.floats(min_value=0.0, max_value=5.0))
     def test_monotone(self, x_db, step_db):
-        curve = AmcCurve()
+        curve = SimConfig()
         lo = amc_realized(db_to_linear(x_db), curve)
         hi = amc_realized(db_to_linear(x_db + step_db), curve)
         assert hi >= lo

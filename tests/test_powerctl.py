@@ -7,13 +7,12 @@ import powerctl_oracle as oracle
 from ulsim import powerctl
 from ulsim.config import SimConfig
 from ulsim.engine import drop_seed
-from ulsim.linkbudget import NoiseModel
 from ulsim.powerctl import (cnb_neighbor_losses, cnb_objective, cnb_ri,
                             cnb_rs, cnb_solve, compute_powers, fpc_power,
                             pl_threshold_db, rlpc_power)
 from ulsim.topology import build_hex_layout, drop_ues
 
-NOISE = NoiseModel()
+NOISE = SimConfig()
 
 
 def cnb(**kw):

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import scheduler_oracle
 from scheduler_oracle import allocate_network
-from ulsim.scheduler import PfState, RbGrid, allocate, dbm_to_mw
+from ulsim.config import SimConfig
+from ulsim.scheduler import PfState, allocate, grant_power_mw
 
 P_MAX = 23.0
 
@@ -29,8 +31,8 @@ def schedule(rates, pf, grid, serving=None, powers=None, n_cells=1):
     n = len(rates)
     serving = np.zeros(n, dtype=int) if serving is None else np.asarray(serving)
     powers = np.full(n, P_MAX) if powers is None else np.asarray(powers)
-    return allocate(serving, np.asarray(rates, dtype=float), pf, grid, powers,
-                    P_MAX, n_cells, dbm_to_mw(powers))
+    return allocate(serving, np.asarray(rates, dtype=float), pf, grid, n_cells,
+                    grant_power_mw(powers, grid))
 
 
 def grants(occ_row, grid):
@@ -60,7 +62,7 @@ def rb_counts(occ_row, grid):
 
 
 class TestPfMetric:
-    GRID = RbGrid()
+    GRID = SimConfig()
 
     def test_weight_formula(self):
         # RB shares follow est^alpha / avg^beta: 1:2, 4:1 and 3:1 of 48 RBs.
@@ -102,14 +104,14 @@ class TestPfMetric:
 
 class TestPerRbPower:
     def test_uncapped(self):
-        grid = RbGrid()
+        grid = SimConfig()
         pf = fresh_pf(1, avg=[1.0], served=[True])
         _, p_mw = schedule([100.0], pf, grid, powers=[-5.0])
         assert (p_mw[0, grid.control_rbs:] == mw(-5.0)).all()
 
     def test_capped_by_total_power(self):
         # 10 RBs at 23 dBm each would be 33 dBm total; cap shares p_max.
-        grid = RbGrid(total_rbs=12, control_rbs=2)
+        grid = SimConfig(total_rbs=12, control_rbs=2)
         pf = fresh_pf(1, avg=[1.0], served=[True])
         _, p_mw = schedule([100.0], pf, grid, powers=[23.0])
         assert np.allclose(p_mw[0, 2:], mw(23.0 - 10.0 * np.log10(10)),
@@ -117,14 +119,32 @@ class TestPerRbPower:
         assert np.isclose(p_mw[0].sum(), mw(23.0), rtol=1e-12)
 
     def test_single_rb_never_scaled(self):
-        grid = RbGrid(total_rbs=3, control_rbs=2)
+        grid = SimConfig(total_rbs=3, control_rbs=2)
         pf = fresh_pf(1, avg=[1.0], served=[True])
         _, p_mw = schedule([100.0], pf, grid, powers=[23.0])
         assert p_mw[0].tolist() == [0.0, 0.0, mw(23.0)]
 
+    @pytest.mark.parametrize("kw", [{}, {"p_max_dbm": 10.0},
+                                    {"total_rbs": 12}],
+                             ids=["default", "p_max_10", "total_rbs_12"])
+    def test_grant_table_matches_oracle(self, kw):
+        cfg = SimConfig(**kw)
+        caps = [cfg.p_max_dbm - 10.0 * math.log10(k)
+                for k in range(1, cfg.data_rbs + 1)]
+        tx = np.array([-30.0, 0.0, 12.3, 23.0]
+                      + [np.nextafter(c, d) for c in caps
+                         for d in (-np.inf, c, np.inf)])
+        table = grant_power_mw(tx, cfg)
+        assert table.shape == (len(tx), cfg.data_rbs)
+        for u in range(len(tx)):
+            for k in range(1, cfg.data_rbs + 1):
+                want = 10.0 ** (scheduler_oracle.per_rb_power_dbm(
+                    tx[u], k, cfg.p_max_dbm) / 10.0)
+                assert table[u, k - 1] == want
+
 
 class TestAllocate:
-    GRID = RbGrid()
+    GRID = SimConfig()
 
     def test_full_grid_used(self):
         pf = fresh_pf(4, avg=[1.0, 1.0, 1.0, 1.0], served=[True] * 4)
@@ -151,7 +171,7 @@ class TestAllocate:
         assert rb_counts(occ[0], self.GRID) == {1: self.GRID.data_rbs}
 
     def test_more_ues_than_rbs(self):
-        grid = RbGrid(total_rbs=6, control_rbs=2)
+        grid = SimConfig(total_rbs=6, control_rbs=2)
         pf = fresh_pf(10, avg=np.ones(10), served=[True] * 10)
         occ, _ = schedule(np.linspace(100.0, 1000.0, 10), pf, grid)
         # Only the 4 highest-weight UEs fit at one RB each.
@@ -159,7 +179,7 @@ class TestAllocate:
                                         (6, 5, 1)]
 
     def test_tie_breaks_by_ue_id(self):
-        grid = RbGrid(total_rbs=4, control_rbs=2)
+        grid = SimConfig(total_rbs=4, control_rbs=2)
         pf = fresh_pf(8, avg=np.ones(8), served=[True] * 8)
         rates = [0.0, 0.0, 0.0, 100.0, 0.0, 100.0, 0.0, 100.0]
         occ, _ = schedule(rates, pf, grid, serving=[1, 1, 1, 0, 1, 0, 1, 0],
@@ -189,7 +209,7 @@ class TestAllocate:
                     max_size=20),
            st.integers(min_value=3, max_value=50))
     def test_invariants_random(self, rates, total_rbs):
-        grid = RbGrid(total_rbs=total_rbs, control_rbs=2)
+        grid = SimConfig(total_rbs=total_rbs, control_rbs=2)
         n = len(rates)
         pf = fresh_pf(n, avg=np.ones(n), served=[True] * n)
         occ, _ = schedule(rates, pf, grid)
@@ -208,7 +228,8 @@ def network_states(draw):
     n_cells = draw(st.integers(min_value=1, max_value=8))
     n = draw(st.integers(min_value=0, max_value=80))
     total_rbs = draw(st.integers(min_value=3, max_value=60))
-    grid = RbGrid(total_rbs, draw(st.integers(min_value=0, max_value=2)))
+    grid = SimConfig(total_rbs=total_rbs,
+                     control_rbs=draw(st.integers(min_value=0, max_value=2)))
     per_ue = lambda elements: np.array(
         draw(st.lists(elements, min_size=n, max_size=n)))
     serving = per_ue(st.integers(min_value=0, max_value=n_cells - 1))
@@ -223,7 +244,7 @@ def network_states(draw):
 def example_state(serving, est, avg, powers, n_cells):
     n = len(serving)
     return (np.array(serving), np.array(est, dtype=float),
-            fresh_pf(n, avg=avg, served=[True] * n), RbGrid(),
+            fresh_pf(n, avg=avg, served=[True] * n), SimConfig(),
             np.array(powers, dtype=float), n_cells)
 
 
@@ -236,7 +257,9 @@ def example_state(serving, est, avg, powers, n_cells):
 @example(example_state([0, 0, 1, 1], [39, 7, 42, 4], [1, 1, 1, 1],
                        [23.0] * 4, 2))
 def test_matches_per_cell_oracle(state):
-    occ, p_mw = allocate(*state[:5], P_MAX, state[5], dbm_to_mw(state[4]))
-    want_occ, want_p_mw = allocate_network(*state[:5], P_MAX, state[5])
+    serving, est, pf, config, powers, n_cells = state
+    occ, p_mw = allocate(serving, est, pf, config, n_cells,
+                         grant_power_mw(powers, config))
+    want_occ, want_p_mw = allocate_network(*state)
     assert np.array_equal(occ, want_occ)
     assert np.array_equal(p_mw, want_p_mw)
