@@ -24,7 +24,7 @@ def _parse_sweep(arg: str) -> tuple[str, list[str]]:
     if "=" not in arg:
         raise argparse.ArgumentTypeError("expected --sweep KEY=V1,V2,...")
     key, raw = arg.split("=", 1)
-    values = [v for v in raw.split(",") if v]
+    values = [v.strip() for v in raw.split(",") if v.strip()]
     if not values:
         raise argparse.ArgumentTypeError("sweep needs at least one value")
     return key.strip(), values

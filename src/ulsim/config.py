@@ -10,26 +10,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from .scheduler import PfState
-from .topology import MIN_UE_SITE_DISTANCE_M, build_hex_layout
+from .topology import build_hex_layout
 
 __all__ = ["SCHEMES", "SimConfig", "DEFAULTS", "parse_config_file", "set_key"]
 
 # Power control schemes, in the order the CLI lists them.
 SCHEMES = ("cnb", "fpc", "rlpc", "maxpower")
 
+# The values a key takes, by the type of its default: integral numbers (bools
+# and numpy ints too) for int keys, any real number for float keys.
+_ACCEPTS = {int: Integral, float: Real, str: str}
+
 
 @dataclass(frozen=True)
 class SimConfig:
     """One run: a field per configuration key, in config-file order.
 
-    Each default is written once, here or on PfState. Construction checks
-    every key, raising ValueError("<key>: ..."), and builds the layout.
-    Keys of the schemes not selected are only checked for finiteness.
+    Each default is written once, here. Construction checks every key,
+    raising ValueError("<key>: ..."), then builds the layout. Keys of the
+    schemes not selected are only checked for their type and finiteness.
     """
 
     # scheme selection
@@ -49,7 +53,7 @@ class SimConfig:
     rings: int = 2
     isd_m: float = 500.0
     ues_per_cell: int = 10
-    min_dist_m: float = MIN_UE_SITE_DISTANCE_M
+    min_dist_m: float = 35.0            # minimum UE-site distance
     # run shape
     slots: int = 2000
     drops: int = 5
@@ -59,9 +63,9 @@ class SimConfig:
     fading: int = 0                     # 0 | 1: per-slot Rayleigh fading
     combining_gain_db: float = 3.0
     # scheduler
-    alpha: float = PfState.alpha
-    beta: float = PfState.beta
-    ewma: float = PfState.ewma
+    alpha: float = 1.0                  # PF metric est^alpha / avg^beta
+    beta: float = 1.0
+    ewma: float = 0.01                  # PF average's EWMA weight
     total_rbs: int = 50
     control_rbs: int = 2
     # link budget
@@ -77,18 +81,20 @@ class SimConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(f.default, float) and not math.isfinite(value):
+            value, kind = getattr(self, f.name), type(f.default)
+            if not isinstance(value, _ACCEPTS[kind]):
+                raise ValueError(f"{f.name}: expected {kind.__name__}, "
+                                 f"got {value!r}")
+            if kind is float and not math.isfinite(value):
                 raise ValueError(f"{f.name}: must be finite, got {value}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme: must be one of {', '.join(SCHEMES)}, "
                              f"got {self.scheme!r}")
-        # build_hex_layout checks rings and isd_m.
-        object.__setattr__(self, "layout",
-                           build_hex_layout(self.rings, self.isd_m))
         # A scheme's own rules hold only when it is the one selected.
         other = lambda scheme: self.scheme != scheme
         for key, ok, rule in (
+                ("isd_m", self.isd_m > 0, "positive"),
+                ("rings", self.rings >= 0, ">= 0"),
                 ("zeta", other("cnb") or self.zeta > 0, "positive"),
                 ("tol_db", other("cnb") or self.tol_db > 0, "positive"),
                 ("bisect_lo_dbm",
@@ -118,6 +124,8 @@ class SimConfig:
             if not ok:
                 raise ValueError(f"{key}: must be {rule}, "
                                  f"got {getattr(self, key)!r}")
+        object.__setattr__(self, "layout",
+                           build_hex_layout(self.rings, self.isd_m))
 
     @property
     def data_rbs(self) -> int:

@@ -97,8 +97,7 @@ def build_snapshot(config: SimConfig,
                    drop_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """One drop's static topology, the only channel knowledge controllers
     see: each UE's serving cell and the (UE, cell) loss matrix in dB."""
-    _, serving, loss_db = drop_ues(config.layout, config.ues_per_cell,
-                                   config.min_dist_m, drop_seed)
+    _, serving, loss_db = drop_ues(config, drop_seed)
     return serving, loss_db
 
 
@@ -159,8 +158,7 @@ def simulate(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
     n_ues, n_cells = loss_db.shape
     powers_dbm = compute_powers(config, loss_db, serving)
 
-    pf = PfState.fresh(n_ues, alpha=config.alpha, beta=config.beta,
-                       ewma=config.ewma)
+    pf = PfState.fresh(n_ues)
     acc = MetricsAccumulator.empty(n_ues, n_cells,
                                    config.slots * config.slot_duration_s)
 
@@ -201,7 +199,7 @@ def simulate(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
         acc.iot_lin_sum += mean_iot
         acc.sched_slots += scheduled
 
-        pf.update(scheduled, bits / config.slot_duration_s)
+        pf.update(scheduled, bits / config.slot_duration_s, config)
 
         # Measured per-RB rate estimate; unscheduled UEs keep their last one.
         prev = history[-1] if history else est0

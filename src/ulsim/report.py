@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,6 @@ class RunSummary:
     per_ue_mbps: tuple[float, ...]
     per_ue_snr_db: tuple[float, ...]
     per_ue_iot_db: tuple[float, ...]
-    config_echo: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -76,8 +75,7 @@ def percentile(values, p: float) -> float:
     return float(np.percentile(values, 100.0 * p, method="linear"))
 
 
-def summarize(accs: list[MetricsAccumulator], config: SimConfig,
-              config_echo: dict | None = None) -> RunSummary:
+def summarize(accs: list[MetricsAccumulator], config: SimConfig) -> RunSummary:
     """Pool per-drop accumulators into one RunSummary.
 
     Cell-average throughput is the per-drop mean of (total throughput per
@@ -109,7 +107,6 @@ def summarize(accs: list[MetricsAccumulator], config: SimConfig,
         per_ue_mbps=tuple(tput / 1e6),
         per_ue_snr_db=tuple(merged.time_avg_snr_db()),
         per_ue_iot_db=tuple(merged.time_avg_iot_db()),
-        config_echo=dict(config_echo or {}),
     )
 
 
@@ -122,7 +119,7 @@ def efficiency_text(summary: RunSummary) -> str:
 def run_config(cfg: dict) -> RunSummary:
     """Execute all drops for one flat configuration dict."""
     sim = SimConfig(**cfg)
-    return summarize(run(sim), sim, config_echo=cfg)
+    return summarize(run(sim), sim)
 
 
 def run_sweep(cfg: dict, axis: str, values) -> SweepResult:
@@ -130,10 +127,8 @@ def run_sweep(cfg: dict, axis: str, values) -> SweepResult:
 
     Every value's configuration is checked before the first run starts.
     """
-    cfgs = [cfgmod.set_key(cfg, axis, v) for v in values]
-    sims = [SimConfig(**c) for c in cfgs]
-    summaries = tuple(summarize(run(sim), sim, config_echo=c)
-                      for sim, c in zip(sims, cfgs))
+    sims = [SimConfig(**cfgmod.set_key(cfg, axis, v)) for v in values]
+    summaries = tuple(summarize(run(sim), sim) for sim in sims)
     return SweepResult(axis=axis, values=tuple(values), summaries=summaries)
 
 

@@ -28,25 +28,20 @@ __all__ = [
 
 @dataclass
 class PfState:
-    """Long-term PF averages for every UE in the network (single writer)."""
+    """Long-term PF averages for every UE in the network (single writer);
+    the weights alpha, beta and ewma are SimConfig's."""
 
     avg_rate: np.ndarray                # bits/s, per UE
     served_once: np.ndarray             # bool, per UE
-    alpha: float = 1.0
-    beta: float = 1.0
-    ewma: float = 0.01
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.ewma < 1.0:
-            raise ValueError(f"ewma must be in (0, 1), got {self.ewma}")
 
     @classmethod
-    def fresh(cls, n_ues: int, **weights) -> "PfState":
-        """No UE served yet; weights are alpha, beta and ewma."""
+    def fresh(cls, n_ues: int) -> "PfState":
+        """No UE served yet."""
         return cls(avg_rate=np.zeros(n_ues),
-                   served_once=np.zeros(n_ues, dtype=bool), **weights)
+                   served_once=np.zeros(n_ues, dtype=bool))
 
-    def update(self, scheduled: np.ndarray, rate: np.ndarray) -> None:
+    def update(self, scheduled: np.ndarray, rate: np.ndarray,
+               config: SimConfig) -> None:
         """Fold one slot's served rate (bits/s, per UE) into the averages.
 
         A UE's first nonzero rate while scheduled starts its average; served
@@ -56,11 +51,11 @@ class PfState:
         self.avg_rate = np.where(
             boot, rate,
             np.where(self.served_once,
-                     (1.0 - self.ewma) * self.avg_rate + self.ewma * rate,
+                     (1.0 - config.ewma) * self.avg_rate + config.ewma * rate,
                      self.avg_rate))
         self.served_once = self.served_once | boot
 
-    def weights(self, est_rates: np.ndarray) -> np.ndarray:
+    def weights(self, est_rates: np.ndarray, config: SimConfig) -> np.ndarray:
         """PF metric est^alpha / avg^beta; inf for never-served UEs, 0 for
         UEs with no decodable estimate."""
         w = np.where(self.served_once, 0.0, np.inf)
@@ -69,7 +64,7 @@ class PfState:
         avg = self.avg_rate[defined]
         if (avg <= 0).any():
             raise ValueError("avg_rate must be positive (uninitialized PF state)")
-        w[defined] = est_rates[defined] ** self.alpha / avg ** self.beta
+        w[defined] = est_rates[defined] ** config.alpha / avg ** config.beta
         return w
 
 
@@ -110,7 +105,7 @@ def allocate(serving: np.ndarray, est_rates: np.ndarray, pf: PfState,
     in mW. In a cell with a never-served decodable UE, only such UEs are
     scheduled, with equal weight. Deterministic: ties break by UE id.
     """
-    w = pf.weights(est_rates)
+    w = pf.weights(est_rates, config)
     boot = np.isinf(w)
     boot_cell = np.zeros(n_cells, dtype=bool)
     boot_cell[serving[boot]] = True

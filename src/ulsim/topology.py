@@ -13,8 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .config import SimConfig
 
 __all__ = [
     "SiteLayout",
@@ -28,7 +32,6 @@ SECTORS_PER_SITE = 3
 PENETRATION_LOSS_DB = 20.0
 SHADOW_STD_DB = 8.0
 BORESIGHT_GAIN_DB = 14.0
-MIN_UE_SITE_DISTANCE_M = 35.0
 
 
 @dataclass(frozen=True)
@@ -36,7 +39,6 @@ class SiteLayout:
     """Immutable hexagonal site layout with wrap-around translations."""
 
     site_positions: np.ndarray          # (n_sites, 2) meters
-    sectors_per_site: int
     wrap_vectors: np.ndarray            # (7, 2); row 0 is the identity
 
     @property
@@ -45,7 +47,7 @@ class SiteLayout:
 
     @property
     def n_cells(self) -> int:
-        return self.n_sites * self.sectors_per_site
+        return self.n_sites * SECTORS_PER_SITE
 
 
 def _axial_rot60(q: int, r: int) -> tuple[int, int]:
@@ -70,13 +72,8 @@ def build_hex_layout(rings: int, isd: float) -> SiteLayout:
     rings=2 gives the standard 19-site / 57-cell macrocell deployment.
     The wrap translations are the six rotations of the cluster shift vector
     (rings+1, rings) in lattice coordinates, which tiles the plane with one
-    cluster copy per fundamental domain.
+    cluster copy per fundamental domain. SimConfig checks rings and isd.
     """
-    if isd <= 0:
-        raise ValueError(f"isd_m: must be positive, got {isd}")
-    if rings < 0:
-        raise ValueError(f"rings: must be >= 0, got {rings}")
-
     a1 = np.array([isd, 0.0])
     a2 = np.array([isd / 2.0, isd * math.sqrt(3.0) / 2.0])
 
@@ -88,11 +85,7 @@ def build_hex_layout(rings: int, isd: float) -> SiteLayout:
     for _ in range(6):
         wraps.append(q * a1 + r * a2)
         q, r = _axial_rot60(q, r)
-    return SiteLayout(
-        site_positions=sites,
-        sectors_per_site=SECTORS_PER_SITE,
-        wrap_vectors=np.array(wraps),
-    )
+    return SiteLayout(site_positions=sites, wrap_vectors=np.array(wraps))
 
 
 def _voronoi_reduce(points: np.ndarray, layout: SiteLayout) -> np.ndarray:
@@ -125,21 +118,20 @@ def macro_path_loss_db(distance_m) -> np.ndarray:
     return 128.1 + 37.6 * np.log10(np.asarray(distance_m, dtype=float) / 1000.0)
 
 
-def antenna_gain_db(angle_off_deg, boresight_gain_db: float = BORESIGHT_GAIN_DB):
+def antenna_gain_db(angle_off_deg):
     """Sectorized 2D pattern: boresight gain - min(12*(theta/70)^2, 25) dB."""
     off = np.abs((np.asarray(angle_off_deg, dtype=float) + 180.0) % 360.0 - 180.0)
-    return boresight_gain_db - np.minimum(12.0 * (off / 70.0) ** 2, 25.0)
+    return BORESIGHT_GAIN_DB - np.minimum(12.0 * (off / 70.0) ** 2, 25.0)
 
 
 def _pos_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
 
 
-def _shadow_draws(n_ues: int, n_sites: int, seed: int,
-                  std_db: float = SHADOW_STD_DB) -> np.ndarray:
+def _shadow_draws(n_ues: int, n_sites: int, seed: int) -> np.ndarray:
     """Per-(UE, site) log-normal shadowing, shared by co-site sectors."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
-    return rng.normal(0.0, std_db, size=(n_ues, n_sites))
+    return rng.normal(0.0, SHADOW_STD_DB, size=(n_ues, n_sites))
 
 
 def _loss_matrix(positions: np.ndarray, shadow: np.ndarray,
@@ -149,9 +141,9 @@ def _loss_matrix(positions: np.ndarray, shadow: np.ndarray,
     base = macro_path_loss_db(dist) + shadow + PENETRATION_LOSS_DB  # (n, s)
     n_cells = layout.n_cells
     loss = np.empty((positions.shape[0], n_cells))
-    for k in range(layout.sectors_per_site):
+    for k in range(SECTORS_PER_SITE):
         gain = antenna_gain_db(bearing - 120.0 * k)
-        loss[:, k::layout.sectors_per_site] = base - gain
+        loss[:, k::SECTORS_PER_SITE] = base - gain
     return loss
 
 
@@ -171,18 +163,18 @@ def _sample_positions(layout: SiteLayout, n: int, min_dist: float,
     return out
 
 
-def drop_ues(layout: SiteLayout, ues_per_cell: int,
-             min_dist: float = MIN_UE_SITE_DISTANCE_M,
-             seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def drop_ues(config: SimConfig,
+             seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Drop ues_per_cell * n_cells UEs uniformly over the wrapped network area.
 
-    Positions violating the minimum site distance are rejection-resampled.
+    Positions closer than min_dist_m to a site are rejection-resampled.
     Returns the (n, 2) positions, each UE's serving cell and the full
     (UE x cell) loss matrix; deterministic given seed. Each UE attaches to
     the cell with the lowest loss in that matrix (ties by lowest cell_id).
     """
-    n = ues_per_cell * layout.n_cells
-    positions = _sample_positions(layout, n, min_dist, _pos_rng(seed))
+    layout = config.layout
+    n = config.ues_per_cell * layout.n_cells
+    positions = _sample_positions(layout, n, config.min_dist_m, _pos_rng(seed))
     shadow = _shadow_draws(n, layout.n_sites, seed)
     loss = _loss_matrix(positions, shadow, layout)
     return positions, np.argmin(loss, axis=1), loss

@@ -25,8 +25,8 @@ class RbAssignment:
 SlotAllocation = dict[int, list[RbAssignment]]
 
 
-def pf_weight(inst_rate: float, avg_rate: float, alpha: float = PfState.alpha,
-              beta: float = PfState.beta) -> float:
+def pf_weight(inst_rate: float, avg_rate: float, alpha: float,
+              beta: float) -> float:
     """Proportional-fair metric inst_rate^alpha / avg_rate^beta."""
     if avg_rate <= 0:
         raise ValueError("avg_rate must be positive (uninitialized PF state)")
@@ -67,7 +67,7 @@ def allocate(cell_ues, est_rates, pf: PfState, config: SimConfig,
         return []
     est = np.asarray(est_rates, dtype=float)
     w = _weights(est, pf.avg_rate[cell_ues], pf.served_once[cell_ues],
-                 pf.alpha, pf.beta)
+                 config.alpha, config.beta)
     if np.isinf(w).any():
         w = np.where(np.isinf(w), 1.0, 0.0)
     eligible = np.flatnonzero(w > 0)

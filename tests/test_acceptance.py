@@ -121,8 +121,7 @@ def desk_runs():
     summaries = []
     for cfg in cfgs:
         drops, accs = accs[:cfg["drops"]], accs[cfg["drops"]:]
-        summaries.append(report.summarize(drops, SimConfig(**cfg),
-                                          config_echo=cfg))
+        summaries.append(report.summarize(drops, SimConfig(**cfg)))
     runs = dict(zip(schemes, summaries))
     sweep = {1.3: runs["cnb"], **dict(zip(zetas, summaries[len(schemes):]))}
     return runs, sweep

@@ -1,13 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ulsim
-from ulsim import cli
+from ulsim import cli, report
 from ulsim.config import DEFAULTS, SimConfig, parse_config_file, set_key
 
 
@@ -69,6 +71,51 @@ class TestConfigFile:
         assert SimConfig(**cfg) == SimConfig()
 
 
+# Every key in config-file order, with its default value and type.
+PINNED_DEFAULTS = {
+    "scheme": "cnb", "zeta": 1.3, "iot_s_db": 9.0, "snr_i_db": 24.0,
+    "iot_i_db": 5.0, "bisect_lo_dbm": -10.0, "tol_db": 0.1, "p_max_dbm": 23.0,
+    "p0_fpc_dbm": -87.0, "kappa": 0.8, "p0_rlpc_dbm": -102.0, "phi": 0.8,
+    "rings": 2, "isd_m": 500.0, "ues_per_cell": 10, "min_dist_m": 35.0,
+    "slots": 2000, "drops": 5, "seed": 0, "slot_duration_s": 1e-3,
+    "delay_slots": 6, "fading": 0, "combining_gain_db": 3.0,
+    "alpha": 1.0, "beta": 1.0, "ewma": 0.01, "total_rbs": 50, "control_rbs": 2,
+    "thermal_density_dbm_hz": -174.0, "noise_figure_db": 5.0,
+    "rb_bandwidth_hz": 180_000.0, "t_max": 4.18, "amc_a": 0.7035,
+    "amc_b": 0.7041, "sinr_floor_db": -6.5, "sinr_ceiling_db": 18.0,
+    "staircase": 0,
+}
+
+
+def test_defaults_pinned():
+    assert len(PINNED_DEFAULTS) == 37
+    assert list(DEFAULTS.items()) == list(PINNED_DEFAULTS.items())
+    assert ([type(v) for v in DEFAULTS.values()]
+            == [type(v) for v in PINNED_DEFAULTS.values()])
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("slots", 2.5, "int"),
+    ("ues_per_cell", 2.0, "int"),
+    ("rings", 1.0, "int"),
+    ("seed", 1.5, "int"),
+    ("delay_slots", 2.0, "int"),
+    ("zeta", "1.3", "float"),
+])
+def test_key_type_checked_before_any_run(key, value, kind):
+    cfg = {**DEFAULTS, "rings": 1, "ues_per_cell": 2, "slots": 3, "drops": 1,
+           key: value}
+    message = f"{key}: expected {kind}, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        report.run_config(cfg)
+
+
+def test_key_types_take_integral_and_real_numbers():
+    sim = SimConfig(fading=True, slots=np.int64(3), zeta=1,
+                    p_max_dbm=np.float32(20.0))
+    assert sim.fading and sim.slots == 3 and sim.zeta == 1
+
+
 @pytest.mark.parametrize("scheme, key, value, ok", [
     ("maxpower", "p_max_dbm", "-60", True),     # below bisect_lo_dbm
     ("fpc", "zeta", "-1", True),
@@ -78,7 +125,7 @@ class TestConfigFile:
 ])
 def test_unselected_scheme_keys_only_finite(tmp_path, scheme, key, value, ok):
     """A scheme's own rules apply only when it is selected; the keys of the
-    other schemes are only checked for finiteness."""
+    other schemes are only checked for their type and finiteness."""
     path = tmp_path / "run.cfg"
     path.write_text(f"scheme = {scheme}\n{key} = {value}\n")
     if ok:
@@ -123,6 +170,17 @@ class TestCli:
         assert data["axis"] == "zeta"
         assert [r["zeta"] for r in data["runs"]] == [1.3, 0.7]
         assert (tmp_path / "cdf_zeta_1.3.csv").exists()
+
+    def test_sweep_values_stripped(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(TINY)
+        code = run_cli(["--config", cfgfile, "--out", tmp_path,
+                        "--sweep", "zeta=1.3, 1.1"])
+        assert code == 0
+        data = json.loads((tmp_path / "sweep.json").read_text())
+        assert data["values"] == ["1.3", "1.1"]
+        assert (sorted(p.name for p in tmp_path.glob("cdf_*.csv"))
+                == ["cdf_zeta_1.1.csv", "cdf_zeta_1.3.csv"])
 
     def test_export_plmap(self, tmp_path):
         code = run_cli(BASE + ["--out", tmp_path, "--export-plmap"])

@@ -10,7 +10,7 @@ from ulsim.engine import drop_seed
 from ulsim.powerctl import (cnb_neighbor_losses, cnb_objective, cnb_ri,
                             cnb_rs, cnb_solve, compute_powers, fpc_power,
                             pl_threshold_db, rlpc_power)
-from ulsim.topology import build_hex_layout, drop_ues
+from ulsim.topology import drop_ues
 
 NOISE = SimConfig()
 
@@ -278,9 +278,8 @@ class TestBatchedSolveOracle:
 
     @pytest.mark.parametrize("zeta", [1.3, 0.7])
     def test_full_drop_matches_oracle(self, zeta):
-        layout = build_hex_layout(rings=2, isd=500.0)
-        _, serving, loss = drop_ues(layout, 10, seed=drop_seed(42, 0))
         config = cnb(zeta=zeta)
+        _, serving, loss = drop_ues(config, seed=drop_seed(42, 0))
         got = compute_powers(config, loss, serving)
         want, _ = oracle.compute_powers(config, loss, serving)
         assert np.array_equal(got, want)

@@ -34,7 +34,7 @@ class TestSummarize:
         cfg = tiny_cfg()
         sim = SimConfig(**cfg)
         accs = run(sim)
-        s = report.summarize(accs, sim, config_echo=cfg)
+        s = report.summarize(accs, sim)
         tput = np.concatenate([a.per_ue_throughput_bps() for a in accs])
         assert np.isclose(s.cell_avg_mbps,
                           tput.sum() / sim.drops / 21 / 1e6)

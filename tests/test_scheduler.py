@@ -17,8 +17,8 @@ def mw(dbm):
     return 10.0 ** (dbm / 10.0)
 
 
-def fresh_pf(n, avg=None, served=None, **weights):
-    pf = PfState.fresh(n, **weights)
+def fresh_pf(n, avg=None, served=None):
+    pf = PfState.fresh(n)
     if avg is not None:
         pf.avg_rate = np.asarray(avg, dtype=float)
     if served is not None:
@@ -72,9 +72,10 @@ class TestPfMetric:
                  {0: 38, 1: 10}),
                 ({"alpha": 1.0, "beta": 0.0}, [300.0, 100.0], [5.0, 1.0],
                  {0: 36, 1: 12})):
-            pf = fresh_pf(2, avg=avg, served=[True, True], **weights)
-            occ, _ = schedule(rates, pf, self.GRID)
-            assert rb_counts(occ[0], self.GRID) == want
+            pf = fresh_pf(2, avg=avg, served=[True, True])
+            config = SimConfig(**weights)
+            occ, _ = schedule(rates, pf, config)
+            assert rb_counts(occ[0], config) == want
 
     def test_weight_requires_positive_avg(self):
         pf = fresh_pf(2, avg=[1.0, 0.0], served=[True, True])
@@ -82,24 +83,27 @@ class TestPfMetric:
             schedule([100.0, 100.0], pf, self.GRID)
 
     def test_update(self):
-        pf = PfState.fresh(3, ewma=0.01)
+        pf = PfState.fresh(3)
+        config = SimConfig(ewma=0.01)
         # Bootstrap: the first nonzero rate while scheduled starts the average.
-        pf.update(np.array([True, True, False]), np.array([100.0, 0.0, 7.0]))
+        pf.update(np.array([True, True, False]), np.array([100.0, 0.0, 7.0]),
+                  config)
         assert pf.avg_rate.tolist() == [100.0, 0.0, 0.0]
         assert pf.served_once.tolist() == [True, False, False]
         # One EWMA step for UE 0; UE 1 bootstraps.
-        pf.update(np.array([True, True, False]), np.array([200.0, 300.0, 0.0]))
+        pf.update(np.array([True, True, False]), np.array([200.0, 300.0, 0.0]),
+                  config)
         assert np.isclose(pf.avg_rate[0], 101.0)
         assert pf.avg_rate[1:].tolist() == [300.0, 0.0]
         # Served UEs decay in slots without a grant; UE 2 stays unserved.
-        pf.update(np.zeros(3, dtype=bool), np.zeros(3))
+        pf.update(np.zeros(3, dtype=bool), np.zeros(3), config)
         assert np.allclose(pf.avg_rate, [0.99 * 101.0, 0.99 * 300.0, 0.0])
         assert pf.served_once.tolist() == [True, True, False]
 
     def test_update_avg_validates_ewma(self):
         for ewma in (0.0, 1.0):
-            with pytest.raises(ValueError):
-                PfState.fresh(1, ewma=ewma)
+            with pytest.raises(ValueError, match="^ewma: "):
+                SimConfig(ewma=ewma)
 
 
 class TestPerRbPower:

@@ -8,10 +8,15 @@ from hypothesis import strategies as st
 from topology_oracle import (Cell, cells_of, path_loss, wrap_displacement,
                              wrap_distance)
 from ulsim.powerctl import _sorted_cross_losses
-from ulsim.topology import (MIN_UE_SITE_DISTANCE_M, PENETRATION_LOSS_DB,
-                            antenna_gain_db, build_hex_layout, drop_ues,
-                            macro_path_loss_db)
+from ulsim.config import SimConfig
+from ulsim.topology import (PENETRATION_LOSS_DB, antenna_gain_db,
+                            build_hex_layout, drop_ues, macro_path_loss_db)
 from ulsim.topology import _shadow_draws
+
+
+def small_drop(ues_per_cell, seed):
+    """drop_ues on the one-ring layout of the small_layout fixture."""
+    return drop_ues(SimConfig(rings=1, ues_per_cell=ues_per_cell), seed)
 
 
 class TestLayout:
@@ -43,10 +48,12 @@ class TestLayout:
         assert np.isclose(d.min(), 500.0)
 
     def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            build_hex_layout(rings=2, isd=0.0)
-        with pytest.raises(ValueError):
-            build_hex_layout(rings=-1, isd=500.0)
+        with pytest.raises(ValueError, match="^isd_m: "):
+            SimConfig(rings=2, isd_m=0.0)
+        with pytest.raises(ValueError, match="^rings: "):
+            SimConfig(rings=-1, isd_m=500.0)
+        with pytest.raises(ValueError, match="^isd_m: "):
+            SimConfig(rings=-1, isd_m=0.0)
 
     def test_cells_enumeration(self, layout):
         cells = cells_of(layout)
@@ -118,37 +125,36 @@ class TestPathLoss:
 
 class TestDrops:
     def test_ue_count(self, small_layout):
-        positions, serving, loss = drop_ues(small_layout, ues_per_cell=5,
-                                            seed=11)
+        positions, serving, loss = small_drop(ues_per_cell=5, seed=11)
         n = 5 * small_layout.n_cells
         assert positions.shape == (n, 2) and serving.shape == (n,)
         assert loss.shape == (n, small_layout.n_cells)
 
     def test_min_site_distance(self, small_layout):
-        positions, _, _ = drop_ues(small_layout, ues_per_cell=5, seed=11)
+        positions, _, _ = small_drop(ues_per_cell=5, seed=11)
         for pos in positions:
             for s in range(small_layout.n_sites):
                 d = wrap_distance(pos, small_layout.site_positions[s],
                                   small_layout)
-                assert d >= MIN_UE_SITE_DISTANCE_M - 1e-9
+                assert d >= SimConfig().min_dist_m - 1e-9
 
     def test_attachment_consistency(self, small_layout):
         # Serving cell is the argmin of the same loss matrix the map exposes.
-        _, serving, loss = drop_ues(small_layout, ues_per_cell=4, seed=7)
+        _, serving, loss = small_drop(ues_per_cell=4, seed=7)
         assert np.array_equal(serving, np.argmin(loss, axis=1))
 
     def test_determinism(self, small_layout):
-        a = drop_ues(small_layout, ues_per_cell=3, seed=5)
-        b = drop_ues(small_layout, ues_per_cell=3, seed=5)
+        a = small_drop(ues_per_cell=3, seed=5)
+        b = small_drop(ues_per_cell=3, seed=5)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
-        c = drop_ues(small_layout, ues_per_cell=3, seed=6)
+        c = small_drop(ues_per_cell=3, seed=6)
         assert not np.array_equal(a[0], c[0])
 
     def test_cosite_sectors_share_shadowing(self, small_layout):
         # Within one site, sector losses differ only by the antenna pattern,
         # so subtracting the (shadow-free) pattern-only matrix leaves equal
         # values for the three co-site columns.
-        positions, _, loss = drop_ues(small_layout, ues_per_cell=4, seed=9)
+        positions, _, loss = small_drop(ues_per_cell=4, seed=9)
         cells = cells_of(small_layout)
         for u in (0, 7, 33):
             base = []
@@ -169,7 +175,7 @@ class TestDrops:
 
 class TestPathLossMap:
     def test_cross_losses_sorted_and_exclude_serving(self, small_layout):
-        _, serving, loss = drop_ues(small_layout, ues_per_cell=2, seed=3)
+        _, serving, loss = small_drop(ues_per_cell=2, seed=3)
         cross = _sorted_cross_losses(loss, serving)
         n = len(serving)
         assert cross.shape == (n, small_layout.n_cells - 1)

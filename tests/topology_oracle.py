@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ulsim.topology import (BORESIGHT_GAIN_DB, MIN_UE_SITE_DISTANCE_M,
-                            PENETRATION_LOSS_DB, SiteLayout, antenna_gain_db,
-                            macro_path_loss_db)
+from ulsim.config import DEFAULTS
+from ulsim.topology import (PENETRATION_LOSS_DB, SECTORS_PER_SITE, SiteLayout,
+                            antenna_gain_db, macro_path_loss_db)
 
 
 @dataclass(frozen=True)
@@ -25,11 +25,11 @@ class Cell:
 def cells_of(layout: SiteLayout) -> list[Cell]:
     """Enumerate the sectorized cells: 3 per site, boresights 0/120/240."""
     return [
-        Cell(cell_id=s * layout.sectors_per_site + k,
+        Cell(cell_id=s * SECTORS_PER_SITE + k,
              site_id=s,
              boresight_deg=120.0 * k)
         for s in range(layout.n_sites)
-        for k in range(layout.sectors_per_site)
+        for k in range(SECTORS_PER_SITE)
     ]
 
 
@@ -47,13 +47,12 @@ def wrap_distance(p, q, layout: SiteLayout) -> float:
 
 
 def path_loss(ue_pos, cell: Cell, shadow_db: float, layout: SiteLayout,
-              boresight_gain_db: float = BORESIGHT_GAIN_DB,
-              min_dist_m: float = MIN_UE_SITE_DISTANCE_M) -> float:
+              min_dist_m: float = DEFAULTS["min_dist_m"]) -> float:
     """Large-scale loss of a single UE-cell link in dB."""
     disp = wrap_displacement(layout.site_positions[cell.site_id], ue_pos, layout)
     d = float(np.hypot(*disp))
     if d < min_dist_m:
         raise ValueError(f"UE-site distance {d:.2f} m below minimum {min_dist_m} m")
     bearing = math.degrees(math.atan2(disp[1], disp[0]))
-    gain = float(antenna_gain_db(bearing - cell.boresight_deg, boresight_gain_db))
+    gain = float(antenna_gain_db(bearing - cell.boresight_deg))
     return float(macro_path_loss_db(d)) + shadow_db + PENETRATION_LOSS_DB - gain
