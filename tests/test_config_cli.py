@@ -225,6 +225,15 @@ SRC = Path(ulsim.__file__).resolve().parents[1]
 TINY = "rings = 1\nues_per_cell = 2\nslots = 3\ndrops = 1\n"
 
 
+def run_module(cfgfile, out):
+    """`python -m ulsim.cli --config cfgfile --out out` in a subprocess."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "ulsim.cli", "--config", str(cfgfile),
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=60, env=env)
+
+
 @pytest.mark.parametrize("key, value, scheme", [
     ("min_dist_m", "1000", "cnb"),
     ("min_dist_m", "-1", "cnb"),
@@ -255,11 +264,17 @@ def test_bad_value_fails_fast_naming_the_key(tmp_path, key, value, scheme):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"scheme = {scheme}\n{TINY}{key} = {value}\n")
     out = tmp_path / "out"
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ulsim.cli", "--config", str(cfgfile),
-         "--out", str(out)],
-        capture_output=True, text=True, timeout=60, env=env)
+    proc = run_module(cfgfile, out)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and key in proc.stderr
     assert proc.stdout == "" and not out.exists()
+
+
+def test_tolerance_below_float_spacing_ends(tmp_path):
+    # The bracket width stops shrinking at the float spacing of the powers,
+    # far above 1e-20 dB; the iteration cap must still end every bisection.
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"scheme = cnb\n{TINY}tol_db = 1e-20\n")
+    proc = run_module(cfgfile, tmp_path / "out")
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "summary.json").exists()

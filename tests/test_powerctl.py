@@ -267,14 +267,42 @@ class TestBatchedSolveOracle:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 150),
-           st.floats(0.1, 3.0), st.sampled_from([0.03, 0.1, 1.0]),
+           st.floats(0.1, 3.0), st.sampled_from([0.005, 0.03, 0.1, 1.0]),
            st.sampled_from([-10.0, 0.0, 22.97, 22.995]))
-    # A 105-row group (longer than one chunk) and two UEs whose best power is
-    # an extra rise-to-fall bracket's peak, not the main bisection's.
+    # A 105-row group whose screen passes each evaluate 4,108 distinct
+    # (UE, power) pairs, two full chunks of 2,048 and 12 more, and two UEs
+    # whose best power is an extra rise-to-fall bracket's peak, not the main
+    # bisection's.
     @example(seed=70, n=150, zeta=1.3, tol=0.1, lo=-10.0)
+    # A range of exactly 32 tolerances: the main bisection takes 6 iterations,
+    # one more than ceil(log2(range/tol)).
+    @example(seed=3, n=20, zeta=1.3, tol=1.0, lo=-9.0)
     def test_matches_scalar_oracle(self, seed, n, zeta, tol, lo):
         pl, cross = random_batch(np.random.default_rng(seed), n)
         self._check(pl, cross, cnb(zeta=zeta, tol_db=tol, bisect_lo_dbm=lo))
+
+    def test_each_distinct_point_evaluated_once(self, monkeypatch):
+        # Floor breakpoints far above p_max clip onto hi - 2*step in the
+        # screen and onto hi among the candidates. No objective call may
+        # evaluate one (UE, power) pair twice; each pass here fits one call.
+        pl = np.array([118.0, 120.0, 122.0])
+        cross = pl[:, None] + np.array([6.0, 11.0, 16.0])
+        config = cnb(zeta=1.3)
+        brk = powerctl._cnb_breakpoints(pl, cross, config)
+        assert ((brk > config.p_max_dbm).sum(axis=1) >= 2).all()
+        calls = []
+        real = powerctl.cnb_objective
+
+        def cnb_objective(p_dbm, pl_db, cross_losses, config):
+            ue_pl, p = np.broadcast_arrays(pl_db, p_dbm)
+            calls.append(np.stack([ue_pl.ravel(), p.ravel()], axis=1))
+            return real(p_dbm, pl_db, cross_losses, config)
+
+        monkeypatch.setattr(powerctl, "cnb_objective", cnb_objective)
+        self._check(pl, cross, config)
+        assert calls
+        for pairs in calls:
+            assert len(np.unique(pairs, axis=0)) == len(pairs)
 
     @pytest.mark.parametrize("zeta", [1.3, 0.7])
     def test_full_drop_matches_oracle(self, zeta):
