@@ -9,6 +9,7 @@ cannot silently misspell a parameter.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
 from pathlib import Path
@@ -92,11 +93,18 @@ class SimConfig:
                              f"got {self.scheme!r}")
         # A scheme's own rules hold only when it is the one selected.
         other = lambda scheme: self.scheme != scheme
+        # A dB value whose linear value is a positive, finite float.
+        lo10, hi10 = sys.float_info.min_10_exp, sys.float_info.max_10_exp
+        db_in_range = lambda db: lo10 <= db / 10 <= hi10
+        db_range = f"in [{10 * lo10}, {10 * hi10}]"
+        max_exp = sys.float_info.max_exp
         for key, ok, rule in (
                 ("isd_m", self.isd_m > 0, "positive"),
                 ("rings", self.rings >= 0, ">= 0"),
                 ("zeta", other("cnb") or self.zeta > 0, "positive"),
                 ("tol_db", other("cnb") or self.tol_db > 0, "positive"),
+                ("p_max_dbm", self.p_max_dbm / 10 <= hi10,
+                 f"at most {10 * hi10} dBm, a finite mW value"),
                 ("bisect_lo_dbm",
                  other("cnb") or self.bisect_lo_dbm < self.p_max_dbm,
                  f"below p_max_dbm = {self.p_max_dbm}"),
@@ -111,19 +119,30 @@ class SimConfig:
                 ("slot_duration_s", self.slot_duration_s > 0, "positive"),
                 ("delay_slots", self.delay_slots >= 1, ">= 1"),
                 ("fading", self.fading in (0, 1), "0 or 1"),
+                ("combining_gain_db", db_in_range(self.combining_gain_db),
+                 f"{db_range} dB, a positive, finite linear gain"),
                 ("ewma", 0 < self.ewma < 1, "in (0, 1)"),
                 ("control_rbs", 0 <= self.control_rbs < self.total_rbs,
                  f"in [0, total_rbs = {self.total_rbs})"),
                 ("rb_bandwidth_hz", self.rb_bandwidth_hz > 0, "positive"),
+                ("n0_dbm",
+                 self.rb_bandwidth_hz <= 0 or db_in_range(self.n0_dbm),
+                 f"{db_range} dBm, a positive, finite mW noise floor, as "
+                 "thermal_density_dbm_hz + 10 log10(rb_bandwidth_hz) + "
+                 "noise_figure_db sets it"),
                 ("t_max", self.t_max > 0, "positive"),
                 ("amc_a", self.amc_a > 0, "positive"),
+                ("t_max",
+                 self.amc_a <= 0 or self.t_max / self.amc_a < max_exp,
+                 f"below {max_exp} * amc_a = {max_exp * self.amc_a}, so "
+                 "that 2 ** (t_max / amc_a) is a finite float"),
                 ("amc_b", self.amc_b > 0, "positive"),
                 ("sinr_floor_db", self.sinr_floor_db < self.sinr_ceiling_db,
                  f"below sinr_ceiling_db = {self.sinr_ceiling_db}"),
                 ("staircase", self.staircase in (0, 1), "0 or 1")):
             if not ok:
                 raise ValueError(f"{key}: must be {rule}, "
-                                 f"got {getattr(self, key)!r}")
+                                 f"got {getattr(self, key)}")
         object.__setattr__(self, "layout",
                            build_hex_layout(self.rings, self.isd_m))
 

@@ -127,16 +127,15 @@ def compute_slot(occ: np.ndarray, p_mw: np.ndarray, gains: np.ndarray,
     own = np.einsum("ckc->ck", work)            # signal at the serving cell
     interference = total_rx.T - own             # (C, K), other-cell co-channel
 
-    active = occ >= 0
+    # An idle RB has no signal, so with n0 > 0 its SINR and rate are 0; only
+    # active entries reach the per-UE sums in any case.
     sig = own * combine
     intf = interference * combine
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sinr = np.where(active, sig / (intf + n0), 0.0)
+    sinr = sig / (intf + n0)
+    rb_bits = amc_realized(sinr, config, staircase=config.staircase) * (
+        config.rb_bandwidth_hz * config.slot_duration_s)
 
-    eff = amc_realized(sinr, config, staircase=config.staircase)
-    rb_bits = np.where(active, eff, 0.0) * (config.rb_bandwidth_hz
-                                            * config.slot_duration_s)
-
+    active = occ >= 0
     ue_flat = occ[active]
     per_ue = lambda x: np.bincount(ue_flat, x[active], minlength=n_ues)
     bits = per_ue(rb_bits)
@@ -162,30 +161,32 @@ def simulate(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
     acc = MetricsAccumulator.empty(n_ues, n_cells,
                                    config.slots * config.slot_duration_s)
 
+    # Per-RB rate estimate (bits/s) at a per-RB SINR.
+    rate = lambda sinr: amc_realized(
+        sinr, config, staircase=config.staircase) * config.rb_bandwidth_hz
+
     # Warm-up rate estimate: large-scale SNR only (no interference knowledge).
     serving_loss = loss_db[np.arange(n_ues), serving]
-    snr0 = snr_of(powers_dbm, serving_loss, config) * db_to_linear(
-        config.combining_gain_db)
-    est0 = amc_realized(snr0, config,
-                        staircase=config.staircase) * config.rb_bandwidth_hz
+    est0 = rate(snr_of(powers_dbm, serving_loss, config)
+                * db_to_linear(config.combining_gain_db))
 
     # Per-drop buffers: the slot loop fills them in place.
     work = np.empty((n_cells, config.total_rbs, n_cells))
     gains = base_gains = db_to_linear(-loss_db)
-    fad_rng = None
     if config.fading:
         fad_rng = np.random.default_rng(
             np.random.SeedSequence([fading_seed, 2]))
         gains = np.empty_like(base_gains)
     grant_mw = grant_power_mw(powers_dbm, config)
 
-    # Slot t schedules on the estimate measured in slot t - delay_slots.
-    history: deque[np.ndarray] = deque(maxlen=config.delay_slots)
+    # Slot t schedules on the estimate measured in slot t - delay_slots; the
+    # line starts full of the warm-up estimate.
+    history = deque([est0] * config.delay_slots, maxlen=config.delay_slots)
     for _ in range(config.slots):
-        est = history[0] if len(history) == config.delay_slots else est0
-        occ, p_mw = allocate(serving, est, pf, config, n_cells, grant_mw)
+        occ, p_mw = allocate(serving, history[0], pf, config, n_cells,
+                             grant_mw)
 
-        if fad_rng is not None:
+        if config.fading:
             # Rayleigh fading: unit-mean exponential power gain per link.
             fad_rng.standard_exponential(out=gains)
             np.multiply(gains, base_gains, out=gains)
@@ -202,13 +203,7 @@ def simulate(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
         pf.update(scheduled, bits / config.slot_duration_s, config)
 
         # Measured per-RB rate estimate; unscheduled UEs keep their last one.
-        prev = history[-1] if history else est0
-        new_est = np.where(scheduled,
-                           amc_realized(mean_sinr, config,
-                                        staircase=config.staircase)
-                           * config.rb_bandwidth_hz,
-                           prev)
-        history.append(new_est)
+        history.append(np.where(scheduled, rate(mean_sinr), history[-1]))
 
     return acc
 

@@ -34,9 +34,8 @@ def snr_of(p_dbm, pl_db, config: SimConfig):
 def amc_smooth(sinr, config: SimConfig):
     """min(t_max, a*log2(1 + b*sinr)) in bits/s/Hz; monotone, continuous."""
     sinr = np.asarray(sinr, dtype=float)
-    val = np.minimum(config.t_max,
-                     config.amc_a * np.log2(1.0 + config.amc_b * sinr))
-    return val if val.ndim else float(val)
+    return np.minimum(config.t_max,
+                      config.amc_a * np.log2(1.0 + config.amc_b * sinr))
 
 
 def amc_realized(sinr, config: SimConfig, staircase: bool = False):
@@ -57,6 +56,5 @@ def amc_realized(sinr, config: SimConfig, staircase: bool = False):
         mid = amc_smooth(db_to_linear(lo_db + step * span / MCS_LEVELS), config)
     else:
         mid = amc_smooth(sinr, config)
-    val = np.where(sinr < db_to_linear(lo_db), 0.0,
-                   np.where(sinr >= db_to_linear(hi_db), config.t_max, mid))
-    return val if val.ndim else float(val)
+    return np.where(sinr < db_to_linear(lo_db), 0.0,
+                    np.where(sinr >= db_to_linear(hi_db), config.t_max, mid))

@@ -101,8 +101,7 @@ def cnb_ri(p_dbm, cross_losses, config: SimConfig):
     p = np.asarray(p_dbm, dtype=float)
     inr = db_to_linear(p[..., None] - cross - config.n0_dbm)
     sinr = db_to_linear(config.snr_i_db) / (db_to_linear(config.iot_i_db) + inr)
-    val = amc_realized(sinr, config).sum(axis=-1)
-    return val if val.ndim else float(val)
+    return amc_realized(sinr, config).sum(axis=-1)
 
 
 def cnb_objective(p_dbm, pl_db, cross_losses, config: SimConfig):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +29,7 @@ __all__ = [
     "run_config",
     "run_sweep",
     "write_summary_json",
+    "write_sweep_json",
     "write_cdf_csv",
     "write_plmap_csv",
 ]
@@ -81,7 +83,8 @@ def summarize(accs: list[MetricsAccumulator], config: SimConfig) -> RunSummary:
     Cell-average throughput is the per-drop mean of (total throughput per
     cell); the edge metric pools every UE across drops before taking the 5th
     percentile; efficiency is total delivered Mbits over total joules, None
-    when no energy was spent.
+    when no energy was spent. A metric that is not finite raises ValueError
+    naming it: such a run has no result to report.
     """
     if not accs:
         raise ValueError("need at least one drop")
@@ -95,6 +98,11 @@ def summarize(accs: list[MetricsAccumulator], config: SimConfig) -> RunSummary:
     total_mbits = merged.bits.sum() / 1e6
     total_j = merged.energy_j.sum()
     eff = float(total_mbits / total_j) if total_j > 0 else None
+    for name, value in (("avg_mbps", cell_avg), ("edge_mbps", edge),
+                        ("mbits_per_joule", eff)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name}: the run gave {value}, not a finite "
+                             "number")
 
     return RunSummary(
         scheme=config.scheme,

@@ -50,8 +50,11 @@ def cnb_solve(pl_db: float, cross_losses, config: SimConfig,
     rise-to-fall bracket is bisected as well. The result is reported on the
     finite-difference lattice lo + k*step: the lowest lattice power attaining
     the best objective value among the located peaks and breakpoints, making
-    ties deterministic. No bracketing loop exceeds ceil(log2(range/tol))
-    iterations.
+    ties deterministic. No bracketing loop exceeds ceil(log2(range/tol)) + 1
+    iterations (bisect_lo_dbm = -9 with tol_db = 1 takes 6). There is no
+    iteration cap: a caller must keep tol_db above the float spacing of the
+    powers, or a bracket never gets narrower than tol_db and the loop never
+    ends.
     """
     cross = np.asarray(cross_losses, dtype=float)
     lo, hi = config.bisect_lo_dbm, config.p_max_dbm

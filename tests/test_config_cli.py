@@ -259,6 +259,12 @@ def run_module(cfgfile, out):
     ("tol_db", "0", "cnb"),
     ("bisect_lo_dbm", "30", "cnb"),
     ("slots", "2.5", "cnb"),
+    ("p_max_dbm", "4000", "cnb"),
+    ("t_max", "5000", "cnb"),
+    ("amc_a", "0.001", "cnb"),
+    ("combining_gain_db", "4000", "cnb"),
+    ("noise_figure_db", "-4000", "cnb"),
+    ("thermal_density_dbm_hz", "4000", "cnb"),
 ])
 def test_bad_value_fails_fast_naming_the_key(tmp_path, key, value, scheme):
     cfgfile = tmp_path / "run.cfg"
@@ -267,6 +273,18 @@ def test_bad_value_fails_fast_naming_the_key(tmp_path, key, value, scheme):
     proc = run_module(cfgfile, out)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and key in proc.stderr
+    assert proc.stdout == "" and not out.exists()
+
+
+def test_non_finite_result_is_an_error(tmp_path):
+    # No rule catches this drop: every UE sits on its site, so the losses are
+    # -inf and the throughputs NaN. The run must fail, not report NaN.
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{TINY}isd_m = 1e-300\nmin_dist_m = 0\n")
+    out = tmp_path / "out"
+    proc = run_module(cfgfile, out)
+    assert proc.returncode == 2
+    assert "error: avg_mbps: " in proc.stderr and "nan" in proc.stderr
     assert proc.stdout == "" and not out.exists()
 
 

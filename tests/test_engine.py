@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import engine_oracle
 from conftest import cnb_config, gains_of, make_snapshot, maxpower_config
 from scheduler_oracle import RbAssignment, occupancy
 from ulsim import engine
-from ulsim.config import SimConfig
+from ulsim.config import SCHEMES, SimConfig
 from ulsim.engine import (MetricsAccumulator, build_snapshot, compute_slot,
                           drop_seed, run, run_drop, simulate)
 from ulsim.linkbudget import amc_realized
@@ -220,6 +223,26 @@ class TestSimulate:
                   acc.sched_slots):
             h.update(a.tobytes())
         assert h.hexdigest() == want
+
+
+class TestEngineOracle:
+    """simulate returns exactly the plain-loop reference's accumulators."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(SCHEMES), st.integers(0, 1), st.integers(1, 4),
+           st.integers(1, 60), st.integers(1, 7), st.integers(0, 1),
+           st.integers(0, 1), st.integers(0, 2 ** 32 - 1))
+    def test_matches_plain_loop(self, scheme, rings, ues, slots, delay,
+                                fading, staircase, seed):
+        config = SimConfig(scheme=scheme, rings=rings, ues_per_cell=ues,
+                           slots=slots, drops=1, delay_slots=delay,
+                           fading=fading, staircase=staircase)
+        snap = build_snapshot(config, seed)
+        got = simulate(*snap, config, fading_seed=seed)
+        want = engine_oracle.simulate(*snap, config, fading_seed=seed)
+        for name in ("bits", "energy_j", "snr_lin_sum", "iot_lin_sum",
+                     "sched_slots"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestApplyDelay:
