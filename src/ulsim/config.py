@@ -98,6 +98,10 @@ class SimConfig:
         db_in_range = lambda db: lo10 <= db / 10 <= hi10
         db_range = f"in [{10 * lo10}, {10 * hi10}]"
         max_exp = sys.float_info.max_exp
+        # The largest e for which every value up to x, raised to e, is finite.
+        exp_max = lambda x: hi10 / math.log10(x) if x > 1 else math.inf
+        alpha_max = exp_max(self.t_max * self.rb_bandwidth_hz)
+        beta_max = exp_max(self.data_rbs * self.t_max * self.rb_bandwidth_hz)
         for key, ok, rule in (
                 ("isd_m", self.isd_m > 0, "positive"),
                 ("rings", self.rings >= 0, ">= 0"),
@@ -139,7 +143,13 @@ class SimConfig:
                 ("amc_b", self.amc_b > 0, "positive"),
                 ("sinr_floor_db", self.sinr_floor_db < self.sinr_ceiling_db,
                  f"below sinr_ceiling_db = {self.sinr_ceiling_db}"),
-                ("staircase", self.staircase in (0, 1), "0 or 1")):
+                ("staircase", self.staircase in (0, 1), "0 or 1"),
+                ("alpha", 0 <= self.alpha <= alpha_max,
+                 f"in [0, {alpha_max:.6g}], so that a rate estimate up to "
+                 "t_max * rb_bandwidth_hz raised to it is finite"),
+                ("beta", 0 <= self.beta <= beta_max,
+                 f"in [0, {beta_max:.6g}], so that a PF average up to "
+                 "data_rbs * t_max * rb_bandwidth_hz raised to it is finite")):
             if not ok:
                 raise ValueError(f"{key}: must be {rule}, "
                                  f"got {getattr(self, key)}")

@@ -4,7 +4,7 @@ Per drop: build topology, compute each UE's open-loop power once (large-scale
 losses are static within a drop), then per slot: schedule every cell in one
 pass from delayed rate estimates, couple interference across cells per RB
 index, realize throughput through the AMC curve, and update PF state and
-metrics.
+metrics. Configs differing only in zeta share a drop and its power solve.
 """
 
 from __future__ import annotations
@@ -151,12 +151,20 @@ def compute_slot(occ: np.ndarray, p_mw: np.ndarray, gains: np.ndarray,
     return bits, mean(sinr_sum), mean(snr_sum), mean(iot_sum), energy, scheduled
 
 
-def simulate(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
-             fading_seed: int = 0) -> MetricsAccumulator:
-    """Run the slot loop on one drop's topology (see build_snapshot)."""
-    n_ues, n_cells = loss_db.shape
-    powers_dbm = compute_powers(config, loss_db, serving)
+def simulate(serving: np.ndarray, loss_db: np.ndarray,
+             configs: list[SimConfig],
+             fading_seed: int = 0) -> list[MetricsAccumulator]:
+    """Run the slot loop on one drop's topology (see build_snapshot) once per
+    config of a group whose configs differ at most in zeta, in config order."""
+    return [_slot_loop(serving, loss_db, config, powers_dbm, fading_seed)
+            for config, powers_dbm in zip(
+                configs, compute_powers(configs, loss_db, serving))]
 
+
+def _slot_loop(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
+               powers_dbm: np.ndarray, fading_seed: int) -> MetricsAccumulator:
+    """simulate for one config, the UEs transmitting at powers_dbm."""
+    n_ues, n_cells = loss_db.shape
     pf = PfState.fresh(n_ues)
     acc = MetricsAccumulator.empty(n_ues, n_cells,
                                    config.slots * config.slot_duration_s)
@@ -208,12 +216,17 @@ def simulate(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
     return acc
 
 
-def run_drop(config: SimConfig, drop_index: int) -> MetricsAccumulator:
-    """One random topology realization, deterministic given (seed, index)."""
-    seed = drop_seed(config.seed, drop_index)
-    return simulate(*build_snapshot(config, seed), config, fading_seed=seed)
+def run_drop(configs: list[SimConfig],
+             drop_index: int) -> list[MetricsAccumulator]:
+    """One random topology realization, deterministic given (seed, index),
+    simulated under each config of a group (see simulate)."""
+    seed = drop_seed(configs[0].seed, drop_index)
+    return simulate(*build_snapshot(configs[0], seed), configs,
+                    fading_seed=seed)
 
 
-def run(config: SimConfig) -> list[MetricsAccumulator]:
-    """All drops of a run; drops are independent and mergeable."""
-    return [run_drop(config, d) for d in range(config.drops)]
+def run(configs: list[SimConfig]) -> list[list[MetricsAccumulator]]:
+    """All drops of a group of configs (see simulate), drop by drop: per
+    config, its drops' accumulators. Drops are independent and mergeable."""
+    return [list(accs) for accs in zip(*(run_drop(configs, d)
+                                         for d in range(configs[0].drops)))]

@@ -8,7 +8,7 @@ interferes with, and maximizes the weighted sum by bisection on the derivative.
 Every controller is a pure function of one UE's path-loss row and static
 parameters, so per-UE solves are independent and fully distributed; the code
 computes all UEs of a drop together, as array expressions and one batched
-C&B solve.
+C&B solve for every config of a group that differs only in zeta.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "cnb_rs",
     "cnb_neighbor_losses",
     "cnb_ri",
+    "cnb_terms",
     "cnb_objective",
     "cnb_solve",
     "compute_powers",
@@ -104,6 +105,12 @@ def cnb_ri(p_dbm, cross_losses, config: SimConfig):
     return amc_realized(sinr, config).sum(axis=-1)
 
 
+def cnb_terms(p_dbm, pl_db, cross_losses, config: SimConfig):
+    """R_S(P) and R_I(P), the two terms the objective weighs; no zeta enters
+    them, so one evaluation serves every zeta."""
+    return cnb_rs(p_dbm, pl_db, config), cnb_ri(p_dbm, cross_losses, config)
+
+
 def cnb_objective(p_dbm, pl_db, cross_losses, config: SimConfig):
     """Weighted sum R_S(P) + zeta * R_I(P) maximized by the controller."""
     return (cnb_rs(p_dbm, pl_db, config)
@@ -132,13 +139,14 @@ def _cnb_breakpoints(pl_db: np.ndarray, cross: np.ndarray,
 
 
 def cnb_solve(pl_db, cross_losses,
-              config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize each UE's objective over [bisect_lo, p_max] dBm by bisection.
+              configs: list[SimConfig]) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize each UE's objective over [bisect_lo, p_max] dBm by bisection,
+    once per config of a group whose configs differ at most in zeta.
 
     pl_db holds n serving losses; row u of the (n, K) cross_losses holds UE
     u's neighbor losses ascending, then inf (see cnb_neighbor_losses).
-    Returns the n powers (dBm) and the n iteration counts, each the longest
-    bracketing loop run for that UE.
+    Returns two (len(configs), n) arrays: per config, the powers (dBm) and
+    the iteration counts, each the longest bracketing loop run for that UE.
 
     The stationarity test is a central finite difference of the objective
     (the capped throughput curve makes the objective piecewise, which finite
@@ -159,58 +167,64 @@ def cnb_solve(pl_db, cross_losses,
 
     UEs are solved together in groups of equal neighbor count, so every
     objective row sums exactly that UE's terms and each power is the one a
-    solve of that UE alone returns.
+    solve of that UE alone returns. The screen's R_S and R_I (cnb_terms) are
+    evaluated once for all configs, each weighing them as cnb_objective does.
     """
     pl = np.asarray(pl_db, dtype=float)
     cross = np.asarray(cross_losses, dtype=float)
     counts = np.isfinite(cross).sum(axis=1)
-    powers = np.empty(len(pl))
-    iters = np.empty(len(pl), dtype=int)
+    powers = np.empty((len(configs), len(pl)))
+    iters = np.empty((len(configs), len(pl)), dtype=int)
     for k in np.unique(counts):
         rows = np.flatnonzero(counts == k)
-        powers[rows], iters[rows] = _solve_group(pl[rows], cross[rows, :k],
-                                                 config)
+        powers[:, rows], iters[:, rows] = _solve_group(
+            pl[rows], cross[rows, :k], configs)
     return powers, iters
 
 
-def _solve_group(pl: np.ndarray, cross: np.ndarray, config: SimConfig):
+def _solve_group(pl: np.ndarray, cross: np.ndarray, configs: list[SimConfig]):
     """cnb_solve for UEs that all have cross.shape[1] neighbors."""
-    n = len(pl)
+    config, n = configs[0], len(pl)
     lo, hi, tol = config.bisect_lo_dbm, config.p_max_dbm, config.tol_db
     step = _FD_STEP_DB
     n_steps = int(round((hi - lo) / step))
     max_iters = int(np.ceil(np.log2((hi - lo) / tol))) + 1
+    # Row z * n + u of the solve is UE u under configs[z].
+    zeta = np.repeat(np.array([c.zeta for c in configs], dtype=float), n)
+    rows = len(zeta)
 
-    def value(p, ue):
-        """Objective of each power p[j] for the UE ue[j], _CHUNK_PAIRS pairs
+    def terms(p, row):
+        """R_S and R_I of each power p[j] for row[j]'s UE, _CHUNK_PAIRS pairs
         at a time, so the (pairs, neighbors) temporaries stay in cache."""
-        out = np.empty(len(p))
+        ue = row % n
+        out = np.empty((2, len(p)))
         for a in range(0, len(p), _CHUNK_PAIRS):
             u = ue[a:a + _CHUNK_PAIRS]
-            out[a:a + _CHUNK_PAIRS] = cnb_objective(p[a:a + _CHUNK_PAIRS],
-                                                    pl[u], cross[u], config)
+            out[:, a:a + _CHUNK_PAIRS] = cnb_terms(p[a:a + _CHUNK_PAIRS],
+                                                   pl[u], cross[u], config)
         return out
 
-    def distinct_value(p):
-        """Objective of the (n, m) powers p, each row sorted: only the first
-        copy of each power is evaluated, and its copies take its value."""
+    def distinct_terms(p):
+        """terms of the powers p, a sorted row per row of the solve: only the
+        first copy of each power is evaluated; its copies take its values."""
         new = np.ones(p.shape, dtype=bool)
         new[:, 1:] = p[:, 1:] != p[:, :-1]
-        y = value(p[new], np.nonzero(new)[0])
-        return y[np.cumsum(new).reshape(p.shape) - 1]
+        at = np.cumsum(new).reshape(p.shape) - 1
+        return terms(p[new], np.nonzero(new)[0])[:, at]
 
-    def bisect(left, right, ue):
-        """Bisect the brackets [left, right] of the UEs ue, each until narrower
-        than tol_db; returns the midpoints and the iterations each took."""
+    def bisect(left, right, row):
+        """Bisect the brackets [left, right] of the rows row until each is
+        narrower than tol_db; returns the midpoints and iterations taken."""
         left, right = left.copy(), right.copy()
-        it = np.zeros(len(ue), dtype=int)
+        it = np.zeros(len(row), dtype=int)
         active = np.flatnonzero(right - left >= tol)
         for _ in range(max_iters):
             if not active.size:
                 break
             mid = 0.5 * (left[active] + right[active])
-            y = value(np.stack([mid - step, mid + step], axis=1).ravel(),
-                      np.repeat(ue[active], 2)).reshape(-1, 2)
+            rs, ri = terms(np.stack([mid - step, mid + step], axis=1).ravel(),
+                           np.repeat(row[active], 2)).reshape(2, -1, 2)
+            y = rs + zeta[row[active], None] * ri       # cnb_objective's sum
             rising = (y[:, 1] - y[:, 0]) / (2.0 * step) > _PLATEAU_EPS
             left[active] = np.where(rising, mid, left[active])
             right[active] = np.where(rising, right[active], mid)
@@ -218,7 +232,8 @@ def _solve_group(pl: np.ndarray, cross: np.ndarray, config: SimConfig):
             active = active[right[active] - left[active] >= tol]
         return 0.5 * (left + right), it
 
-    stationary, iters = bisect(np.full(n, lo), np.full(n, hi), np.arange(n))
+    stationary, iters = bisect(np.full(rows, lo), np.full(rows, hi),
+                               np.arange(rows))
 
     brk = _cnb_breakpoints(pl, cross, config)
     margin = 2.0 * step
@@ -228,44 +243,50 @@ def _solve_group(pl: np.ndarray, cross: np.ndarray, config: SimConfig):
                              np.full((n, 1), hi - margin)], axis=1)
     # Repeats stay in the screen (equal neighbors share a sign, so the
     # rise-to-fall pairs are those of the deduplicated screen) but are
-    # evaluated once.
+    # evaluated once. No zeta enters the screen's terms: they are evaluated
+    # once per UE, and each row weighs them with its own zeta.
     screen = np.sort(np.clip(screen, lo + margin, hi - margin), axis=1)
-    slope = ((distinct_value(screen + step) - distinct_value(screen - step))
-             / (2.0 * step))
-    sign = slope > _PLATEAU_EPS
-    ue, i = np.nonzero(sign[:, :-1] & ~sign[:, 1:])
-    peaks, peak_iters = bisect(screen[ue, i], screen[ue, i + 1], ue)
-    np.maximum.at(iters, ue, peak_iters)
+    up, dn = distinct_terms(screen + step), distinct_terms(screen - step)
+    z = zeta.reshape(-1, n, 1)
+    slope = ((up[0] + z * up[1]) - (dn[0] + z * dn[1])) / (2.0 * step)
+    sign = slope.reshape(rows, -1) > _PLATEAU_EPS
+    row, i = np.nonzero(sign[:, :-1] & ~sign[:, 1:])
+    peaks, peak_iters = bisect(screen[row % n, i], screen[row % n, i + 1], row)
+    np.maximum.at(iters, row, peak_iters)
 
-    # Each UE's peaks in a row of its own, padded with its stationary point.
-    rank = np.arange(len(ue)) - np.searchsorted(ue, ue)
+    # Each row's peaks in a row of its own, padded with its stationary point.
+    rank = np.arange(len(row)) - np.searchsorted(row, row)
     extra = np.repeat(stationary[:, None], rank.max(initial=-1) + 1, axis=1)
-    extra[ue, rank] = peaks
+    extra[row, rank] = peaks
 
-    raw = np.concatenate([stationary[:, None], extra, brk,
-                          np.full((n, 1), lo), np.full((n, 1), hi)], axis=1)
+    raw = np.concatenate([stationary[:, None], extra, brk[np.arange(rows) % n],
+                          np.full((rows, 2), [lo, hi])], axis=1)
     k = (raw - lo) / step
     ks = np.clip(np.concatenate([np.floor(k), np.ceil(k)], axis=1), 0, n_steps)
     cands = np.sort(lo + ks * step, axis=1)
-    vals = distinct_value(cands)
+    rs, ri = distinct_terms(cands)
+    vals = rs + zeta[:, None] * ri
     best = np.where(vals >= vals.max(axis=1, keepdims=True), cands, np.inf)
-    return best.min(axis=1), iters
+    return best.min(axis=1).reshape(-1, n), iters.reshape(-1, n)
 
 
-def compute_powers(config: SimConfig, loss_db: np.ndarray,
+def compute_powers(configs: list[SimConfig], loss_db: np.ndarray,
                    serving: np.ndarray) -> np.ndarray:
-    """Per-RB transmit power (dBm) of every UE under config.scheme.
+    """Per-RB transmit power (dBm) of every UE, one row per config of a group
+    whose configs differ at most in zeta: shape (len(configs), n_ues).
 
     Each UE's power depends only on its own row of the (UE, cell) loss matrix.
     """
-    n_ues = loss_db.shape[0]
+    config, n_ues = configs[0], loss_db.shape[0]
     pl = loss_db[np.arange(n_ues), serving]
-    if config.scheme == "maxpower":
-        return np.full(n_ues, config.p_max_dbm)
+    if config.scheme == "cnb":
+        cross = cnb_neighbor_losses(loss_db, serving, pl_threshold_db(config))
+        return cnb_solve(pl, cross, configs)[0]
     if config.scheme == "fpc":
-        return fpc_power(pl, config)
-    if config.scheme == "rlpc":
-        return rlpc_power(pl, _sorted_cross_losses(loss_db, serving)[:, 0],
-                          config)
-    cross = cnb_neighbor_losses(loss_db, serving, pl_threshold_db(config))
-    return cnb_solve(pl, cross, config)[0]
+        row = fpc_power(pl, config)
+    elif config.scheme == "rlpc":
+        row = rlpc_power(pl, _sorted_cross_losses(loss_db, serving)[:, 0],
+                         config)
+    else:
+        row = np.full(n_ues, config.p_max_dbm)
+    return np.tile(row, (len(configs), 1))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -127,16 +127,23 @@ def efficiency_text(summary: RunSummary) -> str:
 def run_config(cfg: dict) -> RunSummary:
     """Execute all drops for one flat configuration dict."""
     sim = SimConfig(**cfg)
-    return summarize(run(sim), sim)
+    return summarize(run([sim])[0], sim)
 
 
 def run_sweep(cfg: dict, axis: str, values) -> SweepResult:
-    """One full run per axis value, identical topology seeds across values.
+    """One run per axis value, identical topology seeds across values.
 
-    Every value's configuration is checked before the first run starts.
+    Values whose configs are equal once zeta is replaced share each drop's
+    snapshot and C&B screen (engine.simulate), with results bit-identical to
+    separate runs. Every value's config is checked before the first run.
     """
     sims = [SimConfig(**cfgmod.set_key(cfg, axis, v)) for v in values]
-    summaries = tuple(summarize(run(sim), sim) for sim in sims)
+    groups: dict[SimConfig, list[int]] = {}
+    for i, sim in enumerate(sims):
+        groups.setdefault(replace(sim, zeta=SimConfig.zeta), []).append(i)
+    accs = {i: drops for group in groups.values()
+            for i, drops in zip(group, run([sims[i] for i in group]))}
+    summaries = tuple(summarize(accs[i], sim) for i, sim in enumerate(sims))
     return SweepResult(axis=axis, values=tuple(values), summaries=summaries)
 
 

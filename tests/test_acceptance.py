@@ -43,8 +43,8 @@ class TestCriterion1BisectionOracle:
         for pl, cross, zeta in sample_instances(1000, seed=0):
             config = SimConfig(scheme="cnb", zeta=zeta)
             t0 = time.perf_counter()
-            (sol,), (iters,) = cnb_solve(np.array([pl]), np.array([cross]),
-                                         config)
+            ((sol,),), ((iters,),) = cnb_solve(
+                np.array([pl]), np.array([cross]), [config])
             solve_time += time.perf_counter() - t0
             assert iters <= 9
             vals = cnb_objective(grid, pl, cross, config)
@@ -93,7 +93,8 @@ def desk_cfg(scheme, zeta=1.3):
 def run_desk_drop(task):
     """One (config dict, drop index) task of the desk runs."""
     cfg, drop = task
-    return engine.run_drop(SimConfig(**cfg), drop)
+    (acc,) = engine.run_drop([SimConfig(**cfg)], drop)
+    return acc
 
 
 @pytest.fixture(scope="module")
@@ -233,7 +234,7 @@ class TestCriterion7DeterminismAndMerge:
         from ulsim.engine import run
 
         sim = SimConfig(**self.small_cfg())
-        accs = run(sim)
+        (accs,) = run([sim])
         pooled = report.summarize(accs, sim)
         parts = report.summarize(
             [accs[0].merge(accs[1]), accs[2].merge(accs[3])], sim)

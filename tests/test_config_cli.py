@@ -265,6 +265,10 @@ def run_module(cfgfile, out):
     ("combining_gain_db", "4000", "cnb"),
     ("noise_figure_db", "-4000", "cnb"),
     ("thermal_density_dbm_hz", "4000", "cnb"),
+    ("alpha", "1000", "fpc"),
+    ("alpha", "-1", "cnb"),
+    ("beta", "1000", "fpc"),
+    ("beta", "-0.5", "cnb"),
 ])
 def test_bad_value_fails_fast_naming_the_key(tmp_path, key, value, scheme):
     cfgfile = tmp_path / "run.cfg"

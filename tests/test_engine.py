@@ -158,21 +158,21 @@ class TestSimulate:
     def test_deterministic(self):
         snap = self.small_snapshot()
         cfg = cnb_config(slots=20, drops=1)
-        a = simulate(*snap, cfg)
-        b = simulate(*snap, cfg)
+        (a,) = simulate(*snap, [cfg])
+        (b,) = simulate(*snap, [cfg])
         assert np.array_equal(a.bits, b.bits)
         assert np.array_equal(a.energy_j, b.energy_j)
 
     def test_all_ues_eventually_served(self):
         snap = self.small_snapshot()
         cfg = maxpower_config(slots=30, drops=1)
-        acc = simulate(*snap, cfg)
+        (acc,) = simulate(*snap, [cfg])
         assert np.all(acc.sched_slots > 0)
 
     def test_energy_respects_power_cap(self):
         snap = self.small_snapshot()
         cfg = maxpower_config(slots=10, drops=1)
-        acc = simulate(*snap, cfg)
+        (acc,) = simulate(*snap, [cfg])
         # Total per-slot transmit power per UE is capped at 23 dBm ~ 0.2 W.
         max_energy = 10 * cfg.slot_duration_s * 10 ** (23.0 / 10.0) / 1000.0
         assert np.all(acc.energy_j <= max_energy + 1e-12)
@@ -180,20 +180,23 @@ class TestSimulate:
     def test_shorter_than_delay(self):
         snap = self.small_snapshot()
         cfg = maxpower_config(slots=3, delay_slots=6, drops=1)
-        acc = simulate(*snap, cfg)
+        (acc,) = simulate(*snap, [cfg])
         assert acc.bits.sum() > 0
 
     def test_fading_changes_results(self):
         snap = self.small_snapshot()
-        base = simulate(*snap, maxpower_config(slots=15, drops=1))
-        faded = simulate(*snap, maxpower_config(slots=15, drops=1,
-                                                fading=True), fading_seed=3)
+        (base,) = simulate(*snap, [maxpower_config(slots=15, drops=1)])
+        (faded,) = simulate(*snap, [maxpower_config(slots=15, drops=1,
+                                                    fading=True)],
+                            fading_seed=3)
         assert not np.array_equal(base.bits, faded.bits)
 
     def test_explicit_powers_override(self):
         snap = self.small_snapshot()
-        lo = simulate(*snap, maxpower_config(slots=5, drops=1, p_max_dbm=-10.0))
-        hi = simulate(*snap, maxpower_config(slots=5, drops=1, p_max_dbm=23.0))
+        (lo,) = simulate(*snap, [maxpower_config(slots=5, drops=1,
+                                                 p_max_dbm=-10.0)])
+        (hi,) = simulate(*snap, [maxpower_config(slots=5, drops=1,
+                                                 p_max_dbm=23.0)])
         assert lo.energy_j.sum() < hi.energy_j.sum()
 
     # sha256 over the bytes of bits, energy_j, snr_lin_sum, iot_lin_sum and
@@ -216,8 +219,8 @@ class TestSimulate:
     @pytest.mark.parametrize("case", sorted(PINNED))
     def test_pinned_summaries(self, case):
         overrides, want = self.PINNED[case]
-        (acc,) = run(SimConfig(rings=1, ues_per_cell=4, slots=300, drops=1,
-                               seed=7, **overrides))
+        ((acc,),) = run([SimConfig(rings=1, ues_per_cell=4, slots=300,
+                                   drops=1, seed=7, **overrides)])
         h = hashlib.sha256()
         for a in (acc.bits, acc.energy_j, acc.snr_lin_sum, acc.iot_lin_sum,
                   acc.sched_slots):
@@ -238,7 +241,7 @@ class TestEngineOracle:
                            slots=slots, drops=1, delay_slots=delay,
                            fading=fading, staircase=staircase)
         snap = build_snapshot(config, seed)
-        got = simulate(*snap, config, fading_seed=seed)
+        (got,) = simulate(*snap, [config], fading_seed=seed)
         want = engine_oracle.simulate(*snap, config, fading_seed=seed)
         for name in ("bits", "energy_j", "snr_lin_sum", "iot_lin_sum",
                      "sched_slots"):
@@ -270,7 +273,7 @@ class TestApplyDelay:
 
         monkeypatch.setattr(engine, "allocate", allocate)
         monkeypatch.setattr(engine, "compute_slot", compute_slot)
-        simulate(*snap, cfg, fading_seed=4)
+        simulate(*snap, [cfg], fading_seed=4)
 
         measured, prev = [], used[0]
         for _, mean_sinr, _, _, _, scheduled in slots:
@@ -337,7 +340,7 @@ class TestSlotBuffers:
 
         monkeypatch.setattr(engine, "allocate", allocate)
         monkeypatch.setattr(engine, "compute_slot", compute_slot)
-        simulate(*snap, cfg, fading_seed=5)
+        simulate(*snap, [cfg], fading_seed=5)
         return snap, gains, est_seen, est_copied
 
     def test_fading_draws_the_exponential_stream(self, monkeypatch):
@@ -358,30 +361,31 @@ class TestDrops:
     def test_run_drop_deterministic(self):
         cfg = maxpower_config(rings=1, ues_per_cell=2, slots=5, drops=2,
                               seed=3)
-        a = run_drop(cfg, 0)
-        b = run_drop(cfg, 0)
+        (a,) = run_drop([cfg], 0)
+        (b,) = run_drop([cfg], 0)
         assert np.array_equal(a.bits, b.bits)
 
     def test_drops_differ(self):
         cfg = maxpower_config(rings=1, ues_per_cell=2, slots=5, drops=2,
                               seed=3)
-        a = run_drop(cfg, 0)
-        b = run_drop(cfg, 1)
+        (a,) = run_drop([cfg], 0)
+        (b,) = run_drop([cfg], 1)
         assert not np.array_equal(a.bits, b.bits)
 
     def test_run_length(self):
         cfg = maxpower_config(rings=1, ues_per_cell=1, slots=2, drops=3,
                               seed=1)
-        assert len(run(cfg)) == 3
+        (accs,) = run([cfg])
+        assert len(accs) == 3
 
     def test_reported_seeds_are_the_seeds_run(self):
         cfg = maxpower_config(rings=1, ues_per_cell=2, slots=5, drops=2,
                               seed=3)
-        accs = run(cfg)
+        (accs,) = run([cfg])
         seeds = summarize(accs, cfg).seeds
         assert seeds == (drop_seed(3, 0), drop_seed(3, 1))
-        again = simulate(*build_snapshot(cfg, seeds[1]), cfg,
-                         fading_seed=seeds[1])
+        (again,) = simulate(*build_snapshot(cfg, seeds[1]), [cfg],
+                            fading_seed=seeds[1])
         assert np.array_equal(accs[1].bits, again.bits)
 
     def test_build_snapshot_shapes(self):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -33,8 +35,8 @@ def grid_argmax(pl, cross, config):
 def solve_one(pl, cross, config):
     """Batched solve of a single UE: (power, iterations)."""
     powers, iters = cnb_solve(np.array([pl]), np.array([cross], dtype=float),
-                              config)
-    return powers[0], iters[0]
+                              [config])
+    return powers[0, 0], iters[0, 0]
 
 
 def random_instance(rng):
@@ -72,9 +74,9 @@ class TestBaselines:
 
     def test_max_power(self):
         loss = np.array([[100.0, 130.0], [140.0, 90.0]])
-        got = compute_powers(SimConfig(scheme="maxpower"), loss,
+        got = compute_powers([SimConfig(scheme="maxpower")], loss,
                              np.array([0, 1]))
-        assert np.array_equal(got, [23.0, 23.0])
+        assert np.array_equal(got, [[23.0, 23.0]])
 
     def test_param_validation(self):
         for bad in (dict(scheme="fpc", kappa=1.5),
@@ -115,9 +117,9 @@ class TestThreshold:
         seen = []
         real = powerctl.cnb_solve
 
-        def cnb_solve(pl, cross, config):
+        def cnb_solve(pl, cross, configs):
             seen.append(cross)
-            return real(pl, cross, config)
+            return real(pl, cross, configs)
 
         monkeypatch.setattr(powerctl, "cnb_solve", cnb_solve)
         for p_max in (23.0, 10.0):
@@ -126,7 +128,7 @@ class TestThreshold:
             assert th == p_max - NOISE.n0_dbm
             below = np.nextafter(th, 0.0)
             loss = np.array([[100.0, th, below], [below, th, 90.0]])
-            compute_powers(config, loss, np.array([0, 2]))
+            compute_powers([config], loss, np.array([0, 2]))
             assert np.array_equal(seen[-1], [[below, np.inf],
                                              [below, np.inf]])
 
@@ -257,13 +259,17 @@ class TestBatchedSolveOracle:
     """The batched solver returns exactly the scalar solver's powers and
     iteration counts (tests/powerctl_oracle.py)."""
 
-    def _check(self, pl, cross, config):
-        powers, iters = cnb_solve(pl, cross, config)
-        want = [oracle.cnb_solve(pl[u], cross[u][np.isfinite(cross[u])], config,
-                                 return_iters=True)
-                for u in range(len(pl))]
-        assert np.array_equal(powers, [w[0] for w in want])
-        assert np.array_equal(iters, [w[1] for w in want])
+    def _check(self, pl, cross, configs):
+        """Row z of a solve of the group configs is the oracle's under
+        configs[z]."""
+        powers, iters = cnb_solve(pl, cross, configs)
+        assert powers.shape == iters.shape == (len(configs), len(pl))
+        for z, config in enumerate(configs):
+            want = [oracle.cnb_solve(pl[u], cross[u][np.isfinite(cross[u])],
+                                     config, return_iters=True)
+                    for u in range(len(pl))]
+            assert np.array_equal(powers[z], [w[0] for w in want])
+            assert np.array_equal(iters[z], [w[1] for w in want])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 150),
@@ -279,36 +285,84 @@ class TestBatchedSolveOracle:
     @example(seed=3, n=20, zeta=1.3, tol=1.0, lo=-9.0)
     def test_matches_scalar_oracle(self, seed, n, zeta, tol, lo):
         pl, cross = random_batch(np.random.default_rng(seed), n)
-        self._check(pl, cross, cnb(zeta=zeta, tol_db=tol, bisect_lo_dbm=lo))
+        self._check(pl, cross, [cnb(zeta=zeta, tol_db=tol, bisect_lo_dbm=lo)])
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 150),
+           st.lists(st.floats(0.1, 3.0), min_size=3, max_size=3),
+           st.sampled_from([0.005, 0.03, 0.1, 1.0]),
+           st.sampled_from([-10.0, 0.0, 22.97, 22.995]))
+    @example(seed=70, n=150, zetas=[1.3, 0.9, 0.7], tol=0.1, lo=-10.0)
+    def test_zeta_group_matches_scalar_oracle(self, seed, n, zetas, tol, lo):
+        # One solve for three zetas shares the screen; each row must still be
+        # exactly the oracle's powers and iterations for its own zeta.
+        pl, cross = random_batch(np.random.default_rng(seed), n)
+        self._check(pl, cross, [cnb(zeta=z, tol_db=tol, bisect_lo_dbm=lo)
+                                for z in zetas])
 
     def test_each_distinct_point_evaluated_once(self, monkeypatch):
         # Floor breakpoints far above p_max clip onto hi - 2*step in the
-        # screen and onto hi among the candidates. No objective call may
-        # evaluate one (UE, power) pair twice; each pass here fits one call.
+        # screen and onto hi among the candidates. No call of the R_S / R_I
+        # evaluator may evaluate one (UE, power) pair twice; each pass here
+        # fits one call.
         pl = np.array([118.0, 120.0, 122.0])
         cross = pl[:, None] + np.array([6.0, 11.0, 16.0])
         config = cnb(zeta=1.3)
         brk = powerctl._cnb_breakpoints(pl, cross, config)
         assert ((brk > config.p_max_dbm).sum(axis=1) >= 2).all()
         calls = []
-        real = powerctl.cnb_objective
+        real = powerctl.cnb_terms
 
-        def cnb_objective(p_dbm, pl_db, cross_losses, config):
+        def cnb_terms(p_dbm, pl_db, cross_losses, config):
             ue_pl, p = np.broadcast_arrays(pl_db, p_dbm)
             calls.append(np.stack([ue_pl.ravel(), p.ravel()], axis=1))
             return real(p_dbm, pl_db, cross_losses, config)
 
-        monkeypatch.setattr(powerctl, "cnb_objective", cnb_objective)
-        self._check(pl, cross, config)
+        monkeypatch.setattr(powerctl, "cnb_terms", cnb_terms)
+        self._check(pl, cross, [config])
         assert calls
         for pairs in calls:
             assert len(np.unique(pairs, axis=0)) == len(pairs)
+
+    def test_screen_evaluated_once_for_all_zetas(self, monkeypatch):
+        # A 3-zeta solve evaluates exactly the (UE, power) pairs that three
+        # 1-zeta solves evaluate, except that it evaluates each pair of the
+        # shared screen once in total, not once per zeta.
+        pl = np.array([118.0, 120.0, 122.0])
+        cross = pl[:, None] + np.array([6.0, 11.0, 16.0])
+        configs = [cnb(zeta=z) for z in (1.3, 0.9, 0.7)]
+        counts = [Counter()]
+        real = powerctl.cnb_terms
+
+        def cnb_terms(p_dbm, pl_db, cross_losses, config):
+            ue_pl, p = np.broadcast_arrays(pl_db, p_dbm)
+            counts[-1].update(zip(ue_pl.ravel().tolist(), p.ravel().tolist()))
+            return real(p_dbm, pl_db, cross_losses, config)
+
+        monkeypatch.setattr(powerctl, "cnb_terms", cnb_terms)
+        for config in configs:
+            cnb_solve(pl, cross, [config])
+        counts.append(Counter())
+        cnb_solve(pl, cross, configs)
+        separate, shared = counts
+
+        saved = separate - shared
+        assert not shared - separate
+        assert set(saved.values()) == {2}
+        lo, hi = configs[0].bisect_lo_dbm, configs[0].p_max_dbm
+        step = powerctl._FD_STEP_DB
+        lattice = np.arange(lo + 2 * step, hi - 2 * step,
+                            powerctl._SCREEN_STEP_DB)
+        screen = {(u, p) for u in pl.tolist()
+                  for p in np.concatenate([lattice - step,
+                                           lattice + step]).tolist()}
+        assert screen <= saved.keys()
 
     @pytest.mark.parametrize("zeta", [1.3, 0.7])
     def test_full_drop_matches_oracle(self, zeta):
         config = cnb(zeta=zeta)
         _, serving, loss = drop_ues(config, seed=drop_seed(42, 0))
-        got = compute_powers(config, loss, serving)
+        (got,) = compute_powers([config], loss, serving)
         want, _ = oracle.compute_powers(config, loss, serving)
         assert np.array_equal(got, want)
 
@@ -325,25 +379,26 @@ class TestComputePowers:
     def test_shapes_and_caps(self):
         loss, serving = self._drop()
         for scheme in self.SCHEMES:
-            out = compute_powers(SimConfig(scheme=scheme), loss, serving)
-            assert out.shape == (6,)
+            out = compute_powers([SimConfig(scheme=scheme)] * 2, loss,
+                                 serving)
+            assert out.shape == (2, 6)
             assert np.all(out <= 23.0 + 1e-12)
 
     def test_distributed_row_independence(self):
         # A UE's power depends only on its own path-loss row.
         loss, serving = self._drop()
         config = cnb()
-        base = compute_powers(config, loss, serving)
+        (base,) = compute_powers([config], loss, serving)
         perturbed = loss.copy()
         perturbed[1:] += np.random.default_rng(1).uniform(
             -3, 3, size=perturbed[1:].shape)
-        out = compute_powers(config, perturbed, serving)
+        (out,) = compute_powers([config], perturbed, serving)
         assert out[0] == base[0]
 
     def test_baselines_match_per_ue_oracle(self):
         loss, serving = self._drop()
         for scheme in self.SCHEMES[:3]:
             config = SimConfig(scheme=scheme)
-            got = compute_powers(config, loss, serving)
+            (got,) = compute_powers([config], loss, serving)
             want, _ = oracle.compute_powers(config, loss, serving)
             assert np.array_equal(got, want)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ulsim import report
+from ulsim import engine, report
 from ulsim.config import DEFAULTS, SimConfig
 from ulsim.engine import run
 
@@ -33,7 +33,7 @@ class TestSummarize:
     def test_headline_metrics(self):
         cfg = tiny_cfg()
         sim = SimConfig(**cfg)
-        accs = run(sim)
+        (accs,) = run([sim])
         s = report.summarize(accs, sim)
         tput = np.concatenate([a.per_ue_throughput_bps() for a in accs])
         assert np.isclose(s.cell_avg_mbps,
@@ -48,7 +48,7 @@ class TestSummarize:
 
     def test_partitioned_equals_pooled(self):
         sim = SimConfig(**tiny_cfg(drops=4))
-        accs = run(sim)
+        (accs,) = run([sim])
         pooled = report.summarize(accs, sim)
         left = accs[0].merge(accs[1])
         right = accs[2].merge(accs[3])
@@ -79,6 +79,47 @@ class TestRunConfig:
     def test_sweep_rejects_unknown_axis(self):
         with pytest.raises(KeyError):
             report.run_sweep(tiny_cfg(), "bogus", [1.0])
+
+
+def assert_sweep_equals_separate_runs(cfg, axis, values):
+    """Every summary of the sweep equals run_config of its value alone."""
+    res = report.run_sweep(cfg, axis, values)
+    assert len(res.summaries) == len(values)
+    for value, got in zip(values, res.summaries):
+        alone = report.run_config({**cfg, axis: value})
+        assert got.to_json_dict() == alone.to_json_dict()
+        assert got.per_ue_mbps == alone.per_ue_mbps
+        assert got.per_ue_snr_db == alone.per_ue_snr_db
+        assert got.per_ue_iot_db == alone.per_ue_iot_db
+
+
+class TestSharedDrops:
+    """Sweep values that differ only in zeta share each drop's snapshot and
+    C&B screen; the results equal separate runs bit for bit."""
+
+    @pytest.mark.parametrize("over", [{}, {"fading": 1, "staircase": 1}])
+    def test_zeta_sweep_equals_separate_runs(self, over):
+        assert_sweep_equals_separate_runs(tiny_cfg(scheme="cnb", **over),
+                                          "zeta", [1.3, 0.9, 0.7])
+
+    def test_scheme_sweep_equals_separate_runs(self):
+        # Each scheme is a group of one: today's work, drop by drop.
+        assert_sweep_equals_separate_runs(tiny_cfg(), "scheme",
+                                          ["cnb", "fpc", "maxpower"])
+
+    def test_zeta_sweep_builds_one_snapshot_per_drop(self, monkeypatch):
+        calls = []
+        real = engine.build_snapshot
+
+        def build_snapshot(config, drop_seed):
+            calls.append(drop_seed)
+            return real(config, drop_seed)
+
+        monkeypatch.setattr(engine, "build_snapshot", build_snapshot)
+        cfg = tiny_cfg(scheme="cnb")
+        report.run_sweep(cfg, "zeta", [1.3, 0.9, 0.7])
+        assert calls == [engine.drop_seed(cfg["seed"], d)
+                         for d in range(cfg["drops"])]
 
 
 class TestWriters:
