@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import cached_property
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -160,15 +161,33 @@ class SimConfig:
     def data_rbs(self) -> int:
         return self.total_rbs - self.control_rbs
 
-    @property
+    # Derived link-budget constants, evaluated once per config: the slot
+    # loop reads them every slot. The dB conversions are units.db_to_linear's
+    # expression, which this module does not import.
+    @cached_property
     def n0_dbm(self) -> float:
         """Per-RB noise power (~ -116.45 dBm with defaults)."""
         return (self.thermal_density_dbm_hz
                 + 10.0 * np.log10(self.rb_bandwidth_hz) + self.noise_figure_db)
 
-    @property
+    @cached_property
     def n0_mw(self) -> float:
         return 10.0 ** (self.n0_dbm / 10.0)
+
+    @cached_property
+    def combining_gain(self) -> float:
+        """combining_gain_db as a linear ratio."""
+        return 10.0 ** (np.float64(self.combining_gain_db) / 10.0)
+
+    @cached_property
+    def sinr_floor(self) -> float:
+        """sinr_floor_db as a linear SINR."""
+        return 10.0 ** (np.float64(self.sinr_floor_db) / 10.0)
+
+    @cached_property
+    def sinr_ceiling(self) -> float:
+        """sinr_ceiling_db as a linear SINR."""
+        return 10.0 ** (np.float64(self.sinr_ceiling_db) / 10.0)
 
 
 DEFAULTS: dict[str, object] = {f.name: f.default for f in fields(SimConfig)}

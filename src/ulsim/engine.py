@@ -101,49 +101,56 @@ def build_snapshot(config: SimConfig,
     return serving, loss_db
 
 
-def compute_slot(occ: np.ndarray, p_mw: np.ndarray, gains: np.ndarray,
-                 config: SimConfig, work: np.ndarray):
+def compute_slot(cell: np.ndarray, ue: np.ndarray, sizes: np.ndarray,
+                 p_mw: np.ndarray, gains: np.ndarray, config: SimConfig,
+                 work: np.ndarray):
     """Couple interference across cells per RB index and realize throughput.
 
-    occ and p_mw give per (cell, RB) the occupying UE (-1 if idle) and its
-    power in mW, as allocate returns them. Returns (bits per UE this slot,
-    mean per-RB SINR per scheduled UE, mean SNR sample, mean IoT sample,
-    energy per UE in joules, scheduled mask); the means are 0 for UEs not
+    cell, ue, sizes and p_mw are one slot's grants as allocate returns them:
+    in (cell, rank) order, back to back from the control boundary, each busy
+    cell's grants filling its data RBs. Returns (bits per UE this slot, mean
+    per-RB SINR per scheduled UE, mean SNR sample, mean IoT sample, energy
+    per UE in joules, scheduled mask); the means are 0 for UEs not
     scheduled. gains is the linear (UE, cell) channel gain matrix. work, a
-    float array of shape occ.shape + (n_cells,), is overwritten: a caller
-    that runs many slots passes one buffer so no slot allocates its own.
+    float array of shape (n_cells * data_rbs, n_cells), is overwritten: a
+    caller that runs many slots passes one buffer so no slot allocates its
+    own.
     """
-    n_ues = gains.shape[0]
-    combine = db_to_linear(config.combining_gain_db)
+    n_ues, n_cells = gains.shape
     n0 = config.n0_mw
 
-    # Received power at every victim cell from every (cell, RB) transmitter,
-    # (C, K, V). mode="wrap" takes straight into work (the default mode
-    # buffers it) and maps an idle occ = -1 to the last UE's row, as gains[occ]
-    # does; p_mw = 0 zeroes it.
-    np.take(gains, occ, axis=0, out=work, mode="wrap")
-    np.multiply(p_mw[:, :, None], work, out=work)
-    total_rx = work.sum(axis=0)                 # (K, V)
-    own = np.einsum("ckc->ck", work)            # signal at the serving cell
-    interference = total_rx.T - own             # (C, K), other-cell co-channel
+    # Each grant's received power at every victim cell, one row per grant,
+    # then one row per granted RB: data RB k of busy cell b is row
+    # b * data_rbs + k.
+    # mode="clip" takes straight into work; the default mode buffers it.
+    rx = gains[ue]                                  # (grants, V)
+    np.multiply(p_mw[:, None], rx, out=rx)
+    rb_grant = np.repeat(np.arange(ue.size), sizes)
+    rows = work[:rb_grant.size]
+    np.take(rx, rb_grant, axis=0, out=rows, mode="clip")
 
-    # An idle RB has no signal, so with n0 > 0 its SINR and rate are 0; only
-    # active entries reach the per-UE sums in any case.
-    sig = own * combine
-    intf = interference * combine
+    # Sum over the busy cells in cell order: idle cells and control RBs
+    # would add exact zeros. The own signal is the row's serving-cell entry.
+    busy = np.flatnonzero(np.bincount(cell, minlength=n_cells))
+    total_rx = rows.reshape(busy.size, config.data_rbs, n_cells).sum(axis=0)
+    own = rx[np.arange(ue.size), cell][rb_grant]
+    interference = total_rx.T[busy].ravel() - own   # other-cell co-channel
+
+    sig = own * config.combining_gain
+    intf = interference * config.combining_gain
     sinr = sig / (intf + n0)
     rb_bits = amc_realized(sinr, config, staircase=config.staircase) * (
         config.rb_bandwidth_hz * config.slot_duration_s)
 
-    active = occ >= 0
-    ue_flat = occ[active]
-    per_ue = lambda x: np.bincount(ue_flat, x[active], minlength=n_ues)
+    # Per-UE sums over its RBs, in RB order.
+    ue_flat = ue[rb_grant]
+    per_ue = lambda x: np.bincount(ue_flat, x, minlength=n_ues)
     bits = per_ue(rb_bits)
     sinr_sum = per_ue(sinr)
     snr_sum = per_ue(sig / n0)
     iot_sum = per_ue((intf + n0) / n0)
     rb_count = np.bincount(ue_flat, minlength=n_ues)
-    energy = per_ue(p_mw * config.slot_duration_s / 1000.0)
+    energy = per_ue(p_mw[rb_grant] * config.slot_duration_s / 1000.0)
 
     scheduled = rb_count > 0
     mean = lambda x: np.divide(x, rb_count, out=np.zeros(n_ues),
@@ -176,10 +183,10 @@ def _slot_loop(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
     # Warm-up rate estimate: large-scale SNR only (no interference knowledge).
     serving_loss = loss_db[np.arange(n_ues), serving]
     est0 = rate(snr_of(powers_dbm, serving_loss, config)
-                * db_to_linear(config.combining_gain_db))
+                * config.combining_gain)
 
     # Per-drop buffers: the slot loop fills them in place.
-    work = np.empty((n_cells, config.total_rbs, n_cells))
+    work = np.empty((n_cells * config.data_rbs, n_cells))
     gains = base_gains = db_to_linear(-loss_db)
     if config.fading:
         fad_rng = np.random.default_rng(
@@ -191,8 +198,8 @@ def _slot_loop(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
     # line starts full of the warm-up estimate.
     history = deque([est0] * config.delay_slots, maxlen=config.delay_slots)
     for _ in range(config.slots):
-        occ, p_mw = allocate(serving, history[0], pf, config, n_cells,
-                             grant_mw)
+        grants = allocate(serving, history[0], pf, config, n_cells,
+                          grant_mw)
 
         if config.fading:
             # Rayleigh fading: unit-mean exponential power gain per link.
@@ -200,7 +207,7 @@ def _slot_loop(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
             np.multiply(gains, base_gains, out=gains)
 
         bits, mean_sinr, mean_snr, mean_iot, energy, scheduled = compute_slot(
-            occ, p_mw, gains, config, work)
+            *grants, gains, config, work)
 
         acc.bits += bits
         acc.energy_j += energy

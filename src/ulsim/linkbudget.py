@@ -56,5 +56,5 @@ def amc_realized(sinr, config: SimConfig, staircase: bool = False):
         mid = amc_smooth(db_to_linear(lo_db + step * span / MCS_LEVELS), config)
     else:
         mid = amc_smooth(sinr, config)
-    return np.where(sinr < db_to_linear(lo_db), 0.0,
-                    np.where(sinr >= db_to_linear(hi_db), config.t_max, mid))
+    return np.where(sinr < config.sinr_floor, 0.0,
+                    np.where(sinr >= config.sinr_ceiling, config.t_max, mid))

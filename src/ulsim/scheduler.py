@@ -4,7 +4,9 @@ Each slot every cell sorts its UEs by PF weight (instantaneous rate estimate
 over long-term average) and grants contiguous blocks proportional to weight
 share, minimum one RB, until the data RBs run out. Contiguity reflects the
 uplink single-carrier constraint. UEs never served get absolute priority so
-the PF averages can bootstrap. One array pass schedules the whole network.
+the PF averages can bootstrap. One array pass schedules the whole network and
+returns the grants as arrays in (cell, rank) order: a cell's grants lie back
+to back from the control boundary and fill all its data RBs.
 """
 
 from __future__ import annotations
@@ -74,6 +76,38 @@ def _rank_in_cell(cell: np.ndarray) -> np.ndarray:
     return np.arange(cell.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
+def _cell_sums(x: np.ndarray, cell: np.ndarray, rank: np.ndarray,
+               n: np.ndarray) -> np.ndarray:
+    """Per cell c, x[cell == c].sum() bit for bit, where cell c holds n[c]
+    values and rank gives each value's position in its cell's slice.
+
+    numpy sums a float slice pairwise. Longer than 128 values, it splits the
+    slice at n//2 - (n//2) % 8 and adds the sums of the two parts. Otherwise
+    it keeps eight strided sums over the first n - n % 8 values, combines
+    them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and adds the other n % 8
+    values in order; a slice of fewer than 8 is only that tail, added to 0.
+    np.add.at adds in index order, so each strided sum and each tail keeps
+    numpy's order.
+    """
+    split = n > 128
+    if split.any():
+        # The upper part of cell c counts as cell c + n.size; an unsplit
+        # cell's upper part is empty and adds an exact 0.
+        half = n // 2
+        n2 = np.where(split, half - half % 8, n)
+        upper = rank >= n2[cell]
+        sums = _cell_sums(x, np.where(upper, cell + n.size, cell),
+                          np.where(upper, rank - n2[cell], rank),
+                          np.concatenate([n2, n - n2]))
+        return sums[:n.size] + sums[n.size:]
+    blocked = rank < (n - n % 8)[cell]
+    r = np.zeros((8, n.size))
+    np.add.at(r, (rank[blocked] % 8, cell[blocked]), x[blocked])
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    np.add.at(total, cell[~blocked], x[~blocked])
+    return total
+
+
 def dbm_to_mw(p_dbm) -> np.ndarray:
     """10^(p/10) per entry through libm's pow, not numpy's SIMD one, which
     differs in the last bit."""
@@ -96,14 +130,16 @@ def grant_power_mw(tx_power_dbm: np.ndarray, config: SimConfig) -> np.ndarray:
 
 def allocate(serving: np.ndarray, est_rates: np.ndarray, pf: PfState,
              config: SimConfig, n_cells: int, grant_mw: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Allocate all data RBs of every cell for one slot.
 
     serving and est_rates (the delayed per-RB rate estimates) are per UE;
     grant_mw is grant_power_mw of the UEs' powers, built once per drop.
-    Returns per (cell, RB) the occupying UE (-1 if idle) and its per-RB power
-    in mW. In a cell with a never-served decodable UE, only such UEs are
-    scheduled, with equal weight. Deterministic: ties break by UE id.
+    Returns the grants in (cell, rank) order as four arrays: cell, UE, size
+    in RBs, and per-RB power in mW. A cell's grants lie back to back from
+    the control boundary and fill its data RBs. In a cell with a never-served
+    decodable UE, only such UEs are scheduled, with equal weight.
+    Deterministic: ties break by UE id.
     """
     w = pf.weights(est_rates, config)
     boot = np.isinf(w)
@@ -111,9 +147,10 @@ def allocate(serving: np.ndarray, est_rates: np.ndarray, pf: PfState,
     boot_cell[serving[boot]] = True
     w = np.where(boot_cell[serving], boot * 1.0, w)
 
-    # Highest weight first per cell, UE id breaks ties; one UE per RB at most.
+    # Highest weight first per cell, UE id breaks ties (the sort is stable
+    # and ue ascends); one UE per RB at most.
     ue = np.flatnonzero(w > 0)
-    ue = ue[np.lexsort((ue, -w[ue], serving[ue]))]
+    ue = ue[np.lexsort((-w[ue], serving[ue]))]
     rank = _rank_in_cell(serving[ue])
     keep = rank < config.data_rbs
     ue, rank = ue[keep], rank[keep]
@@ -121,26 +158,18 @@ def allocate(serving: np.ndarray, est_rates: np.ndarray, pf: PfState,
     ww = w[ue]
 
     # One RB each, remainder apportioned by weight share (largest remainder).
-    # Each cell's total is a plain sum over its slice: other summation orders
-    # can flip exact remainder ties.
+    # Each cell's total is the numpy sum of its slice of ww: other summation
+    # orders can flip exact remainder ties.
     n = np.bincount(cell, minlength=n_cells)
-    first = np.cumsum(n) - n
-    total = np.array([ww[a:a + k].sum() for a, k in zip(first, n)])
+    total = _cell_sums(ww, cell, rank, n)
     remaining = config.data_rbs - n
     target = ww / total[cell] * remaining[cell]
     base = np.floor(target).astype(int)
     sizes = 1 + base
     leftover = remaining - np.bincount(cell, base, minlength=n_cells).astype(int)
     frac = target - base
-    by_frac = np.lexsort((rank, -frac, cell))
-    bonus = _rank_in_cell(cell[by_frac]) < leftover[cell[by_frac]]
-    sizes[by_frac[bonus]] += 1
-
-    # Grants lie back to back from the control boundary, in rank order.
-    rb_cell = np.repeat(cell, sizes)
-    rb = config.control_rbs + _rank_in_cell(rb_cell)
-    occ = np.full((n_cells, config.total_rbs), -1, dtype=int)
-    p_mw = np.zeros((n_cells, config.total_rbs))
-    occ[rb_cell, rb] = np.repeat(ue, sizes)
-    p_mw[rb_cell, rb] = np.repeat(grant_mw[ue, sizes - 1], sizes)
-    return occ, p_mw
+    # Largest remainder first per cell, rank breaks ties. cell is sorted, so
+    # by_frac keeps each cell's entries in the cell's own index range.
+    by_frac = np.lexsort((-frac, cell))
+    sizes[by_frac[rank < leftover[cell]]] += 1
+    return cell, ue, sizes, grant_mw[ue, sizes - 1]

@@ -1,6 +1,7 @@
 """Reference oracle for ulsim.scheduler.allocate: the per-cell scheduler it
 replaced, kept unchanged, plus the adapter that turned its grants into the
-(cell, RB) occupancy and mW power arrays compute_slot reads."""
+(cell, RB) occupancy and mW power arrays compute_slot once read, and the
+expansion of allocate's grant arrays into the same two arrays."""
 
 from __future__ import annotations
 
@@ -133,3 +134,17 @@ def allocate_network(serving, est_rates, pf: PfState, config: SimConfig,
         if entries:
             allocations[c] = entries
     return occupancy(allocations, n_cells, config)
+
+
+def expand(grants, n_cells: int, config: SimConfig):
+    """allocate's grant arrays (cell, ue, sizes, p_mw) as the per (cell, RB)
+    occupying UE (-1 if idle) and power in mW that occupancy builds: each
+    cell's grants back to back from the control boundary, in array order."""
+    occ = np.full((n_cells, config.total_rbs), -1, dtype=int)
+    power = np.zeros((n_cells, config.total_rbs))
+    next_rb = [config.control_rbs] * n_cells
+    for c, ue, size, p in zip(*(np.asarray(a).tolist() for a in grants)):
+        start, next_rb[c] = next_rb[c], next_rb[c] + size
+        occ[c, start:start + size] = ue
+        power[c, start:start + size] = p
+    return occ, power

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from conftest import gains_of, maxpower_config
-from scheduler_oracle import RbAssignment, occupancy
 from ulsim import engine, report
 from ulsim.config import DEFAULTS, SimConfig
 from ulsim.engine import compute_slot
@@ -176,20 +175,19 @@ class TestCriterion5ZetaTradeoff:
 
 
 class TestCriterion6EngineOracle:
-    """Two cells, two UEs, four overlapping RBs: scalar recomputation."""
+    """Two cells, three UEs, six data RBs: scalar recomputation."""
 
-    LOSS = [[112.0, 123.0], [127.0, 104.0]]
-    P0, P1 = 2.0, -1.0
+    LOSS = [[112.0, 123.0], [127.0, 104.0], [116.0, 109.0]]
+    P0, P1, P2 = 2.0, -1.0, 1.0
 
     def test_per_slot_sinr_and_bits(self):
-        config = maxpower_config(slots=1, ues_per_cell=1)
-        allocations = {
-            0: [RbAssignment(0, rb_start=2, rb_len=6, per_rb_power_dbm=self.P0)],
-            1: [RbAssignment(1, rb_start=4, rb_len=4, per_rb_power_dbm=self.P1)],
-        }
+        config = maxpower_config(slots=1, ues_per_cell=1, total_rbs=8)
+        # Per grant: cell, UE, RBs, mW. UE0 holds cell 0's RBs 2..7; in
+        # cell 1, UE2 holds RBs 2..3 and UE1 RBs 4..7.
+        slot = (np.array([0, 1, 1]), np.array([0, 2, 1]), np.array([6, 2, 4]),
+                10.0 ** (np.array([self.P0, self.P2, self.P1]) / 10.0))
         bits, mean_sinr, _, _, energy, _ = compute_slot(
-            *occupancy(allocations, 2, config), gains_of(self.LOSS), config,
-            np.empty((2, config.total_rbs, 2)))
+            *slot, gains_of(self.LOSS), config, np.empty((2 * 6, 2)))
 
         # Independent scalar recomputation: received = p * gain * combining,
         # sinr = signal / (other-cell interference + per-RB noise).
@@ -199,10 +197,11 @@ class TestCriterion6EngineOracle:
         sig0 = rx(self.P0, self.LOSS[0][0])
         sig1 = rx(self.P1, self.LOSS[1][1])
         i01 = rx(self.P1, self.LOSS[1][0])   # UE1 into UE0's serving cell
+        i02 = rx(self.P2, self.LOSS[2][0])   # UE2 into UE0's serving cell
         i10 = rx(self.P0, self.LOSS[0][1])   # UE0 into UE1's serving cell
 
-        # UE0 holds RBs 2..7, UE1 holds 4..7: overlap on 4 RBs.
-        sinr0 = [sig0 / n0] * 2 + [sig0 / (i01 + n0)] * 4
+        # UE0 meets UE2 on RBs 2..3 and UE1 on RBs 4..7.
+        sinr0 = [sig0 / (i02 + n0)] * 2 + [sig0 / (i01 + n0)] * 4
         sinr1 = [sig1 / (i10 + n0)] * 4
         rb_bits = config.rb_bandwidth_hz * config.slot_duration_s
         want_bits0 = sum(amc_realized(s, config) for s in sinr0) * rb_bits

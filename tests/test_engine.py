@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 import engine_oracle
 from conftest import cnb_config, gains_of, make_snapshot, maxpower_config
-from scheduler_oracle import RbAssignment, occupancy
+from scheduler_oracle import expand
+from test_scheduler import network_states
 from ulsim import engine
 from ulsim.config import SCHEMES, SimConfig
 from ulsim.engine import (MetricsAccumulator, build_snapshot, compute_slot,
                           drop_seed, run, run_drop, simulate)
 from ulsim.linkbudget import amc_realized
 from ulsim.report import summarize
+from ulsim.scheduler import allocate, grant_power_mw
 
 
 class TestSimConfig:
@@ -72,79 +74,135 @@ class TestAccumulator:
 
 def work(config, n_cells=2):
     """A fresh compute_slot buffer for n_cells cells."""
-    return np.empty((n_cells, config.total_rbs, n_cells))
+    return np.empty((n_cells * config.data_rbs, n_cells))
+
+
+def grants(*entries):
+    """compute_slot's grant arrays from (cell, ue, rb_len, dBm) entries
+    listed in (cell, rank) order."""
+    if not entries:
+        return (np.zeros(0, dtype=int),) * 3 + (np.zeros(0),)
+    cell, ue, size, dbm = zip(*entries)
+    return (np.array(cell), np.array(ue), np.array(size),
+            10.0 ** (np.array(dbm, dtype=float) / 10.0))
 
 
 class TestComputeSlotOracle:
-    """Two cells, two UEs, partial RB overlap, checked by scalar arithmetic."""
+    """Hand-computed and plain-loop values of one slot's coupling."""
 
-    LOSS = [[110.0, 120.0], [125.0, 105.0]]
-    P0, P1 = 0.0, 3.0
+    # Cell 0 holds UE 0 on all 8 data RBs; cell 1 holds UE 1 on its first 4
+    # and UE 2 on its last 4, so UE 0 meets a different interferer on each
+    # half of its grant.
+    LOSS = [[110.0, 120.0], [125.0, 105.0], [118.0, 112.0]]
+    P = [0.0, 3.0, -2.0]
 
     def scenario(self):
-        config = maxpower_config(slots=1, ues_per_cell=1)
-        allocations = {
-            0: [RbAssignment(ue_id=0, rb_start=2, rb_len=8,
-                             per_rb_power_dbm=self.P0)],
-            1: [RbAssignment(ue_id=1, rb_start=2, rb_len=4,
-                             per_rb_power_dbm=self.P1)],
-        }
-        return gains_of(self.LOSS), config, occupancy(allocations, 2, config)
+        config = maxpower_config(slots=1, ues_per_cell=1, total_rbs=10)
+        slot = grants((0, 0, 8, self.P[0]), (1, 1, 4, self.P[1]),
+                      (1, 2, 4, self.P[2]))
+        return gains_of(self.LOSS), config, slot
 
     def expected(self, config):
         n0 = 10.0 ** (config.n0_dbm / 10.0)
         combine = 10.0 ** (config.combining_gain_db / 10.0)
-        g = lambda db: 10.0 ** (-db / 10.0)
-        mw = lambda dbm: 10.0 ** (dbm / 10.0)
+        # Received power of UE u at cell c, combined.
+        rx = lambda u, c: (10.0 ** (self.P[u] / 10.0)
+                           * 10.0 ** (-self.LOSS[u][c] / 10.0) * combine)
 
-        sig0 = mw(self.P0) * g(self.LOSS[0][0]) * combine
-        sig1 = mw(self.P1) * g(self.LOSS[1][1]) * combine
-        i0 = mw(self.P1) * g(self.LOSS[1][0]) * combine   # UE1 heard at cell 0
-        i1 = mw(self.P0) * g(self.LOSS[0][1]) * combine   # UE0 heard at cell 1
-
-        # UE0: 4 overlapped RBs + 4 clean RBs; UE1: 4 overlapped RBs.
-        sinr0_ov = sig0 / (i0 + n0)
-        sinr0_cl = sig0 / n0
-        sinr1 = sig1 / (i1 + n0)
+        sinr0 = ([rx(0, 0) / (rx(1, 0) + n0)] * 4
+                 + [rx(0, 0) / (rx(2, 0) + n0)] * 4)
+        sinr1 = [rx(1, 1) / (rx(0, 1) + n0)] * 4
+        sinr2 = [rx(2, 1) / (rx(0, 1) + n0)] * 4
         rb_bits = config.rb_bandwidth_hz * config.slot_duration_s
-        bits0 = (4 * amc_realized(sinr0_ov, config)
-                 + 4 * amc_realized(sinr0_cl, config)) * rb_bits
-        bits1 = 4 * amc_realized(sinr1, config) * rb_bits
-        energy0 = 8 * mw(self.P0) * config.slot_duration_s / 1000.0
-        energy1 = 4 * mw(self.P1) * config.slot_duration_s / 1000.0
-        mean_sinr0 = (4 * sinr0_ov + 4 * sinr0_cl) / 8
-        return bits0, bits1, energy0, energy1, mean_sinr0, sinr1
+        bits = [sum(amc_realized(s, config) for s in sinr) * rb_bits
+                for sinr in (sinr0, sinr1, sinr2)]
+        energy = [k * 10.0 ** (p / 10.0) * config.slot_duration_s / 1000.0
+                  for k, p in zip((8, 4, 4), self.P)]
+        mean_sinr = [np.mean(s) for s in (sinr0, sinr1, sinr2)]
+        snr0 = rx(0, 0) / n0
+        return bits, energy, mean_sinr, snr0
 
     def test_bits_and_sinr_match_hand_computation(self):
         gains, config, slot = self.scenario()
         bits, mean_sinr, mean_snr, mean_iot, energy, sched = compute_slot(
             *slot, gains, config, work(config))
-        b0, b1, e0, e1, s0, s1 = self.expected(config)
-        assert np.isclose(bits[0], b0, rtol=1e-9)
-        assert np.isclose(bits[1], b1, rtol=1e-9)
-        assert np.isclose(mean_sinr[0], s0, rtol=1e-9)
-        assert np.isclose(mean_sinr[1], s1, rtol=1e-9)
-        assert np.isclose(energy[0], e0, rtol=1e-12)
-        assert np.isclose(energy[1], e1, rtol=1e-12)
-        assert sched.tolist() == [True, True]
+        want_bits, want_energy, want_sinr, _ = self.expected(config)
+        assert np.allclose(bits, want_bits, rtol=1e-9, atol=0)
+        assert np.allclose(mean_sinr, want_sinr, rtol=1e-9, atol=0)
+        assert np.allclose(energy, want_energy, rtol=1e-12, atol=0)
+        assert sched.tolist() == [True, True, True]
 
     def test_snr_iot_samples(self):
         gains, config, slot = self.scenario()
         _, _, mean_snr, mean_iot, _, _ = compute_slot(*slot, gains, config,
                                                       work(config))
-        n0 = 10.0 ** (config.n0_dbm / 10.0)
-        combine = 10.0 ** (config.combining_gain_db / 10.0)
-        sig0 = 10.0 ** (self.P0 / 10.0) * 10.0 ** (-110.0 / 10.0) * combine
-        assert np.isclose(mean_snr[0], sig0 / n0, rtol=1e-9)
-        # IoT is 1 on clean RBs, > 1 on overlapped ones.
-        assert mean_iot[0] > 1.0
-        assert mean_iot[1] > 1.0
+        _, _, _, snr0 = self.expected(config)
+        assert np.isclose(mean_snr[0], snr0, rtol=1e-9)
+        # Every RB meets an interferer, so IoT exceeds 1.
+        assert (mean_iot > 1.0).all()
 
     def test_idle_network(self):
         gains, config, _ = self.scenario()
         bits, _, _, _, energy, sched = compute_slot(
-            *occupancy({}, 2, config), gains, config, work(config))
+            *grants(), gains, config, work(config))
         assert not bits.any() and not energy.any() and not sched.any()
+
+    def test_single_busy_cell_sees_only_noise(self):
+        # Cell 1 alone transmits: SINR is the SNR on every RB.
+        gains, config, _ = self.scenario()
+        bits, mean_sinr, mean_snr, mean_iot, _, sched = compute_slot(
+            *grants((1, 1, 5, self.P[1]), (1, 2, 3, self.P[2])), gains, config,
+            work(config))
+        n0 = 10.0 ** (config.n0_dbm / 10.0)
+        combine = 10.0 ** (config.combining_gain_db / 10.0)
+        snr = [10.0 ** ((self.P[u] - self.LOSS[u][1]) / 10.0) * combine / n0
+               for u in (1, 2)]
+        assert np.allclose(mean_sinr[1:], snr, rtol=1e-9, atol=0)
+        assert np.allclose(mean_snr[1:], snr, rtol=1e-9, atol=0)
+        assert mean_iot[1:].tolist() == [1.0, 1.0]
+        assert sched.tolist() == [False, True, True] and bits[0] == 0.0
+
+    @pytest.mark.parametrize("busy", [(1, 2), (0, 2), (2,)],
+                             ids=["cell0_idle", "idle_between", "one_busy"])
+    def test_matches_plain_loop(self, busy):
+        # Four cells of 2 UEs each; each busy cell splits its data RBs
+        # between its two UEs.
+        rng = np.random.default_rng(len(busy) + busy[0])
+        n_cells = 4
+        loss = rng.uniform(100.0, 130.0, size=(2 * n_cells, n_cells))
+        config = maxpower_config(slots=1)
+        d = config.data_rbs
+        slot = grants(*[entry for c in busy for entry in (
+            (c, 2 * c, 1 + c, 23.0 - c), (c, 2 * c + 1, d - 1 - c, 5.0 * c))])
+        got = compute_slot(*slot, gains_of(loss), config, work(config, n_cells))
+        want = engine_oracle.compute_slot(*expand(slot, n_cells, config),
+                                          gains_of(loss), config)
+        assert np.array_equal(got[5], np.array(want[5]) > 0)
+        for a, b in zip(got[:5], want[:5]):
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(network_states(), st.integers(0, 2 ** 32 - 1))
+    def test_busy_cells_fill_data_rbs(self, state, seed):
+        # compute_slot reshapes the granted RBs into (busy cells, data_rbs):
+        # every cell with a grant must fill exactly its data RBs, its grants
+        # listed together in cell order.
+        serving, est, pf, config, powers, n_cells = state
+        cell, ue, sizes, p_mw = allocate(serving, est, pf, config, n_cells,
+                                         grant_power_mw(powers, config))
+        assert (np.diff(cell) >= 0).all() and (sizes >= 1).all()
+        filled = np.bincount(cell, sizes, minlength=n_cells)
+        assert (filled[np.unique(cell)] == config.data_rbs).all()
+        # ... and the coupling of any such slot is the plain loop's.
+        loss = np.random.default_rng(seed).uniform(
+            90.0, 140.0, size=(len(serving), n_cells))
+        slot = (cell, ue, sizes, p_mw)
+        got = compute_slot(*slot, gains_of(loss), config,
+                           work(config, n_cells))
+        want = engine_oracle.compute_slot(*expand(slot, n_cells, config),
+                                          gains_of(loss), config)
+        for a, b in zip(got[:5], want[:5]):
+            assert np.array_equal(a, b)
 
 
 class TestSimulate:
@@ -307,18 +365,15 @@ class TestSlotBuffers:
         gains = gains_of(loss)
         faded = gains * np.random.default_rng(3).exponential(1.0, gains.shape)
         ues = {c: np.flatnonzero(serving == c).tolist() for c in range(3)}
-        first = {0: [RbAssignment(ues[0][0], 2, 30, 10.0),
-                     RbAssignment(ues[0][1], 32, 18, -3.0)],
-                 2: [RbAssignment(ues[2][0], 2, 48, 20.0)]}
-        second = {0: [RbAssignment(ues[0][1], 2, 5, 23.0)],
-                  2: [RbAssignment(ues[2][0], 7, 10, 0.0)]}
-        slots = [occupancy(a, 3, config) for a in (first, second, {})]
-        assert (slots[0][0][1] == -1).all()          # cell 1 idles first
-        reused = np.full((3, config.total_rbs, 3), np.nan)
-        for (occ, p_mw), g in 2 * list(zip(slots, (gains, faded, gains))):
-            got = compute_slot(occ, p_mw, g, config, reused)
-            want = compute_slot(occ, p_mw, g, config,
-                                np.empty((3, config.total_rbs, 3)))
+        # Cell 1 idles first; the second slot uses fewer rows of the buffer.
+        first = grants((0, ues[0][0], 30, 10.0), (0, ues[0][1], 18, -3.0),
+                       (2, ues[2][0], 48, 20.0))
+        second = grants((0, ues[0][1], 48, 23.0))
+        reused = np.full((3 * config.data_rbs, 3), np.nan)
+        for slot, g in 2 * list(zip((first, second, grants()),
+                                    (gains, faded, gains))):
+            got = compute_slot(*slot, g, config, reused)
+            want = compute_slot(*slot, g, config, work(config, 3))
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def record(self, monkeypatch):
@@ -334,9 +389,9 @@ class TestSlotBuffers:
             est_copied.append(est.copy())
             return real_allocate(serving, est, *args)
 
-        def compute_slot(occ, p_mw, g, config, *args):
+        def compute_slot(cell, ue, sizes, p_mw, g, *args):
             gains.append(g.copy())
-            return real_slot(occ, p_mw, g, config, *args)
+            return real_slot(cell, ue, sizes, p_mw, g, *args)
 
         monkeypatch.setattr(engine, "allocate", allocate)
         monkeypatch.setattr(engine, "compute_slot", compute_slot)

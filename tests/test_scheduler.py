@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scheduler_oracle
-from scheduler_oracle import allocate_network
+from scheduler_oracle import allocate_network, expand
 from ulsim.config import SimConfig
-from ulsim.scheduler import PfState, allocate, grant_power_mw
+from ulsim.scheduler import PfState, _cell_sums, allocate, grant_power_mw
 
 P_MAX = 23.0
 
@@ -27,12 +27,14 @@ def fresh_pf(n, avg=None, served=None):
 
 
 def schedule(rates, pf, grid, serving=None, powers=None, n_cells=1):
-    """One slot of allocate; every UE is in cell 0 unless serving says not."""
+    """One slot of allocate as (cell, RB) occupancy and mW power arrays;
+    every UE is in cell 0 unless serving says not."""
     n = len(rates)
     serving = np.zeros(n, dtype=int) if serving is None else np.asarray(serving)
     powers = np.full(n, P_MAX) if powers is None else np.asarray(powers)
-    return allocate(serving, np.asarray(rates, dtype=float), pf, grid, n_cells,
-                    grant_power_mw(powers, grid))
+    return expand(allocate(serving, np.asarray(rates, dtype=float), pf, grid,
+                           n_cells, grant_power_mw(powers, grid)),
+                  n_cells, grid)
 
 
 def grants(occ_row, grid):
@@ -245,11 +247,30 @@ def network_states(draw):
     return serving.astype(int), est, pf, grid, powers.astype(float), n_cells
 
 
-def example_state(serving, est, avg, powers, n_cells):
+def example_state(serving, est, avg, powers, n_cells, config=SimConfig()):
     n = len(serving)
     return (np.array(serving), np.array(est, dtype=float),
-            fresh_pf(n, avg=avg, served=[True] * n), SimConfig(),
+            fresh_pf(n, avg=avg, served=[True] * n), config,
             np.array(powers, dtype=float), n_cells)
+
+
+# 135 UEs in one cell of 192 data RBs: the cell's weight total sums a slice
+# longer than 128, which numpy splits in two. Summed without the split, the
+# total moves by an ulp and one remainder RB goes to another UE.
+SPLIT_EST = [
+    1, 3, 4, 4, 5, 2, 1, 4, 2, 5, 1, 5, 4, 4, 3, 5, 1, 5, 5, 5, 3, 5, 4, 1,
+    2, 2, 1, 4, 4, 5, 1, 3, 3, 5, 1, 5, 4, 5, 3, 2, 1, 3, 5, 1, 4, 3, 4, 1,
+    1, 3, 2, 3, 4, 3, 1, 1, 2, 1, 2, 2, 2, 3, 5, 1, 3, 3, 2, 4, 2, 3, 1, 1,
+    4, 1, 2, 4, 3, 2, 3, 4, 5, 5, 1, 1, 4, 3, 5, 1, 2, 1, 2, 3, 2, 2, 5, 2,
+    5, 5, 3, 2, 3, 3, 3, 1, 5, 3, 3, 2, 2, 5, 4, 1, 5, 1, 3, 5, 3, 5, 2, 2,
+    1, 2, 1, 3, 4, 4, 1, 4, 3, 5, 3, 1, 1, 5, 5]
+SPLIT_AVG = [
+    1, 3, 4, 4, 2, 3, 2, 1, 3, 5, 4, 1, 5, 5, 2, 4, 5, 2, 1, 3, 5, 2, 4, 5,
+    1, 1, 3, 4, 4, 2, 3, 4, 2, 3, 2, 3, 3, 5, 1, 3, 1, 5, 5, 4, 4, 2, 5, 1,
+    3, 2, 3, 5, 3, 3, 5, 1, 1, 3, 2, 4, 3, 4, 1, 5, 3, 2, 4, 4, 1, 1, 4, 4,
+    1, 5, 4, 2, 2, 2, 4, 5, 1, 3, 5, 2, 1, 2, 5, 5, 2, 4, 2, 5, 2, 2, 2, 3,
+    2, 1, 2, 4, 5, 5, 2, 1, 5, 4, 5, 4, 3, 4, 4, 3, 3, 4, 2, 3, 3, 5, 1, 4,
+    1, 3, 5, 5, 3, 5, 4, 5, 3, 1, 5, 5, 4, 2, 2]
 
 
 @settings(max_examples=300, deadline=None)
@@ -260,10 +281,42 @@ def example_state(serving, est, avg, powers, n_cells):
 # Grants of 40 and 43 RBs, where numpy's log10 and libm's differ.
 @example(example_state([0, 0, 1, 1], [39, 7, 42, 4], [1, 1, 1, 1],
                        [23.0] * 4, 2))
+@example(example_state([0] * 135, SPLIT_EST, SPLIT_AVG, [23.0] * 135, 1,
+                       SimConfig(total_rbs=194)))
 def test_matches_per_cell_oracle(state):
     serving, est, pf, config, powers, n_cells = state
-    occ, p_mw = allocate(serving, est, pf, config, n_cells,
-                         grant_power_mw(powers, config))
+    occ, p_mw = expand(allocate(serving, est, pf, config, n_cells,
+                                grant_power_mw(powers, config)),
+                       n_cells, config)
     want_occ, want_p_mw = allocate_network(*state)
     assert np.array_equal(occ, want_occ)
     assert np.array_equal(p_mw, want_p_mw)
+
+
+class TestCellSums:
+    """_cell_sums returns each cell's ndarray.sum() over its slice exactly:
+    numpy's pairwise summation, its eight-way blocks, tail and split."""
+
+    LENGTHS = [7, 8, 9, 127, 128, 129, 136, 257]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=300), min_size=1,
+                    max_size=6),
+           st.sampled_from(["ratio", "magnitude"]),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(LENGTHS, "ratio", 0)
+    @example(LENGTHS, "magnitude", 0)
+    def test_matches_ndarray_sum(self, lengths, kind, seed):
+        rng = np.random.default_rng(seed)
+        n = np.array(lengths)
+        size = int(n.sum())
+        if kind == "ratio":
+            # Weights est / avg as the scheduler forms them, with ties.
+            x = rng.integers(1, 10, size) / rng.integers(1, 10, size)
+        else:
+            x = 10.0 ** rng.uniform(-300.0, 300.0, size)
+        start = np.cumsum(n) - n
+        cell = np.repeat(np.arange(n.size), n)
+        rank = np.arange(size) - start[cell]
+        want = np.array([x[a:a + k].sum() for a, k in zip(start, n)])
+        assert _cell_sums(x, cell, rank, n).tobytes() == want.tobytes()
