@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _headline(summary: report.RunSummary) -> str:
     return (f"avg={summary.cell_avg_mbps:.3f} Mbps "
             f"edge={summary.edge_mbps:.4f} Mbps "
-            f"eff={report.efficiency_text(summary)} Mbits/J")
+            f"eff={summary.power_efficiency_mbits_per_j:.2f} Mbits/J")
 
 
 def main(argv=None) -> int:

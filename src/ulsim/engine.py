@@ -33,59 +33,13 @@ __all__ = [
 
 @dataclass
 class MetricsAccumulator:
-    """Per-UE running totals over one or more drops.
-
-    Per-UE arrays from different drops concatenate; totals add. duration_s is
-    each UE's observed time, so throughput ratios stay correct after merging
-    accumulators with different slot counts.
-    """
+    """One drop's per-UE totals over its slots."""
 
     bits: np.ndarray
     energy_j: np.ndarray
     snr_lin_sum: np.ndarray
     iot_lin_sum: np.ndarray
     sched_slots: np.ndarray
-    duration_s: np.ndarray
-    n_cells: int
-    n_drops: int = 1
-
-    @classmethod
-    def empty(cls, n_ues: int, n_cells: int,
-              duration_s: float) -> "MetricsAccumulator":
-        zeros = lambda: np.zeros(n_ues)
-        return cls(bits=zeros(), energy_j=zeros(), snr_lin_sum=zeros(),
-                   iot_lin_sum=zeros(), sched_slots=zeros(),
-                   duration_s=np.full(n_ues, duration_s), n_cells=n_cells)
-
-    def merge(self, other: "MetricsAccumulator") -> "MetricsAccumulator":
-        if self.n_cells != other.n_cells:
-            raise ValueError("cannot merge accumulators over different layouts")
-        cat = np.concatenate
-        return MetricsAccumulator(
-            bits=cat([self.bits, other.bits]),
-            energy_j=cat([self.energy_j, other.energy_j]),
-            snr_lin_sum=cat([self.snr_lin_sum, other.snr_lin_sum]),
-            iot_lin_sum=cat([self.iot_lin_sum, other.iot_lin_sum]),
-            sched_slots=cat([self.sched_slots, other.sched_slots]),
-            duration_s=cat([self.duration_s, other.duration_s]),
-            n_cells=self.n_cells,
-            n_drops=self.n_drops + other.n_drops,
-        )
-
-    def per_ue_throughput_bps(self) -> np.ndarray:
-        return self.bits / self.duration_s
-
-    def time_avg_snr_db(self) -> np.ndarray:
-        ok = self.sched_slots > 0
-        out = np.full(len(self.bits), -np.inf)
-        out[ok] = 10.0 * np.log10(self.snr_lin_sum[ok] / self.sched_slots[ok])
-        return out
-
-    def time_avg_iot_db(self) -> np.ndarray:
-        ok = self.sched_slots > 0
-        out = np.zeros(len(self.bits))
-        out[ok] = 10.0 * np.log10(self.iot_lin_sum[ok] / self.sched_slots[ok])
-        return out
 
 
 def drop_seed(seed: int, drop_index: int) -> int:
@@ -173,8 +127,7 @@ def _slot_loop(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
     """simulate for one config, the UEs transmitting at powers_dbm."""
     n_ues, n_cells = loss_db.shape
     pf = PfState.fresh(n_ues)
-    acc = MetricsAccumulator.empty(n_ues, n_cells,
-                                   config.slots * config.slot_duration_s)
+    acc = MetricsAccumulator(*(np.zeros(n_ues) for _ in range(5)))
 
     # Per-RB rate estimate (bits/s) at a per-RB SINR.
     rate = lambda sinr: amc_realized(
@@ -234,6 +187,6 @@ def run_drop(configs: list[SimConfig],
 
 def run(configs: list[SimConfig]) -> list[list[MetricsAccumulator]]:
     """All drops of a group of configs (see simulate), drop by drop: per
-    config, its drops' accumulators. Drops are independent and mergeable."""
+    config, its drops' records in drop order."""
     return [list(accs) for accs in zip(*(run_drop(configs, d)
                                          for d in range(configs[0].drops)))]

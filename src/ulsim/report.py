@@ -2,8 +2,7 @@
 
 Headline metrics: cell-average throughput (Mbits/s), 5th-percentile per-UE
 throughput (the cell-edge fairness metric), and power efficiency (Mbits per
-joule of transmit energy; None when no energy was spent). Per-UE lists are
-pooled across drops.
+joule of transmit energy). Per-UE lists are pooled across drops.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +22,7 @@ from .engine import MetricsAccumulator, drop_seed, run
 __all__ = [
     "RunSummary",
     "SweepResult",
-    "percentile",
     "summarize",
-    "efficiency_text",
     "run_config",
     "run_sweep",
     "write_summary_json",
@@ -41,7 +38,7 @@ class RunSummary:
     zeta: float | None
     cell_avg_mbps: float
     edge_mbps: float
-    power_efficiency_mbits_per_j: float | None
+    power_efficiency_mbits_per_j: float
     n_drops: int
     seeds: tuple[int, ...]
     per_ue_mbps: tuple[float, ...]
@@ -67,61 +64,56 @@ class SweepResult:
     summaries: tuple[RunSummary, ...]
 
 
-def percentile(values, p: float) -> float:
-    """Linear-interpolation percentile at 1-based rank p*(n-1)+1."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("percentile of empty list")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be a fraction in [0, 1]")
-    return float(np.percentile(values, 100.0 * p, method="linear"))
-
-
 def summarize(accs: list[MetricsAccumulator], config: SimConfig) -> RunSummary:
-    """Pool per-drop accumulators into one RunSummary.
+    """Pool a run's per-drop records, in drop order, into one RunSummary.
 
     Cell-average throughput is the per-drop mean of (total throughput per
-    cell); the edge metric pools every UE across drops before taking the 5th
-    percentile; efficiency is total delivered Mbits over total joules, None
-    when no energy was spent. A metric that is not finite raises ValueError
-    naming it: such a run has no result to report.
+    cell); the edge metric is the 5th percentile, linearly interpolated, of
+    every UE's throughput pooled across drops; efficiency is total delivered
+    Mbits over total joules. A run that decodes no bit, or whose metrics are
+    not finite, raises ValueError naming the metric: such a run has no
+    result to report.
     """
-    if not accs:
-        raise ValueError("need at least one drop")
-    merged = accs[0]
-    for acc in accs[1:]:
-        merged = merged.merge(acc)
+    if len(accs) != config.drops:
+        raise ValueError(f"drops: {len(accs)} drop records for a run of "
+                         f"{config.drops} drops")
+    bits, energy_j, snr_lin_sum, iot_lin_sum, sched_slots = (
+        np.concatenate([getattr(acc, f.name) for acc in accs])
+        for f in fields(MetricsAccumulator))
 
-    tput = merged.per_ue_throughput_bps()
-    cell_avg = tput.sum() / merged.n_cells / merged.n_drops / 1e6
-    edge = percentile(tput, 0.05) / 1e6
-    total_mbits = merged.bits.sum() / 1e6
-    total_j = merged.energy_j.sum()
-    eff = float(total_mbits / total_j) if total_j > 0 else None
+    tput = bits / (config.slots * config.slot_duration_s)
+    cell_avg = tput.sum() / config.layout.n_cells / len(accs) / 1e6
+    # Before the efficiency, which is 0/0 when no UE was ever scheduled; a
+    # nan avg_mbps is not 0 and reaches the finiteness check below.
+    if cell_avg == 0:
+        raise ValueError("avg_mbps: the run decoded no bit")
+    edge = float(np.percentile(tput, 5.0)) / 1e6
+    eff = float(bits.sum() / 1e6 / energy_j.sum())
     for name, value in (("avg_mbps", cell_avg), ("edge_mbps", edge),
                         ("mbits_per_joule", eff)):
-        if value is not None and not math.isfinite(value):
+        if not math.isfinite(value):
             raise ValueError(f"{name}: the run gave {value}, not a finite "
                              "number")
+
+    # Time averages over the slots each UE was scheduled in.
+    ok = sched_slots > 0
+    snr_db = np.full(len(bits), -np.inf)
+    snr_db[ok] = 10.0 * np.log10(snr_lin_sum[ok] / sched_slots[ok])
+    iot_db = np.zeros(len(bits))
+    iot_db[ok] = 10.0 * np.log10(iot_lin_sum[ok] / sched_slots[ok])
 
     return RunSummary(
         scheme=config.scheme,
         zeta=config.zeta if config.scheme == "cnb" else None,
         cell_avg_mbps=float(cell_avg),
-        edge_mbps=float(edge),
+        edge_mbps=edge,
         power_efficiency_mbits_per_j=eff,
-        n_drops=merged.n_drops,
+        n_drops=len(accs),
         seeds=tuple(drop_seed(config.seed, d) for d in range(config.drops)),
         per_ue_mbps=tuple(tput / 1e6),
-        per_ue_snr_db=tuple(merged.time_avg_snr_db()),
-        per_ue_iot_db=tuple(merged.time_avg_iot_db()),
+        per_ue_snr_db=tuple(snr_db),
+        per_ue_iot_db=tuple(iot_db),
     )
-
-
-def efficiency_text(summary: RunSummary) -> str:
-    """Mbits per joule to two decimals, or n/a when no energy was spent."""
-    eff = summary.power_efficiency_mbits_per_j
-    return "n/a" if eff is None else f"{eff:.2f}"
 
 
 def run_config(cfg: dict) -> RunSummary:

@@ -8,12 +8,7 @@ from ulsim.topology import build_hex_layout
 
 
 @pytest.fixture(scope="session")
-def noise():
-    return SimConfig()
-
-
-@pytest.fixture(scope="session")
-def curve():
+def config():
     return SimConfig()
 
 

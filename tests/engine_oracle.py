@@ -88,7 +88,7 @@ def simulate(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
         rng = np.random.default_rng(np.random.SeedSequence([fading_seed, 2]))
 
     avg, served = [0.0] * n_ues, [False] * n_ues
-    acc = MetricsAccumulator.empty(n_ues, n_cells, config.slots * dt)
+    acc = MetricsAccumulator(*(np.zeros(n_ues) for _ in range(5)))
     d = config.delay_slots
     history = []                        # the estimate measured in each slot
     for t in range(config.slots):

@@ -229,16 +229,12 @@ class TestCriterion7DeterminismAndMerge:
         assert a.per_ue_mbps == b.per_ue_mbps
         assert a.per_ue_snr_db == b.per_ue_snr_db
 
-    def test_partitioned_merge_equals_pooled(self):
-        from ulsim.engine import run
-
+    def test_partitioned_drops_equal_pooled(self):
+        # What desk_runs relies on: drops computed one at a time, here in
+        # reverse order, pool in drop order to exactly the run's summary.
         sim = SimConfig(**self.small_cfg())
-        (accs,) = run([sim])
-        pooled = report.summarize(accs, sim)
-        parts = report.summarize(
-            [accs[0].merge(accs[1]), accs[2].merge(accs[3])], sim)
-        assert parts.cell_avg_mbps == pooled.cell_avg_mbps
-        assert parts.edge_mbps == pooled.edge_mbps
-        assert (parts.power_efficiency_mbits_per_j
-                == pooled.power_efficiency_mbits_per_j)
-        assert parts.per_ue_mbps == pooled.per_ue_mbps
+        pooled = report.summarize(engine.run([sim])[0], sim)
+        drops = {d: engine.run_drop([sim], d)[0]
+                 for d in reversed(range(sim.drops))}
+        parts = report.summarize([drops[d] for d in range(sim.drops)], sim)
+        assert parts == pooled

@@ -206,16 +206,6 @@ class TestCli:
         assert code == 2
         assert not out.exists()
 
-    def test_zero_energy_efficiency_is_null(self, tmp_path, capsys):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("scheme = maxpower\np_max_dbm = -60\nrings = 1\n"
-                           "ues_per_cell = 2\nslots = 4\ndrops = 1\n")
-        assert run_cli(["--config", cfgfile, "--out", tmp_path]) == 0
-        text = (tmp_path / "summary.json").read_text()
-        assert json.loads(text)["mbits_per_joule"] is None
-        assert "Infinity" not in text
-        assert "eff=n/a" in capsys.readouterr().out
-
     def test_scheme_choices_enforced(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["--scheme", "tdma"])
@@ -289,6 +279,22 @@ def test_non_finite_result_is_an_error(tmp_path):
     proc = run_module(cfgfile, out)
     assert proc.returncode == 2
     assert "error: avg_mbps: " in proc.stderr and "nan" in proc.stderr
+    assert proc.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("lines", [
+    # No UE is decodable at -60 dBm, so none is ever scheduled.
+    "scheme = maxpower\np_max_dbm = -60\n",
+    # Every rule passes, but the noise floor (2831 dBm) drowns every SNR.
+    "rb_bandwidth_hz = 1e300\n",
+], ids=["maxpower_at_-60_dbm", "rb_bandwidth_1e300"])
+def test_run_that_decodes_no_bit_is_an_error(tmp_path, lines):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(TINY + lines)
+    out = tmp_path / "out"
+    proc = run_module(cfgfile, out)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: avg_mbps: ")
     assert proc.stdout == "" and not out.exists()
 
 

@@ -12,8 +12,8 @@ from scheduler_oracle import expand
 from test_scheduler import network_states
 from ulsim import engine
 from ulsim.config import SCHEMES, SimConfig
-from ulsim.engine import (MetricsAccumulator, build_snapshot, compute_slot,
-                          drop_seed, run, run_drop, simulate)
+from ulsim.engine import (build_snapshot, compute_slot, drop_seed, run,
+                          run_drop, simulate)
 from ulsim.linkbudget import amc_realized
 from ulsim.report import summarize
 from ulsim.scheduler import allocate, grant_power_mw
@@ -41,35 +41,6 @@ class TestSimConfig:
         assert cfg.data_rbs == 48
         assert cfg.n0_dbm == -174.0 + 10.0 * np.log10(180_000.0) + 5.0
         assert cfg.n0_mw == 10.0 ** (cfg.n0_dbm / 10.0)
-
-
-class TestAccumulator:
-    def test_merge_concatenates(self):
-        a = MetricsAccumulator.empty(3, 2, duration_s=1.0)
-        b = MetricsAccumulator.empty(4, 2, duration_s=2.0)
-        a.bits[:] = 10.0
-        b.bits[:] = 20.0
-        m = a.merge(b)
-        assert m.bits.shape == (7,)
-        assert m.n_drops == 2
-        assert np.allclose(m.per_ue_throughput_bps(),
-                           [10, 10, 10, 10, 10, 10, 10])
-
-    def test_merge_rejects_layout_mismatch(self):
-        a = MetricsAccumulator.empty(3, 2, 1.0)
-        b = MetricsAccumulator.empty(3, 5, 1.0)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_unserved_ue_stats(self):
-        a = MetricsAccumulator.empty(2, 1, 1.0)
-        a.snr_lin_sum[0] = 20.0
-        a.iot_lin_sum[0] = 4.0
-        a.sched_slots[0] = 2.0
-        assert np.isclose(a.time_avg_snr_db()[0], 10.0)
-        assert np.isclose(a.time_avg_iot_db()[0], 10.0 * np.log10(2.0))
-        assert a.time_avg_snr_db()[1] == -np.inf
-        assert a.time_avg_iot_db()[1] == 0.0
 
 
 def work(config, n_cells=2):

@@ -1,10 +1,11 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from ulsim import engine, report
+from ulsim import cli, engine, report
 from ulsim.config import DEFAULTS, SimConfig
 from ulsim.engine import run
 
@@ -17,28 +18,24 @@ def tiny_cfg(**over):
     return cfg
 
 
-class TestPercentile:
-    def test_linear_interpolation(self):
-        assert report.percentile([0.0, 10.0], 0.5) == 5.0
-        assert report.percentile(np.arange(101.0), 0.05) == 5.0
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            report.percentile([], 0.5)
-        with pytest.raises(ValueError):
-            report.percentile([1.0], 1.5)
-
-
 class TestSummarize:
     def test_headline_metrics(self):
         cfg = tiny_cfg()
         sim = SimConfig(**cfg)
         (accs,) = run([sim])
         s = report.summarize(accs, sim)
-        tput = np.concatenate([a.per_ue_throughput_bps() for a in accs])
+        tput = (np.concatenate([a.bits for a in accs])
+                / (sim.slots * sim.slot_duration_s))
+        assert s.per_ue_mbps == tuple(tput / 1e6)
         assert np.isclose(s.cell_avg_mbps,
                           tput.sum() / sim.drops / 21 / 1e6)
-        assert np.isclose(s.edge_mbps, report.percentile(tput, 0.05) / 1e6)
+        # The edge metric interpolates linearly between the sorted values
+        # at 0-based rank 0.05 * (n - 1).
+        v = np.sort(tput)
+        rank = 0.05 * (len(v) - 1)
+        lo = int(rank)
+        edge = v[lo] + (rank - lo) * (v[lo + 1] - v[lo])
+        assert np.isclose(s.edge_mbps, edge / 1e6)
         total_mbits = sum(a.bits.sum() for a in accs) / 1e6
         total_j = sum(a.energy_j.sum() for a in accs)
         assert np.isclose(s.power_efficiency_mbits_per_j, total_mbits / total_j)
@@ -47,21 +44,35 @@ class TestSummarize:
         assert s.scheme == "fpc" and s.zeta is None
 
     def test_partitioned_equals_pooled(self):
+        # Drops run one at a time, here in reverse order, pool in drop order
+        # to the run's summary bit for bit.
         sim = SimConfig(**tiny_cfg(drops=4))
         (accs,) = run([sim])
         pooled = report.summarize(accs, sim)
-        left = accs[0].merge(accs[1])
-        right = accs[2].merge(accs[3])
-        parts = report.summarize([left, right], sim)
-        assert parts.cell_avg_mbps == pooled.cell_avg_mbps
-        assert parts.edge_mbps == pooled.edge_mbps
-        assert (parts.power_efficiency_mbits_per_j
-                == pooled.power_efficiency_mbits_per_j)
+        drops = {d: engine.run_drop([sim], d)[0] for d in reversed(range(4))}
+        parts = report.summarize([drops[d] for d in range(4)], sim)
+        assert parts == pooled
+
+    def test_unserved_ue_stats(self):
+        # UE 0 is scheduled in 2 slots, UE 1 never.
+        acc = engine.MetricsAccumulator(
+            bits=np.array([1e3, 0.0]), energy_j=np.array([1e-3, 0.0]),
+            snr_lin_sum=np.array([20.0, 0.0]),
+            iot_lin_sum=np.array([4.0, 0.0]),
+            sched_slots=np.array([2.0, 0.0]))
+        s = report.summarize([acc], SimConfig(**tiny_cfg(drops=1)))
+        assert np.isclose(s.per_ue_snr_db[0], 10.0)
+        assert np.isclose(s.per_ue_iot_db[0], 10.0 * np.log10(2.0))
+        assert s.per_ue_snr_db[1] == -np.inf
+        assert s.per_ue_iot_db[1] == 0.0
 
     def test_requires_drops(self):
+        # One record per configured drop: no fewer, none, and no more.
         sim = SimConfig(**tiny_cfg())
-        with pytest.raises(ValueError):
-            report.summarize([], sim)
+        (accs,) = run([sim])
+        for records in ([], accs[:1], accs + accs[:1]):
+            with pytest.raises(ValueError, match="drops"):
+                report.summarize(records, sim)
 
 
 class TestRunConfig:
@@ -164,3 +175,48 @@ class TestWriters:
         assert rows[0] == ["ue_id", "cell_id", "loss_db"]
         assert len(rows) == 1 + 4
         assert rows[1] == ["0", "0", "100.000000"]
+
+
+def summary_digest(summary):
+    """sha256 of a summary's JSON dict and its three per-UE series."""
+    h = hashlib.sha256(
+        json.dumps(summary.to_json_dict(), sort_keys=True).encode())
+    for series in (summary.per_ue_mbps, summary.per_ue_snr_db,
+                   summary.per_ue_iot_db):
+        h.update(np.asarray(series, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+class TestSummaryPins:
+    """The summary layer's output and the files written from it, pinned
+    bit for bit."""
+
+    PINNED = {
+        "cnb": (
+            dict(scheme="cnb", slots=40, drops=1),
+            "b62deab412b50695ad8a501b7f066a8ca3ced4d37fff7fd400856f186e79679c"),
+        "maxpower_fading": (
+            dict(scheme="maxpower", fading=1, slots=40, drops=1),
+            "2b203c434a9cc342d69cc2b2f2c549718d57dedcd9f7e05d843d8c23c9821be2"),
+        "fpc_two_drops": (
+            dict(slots=40, drops=2),
+            "38da097cc68c254527d78f276b0d3d6b0bcddc1b18cc21b6a220769367564b84"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_run_config(self, case):
+        overrides, want = self.PINNED[case]
+        assert summary_digest(report.run_config(tiny_cfg(**overrides))) == want
+
+    def test_pinned_cli_sweep_files(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("scheme = cnb\nrings = 1\nues_per_cell = 2\n"
+                           "slots = 20\ndrops = 2\nseed = 5\n")
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(cfgfile), "--out", str(out),
+                         "--sweep", "zeta=1.3,0.7"]) == 0
+        h = hashlib.sha256()
+        for name in ("sweep.json", "cdf_zeta_1.3.csv", "cdf_zeta_0.7.csv"):
+            h.update((out / name).read_bytes())
+        assert h.hexdigest() == (
+            "8f9fd8a6342c83f201a54f4db5b469d0f222ed4d68ccb2646cec75e8b8efb283")
