@@ -27,7 +27,6 @@ __all__ = [
     "cnb_neighbor_losses",
     "cnb_ri",
     "cnb_terms",
-    "cnb_objective",
     "cnb_solve",
     "compute_powers",
 ]
@@ -89,6 +88,27 @@ def cnb_neighbor_losses(loss_db: np.ndarray, serving: np.ndarray,
     return np.where(cross < th_db, cross, np.inf)
 
 
+def _saturation_db(config: SimConfig) -> float:
+    """A bound on p - cross below which a cnb_ri term is exactly t_max, or
+    -inf when none is proven.
+
+    inr lies just below the ceiling INR snr_i / ceiling - iot_i. Float sums
+    and quotients round monotonically, so every INR up to inr gives a SINR
+    at least the one checked here against the ceiling and floor, even where
+    iot_i + inr rounds. The bound lies 1e-6 dB below inr: every INR it
+    admits, 10^((p - cross - n0)/10) with pow's few-ulp error, is below inr.
+    """
+    snr_i, iot_i = db_to_linear(config.snr_i_db), db_to_linear(config.iot_i_db)
+    with np.errstate(all="ignore"):
+        inr = (snr_i / config.sinr_ceiling - iot_i) * (1.0 - 1e-9)
+        sinr = snr_i / (iot_i + inr)
+        bound = config.n0_dbm + 10.0 * np.log10(inr) - 1e-6
+        proven = (inr >= np.finfo(float).tiny and sinr >= config.sinr_ceiling
+                  and sinr >= config.sinr_floor and
+                  db_to_linear(bound - config.n0_dbm) * (1.0 + 1e-9) <= inr)
+    return bound if proven else -np.inf
+
+
 def cnb_ri(p_dbm, cross_losses, config: SimConfig):
     """Neighbor-throughput estimate, summed over interfered cells.
 
@@ -97,24 +117,26 @@ def cnb_ri(p_dbm, cross_losses, config: SimConfig):
     nothing until this UE's interference pulls it below the ceiling, so at
     vanishing power each term saturates at t_max. Nonincreasing in P; zero
     when no neighbor is below the loss threshold.
+
+    Terms provably at the ceiling (_saturation_db) are set to t_max without
+    evaluating f; the others (NaN gaps too) and the row sums are computed as
+    if none were.
     """
     cross = np.asarray(cross_losses, dtype=float)
     p = np.asarray(p_dbm, dtype=float)
-    inr = db_to_linear(p[..., None] - cross - config.n0_dbm)
+    gap = p[..., None] - cross
+    terms = np.full(gap.shape, config.t_max)
+    live = ~(gap < _saturation_db(config))
+    inr = db_to_linear(gap[live] - config.n0_dbm)
     sinr = db_to_linear(config.snr_i_db) / (db_to_linear(config.iot_i_db) + inr)
-    return amc_realized(sinr, config).sum(axis=-1)
+    terms[live] = amc_realized(sinr, config)
+    return terms.sum(axis=-1)
 
 
 def cnb_terms(p_dbm, pl_db, cross_losses, config: SimConfig):
     """R_S(P) and R_I(P), the two terms the objective weighs; no zeta enters
     them, so one evaluation serves every zeta."""
     return cnb_rs(p_dbm, pl_db, config), cnb_ri(p_dbm, cross_losses, config)
-
-
-def cnb_objective(p_dbm, pl_db, cross_losses, config: SimConfig):
-    """Weighted sum R_S(P) + zeta * R_I(P) maximized by the controller."""
-    return (cnb_rs(p_dbm, pl_db, config)
-            + config.zeta * cnb_ri(p_dbm, cross_losses, config))
 
 
 def _cnb_breakpoints(pl_db: np.ndarray, cross: np.ndarray,
@@ -167,15 +189,16 @@ def cnb_solve(pl_db, cross_losses,
 
     UEs are solved together in groups of equal neighbor count, so every
     objective row sums exactly that UE's terms and each power is the one a
-    solve of that UE alone returns. The screen's R_S and R_I (cnb_terms) are
-    evaluated once for all configs, each weighing them as cnb_objective does.
+    solve of that UE alone returns. The objective is R_S(P) + zeta * R_I(P);
+    the screen's and the candidates' R_S and R_I (cnb_terms) are evaluated
+    once per UE for all configs, each weighing them with its own zeta.
     """
     pl = np.asarray(pl_db, dtype=float)
     cross = np.asarray(cross_losses, dtype=float)
     counts = np.isfinite(cross).sum(axis=1)
     powers = np.empty((len(configs), len(pl)))
     iters = np.empty((len(configs), len(pl)), dtype=int)
-    for k in np.unique(counts):
+    for k in np.flatnonzero(np.bincount(counts)):
         rows = np.flatnonzero(counts == k)
         powers[:, rows], iters[:, rows] = _solve_group(
             pl[rows], cross[rows, :k], configs)
@@ -205,12 +228,19 @@ def _solve_group(pl: np.ndarray, cross: np.ndarray, configs: list[SimConfig]):
         return out
 
     def distinct_terms(p):
-        """terms of the powers p, a sorted row per row of the solve: only the
-        first copy of each power is evaluated; its copies take its values."""
-        new = np.ones(p.shape, dtype=bool)
-        new[:, 1:] = p[:, 1:] != p[:, :-1]
-        at = np.cumsum(new).reshape(p.shape) - 1
-        return terms(p[new], np.nonzero(new)[0])[:, at]
+        """terms of the powers p[z, u] of each UE u: only the first copy of
+        a power among all of u's rows is evaluated; its copies take its
+        values."""
+        by_ue = p.transpose(1, 0, 2).reshape(n, -1)
+        order = np.argsort(by_ue, axis=1)
+        ps = np.take_along_axis(by_ue, order, axis=1)
+        new = np.ones(ps.shape, dtype=bool)
+        new[:, 1:] = ps[:, 1:] != ps[:, :-1]
+        at = np.empty(ps.shape, dtype=int)
+        np.put_along_axis(at, order, np.cumsum(new).reshape(ps.shape) - 1,
+                          axis=1)
+        at = at.reshape(n, len(p), -1).transpose(1, 0, 2)
+        return terms(ps[new], np.nonzero(new)[0])[:, at]
 
     def bisect(left, right, row):
         """Bisect the brackets [left, right] of the rows row until each is
@@ -224,7 +254,7 @@ def _solve_group(pl: np.ndarray, cross: np.ndarray, configs: list[SimConfig]):
             mid = 0.5 * (left[active] + right[active])
             rs, ri = terms(np.stack([mid - step, mid + step], axis=1).ravel(),
                            np.repeat(row[active], 2)).reshape(2, -1, 2)
-            y = rs + zeta[row[active], None] * ri       # cnb_objective's sum
+            y = rs + zeta[row[active], None] * ri
             rising = (y[:, 1] - y[:, 0]) / (2.0 * step) > _PLATEAU_EPS
             left[active] = np.where(rising, mid, left[active])
             right[active] = np.where(rising, right[active], mid)
@@ -243,10 +273,10 @@ def _solve_group(pl: np.ndarray, cross: np.ndarray, configs: list[SimConfig]):
                              np.full((n, 1), hi - margin)], axis=1)
     # Repeats stay in the screen (equal neighbors share a sign, so the
     # rise-to-fall pairs are those of the deduplicated screen) but are
-    # evaluated once. No zeta enters the screen's terms: they are evaluated
-    # once per UE, and each row weighs them with its own zeta.
+    # evaluated once, for all zetas.
     screen = np.sort(np.clip(screen, lo + margin, hi - margin), axis=1)
-    up, dn = distinct_terms(screen + step), distinct_terms(screen - step)
+    up = distinct_terms(screen[None] + step)
+    dn = distinct_terms(screen[None] - step)
     z = zeta.reshape(-1, n, 1)
     slope = ((up[0] + z * up[1]) - (dn[0] + z * dn[1])) / (2.0 * step)
     sign = slope.reshape(rows, -1) > _PLATEAU_EPS
@@ -259,12 +289,12 @@ def _solve_group(pl: np.ndarray, cross: np.ndarray, configs: list[SimConfig]):
     extra = np.repeat(stationary[:, None], rank.max(initial=-1) + 1, axis=1)
     extra[row, rank] = peaks
 
-    raw = np.concatenate([stationary[:, None], extra, brk[np.arange(rows) % n],
-                          np.full((rows, 2), [lo, hi])], axis=1)
-    k = (raw - lo) / step
-    ks = np.clip(np.concatenate([np.floor(k), np.ceil(k)], axis=1), 0, n_steps)
-    cands = np.sort(lo + ks * step, axis=1)
-    rs, ri = distinct_terms(cands)
+    k = (np.concatenate([stationary[:, None], extra, brk[np.arange(rows) % n],
+                         np.full((rows, 2), [lo, hi])], axis=1) - lo) / step
+    cands = lo + np.clip(np.concatenate([np.floor(k), np.ceil(k)], axis=1),
+                         0, n_steps) * step
+    rs, ri = distinct_terms(cands.reshape(-1, n, cands.shape[1])).reshape(
+        2, rows, -1)
     vals = rs + zeta[:, None] * ri
     best = np.where(vals >= vals.max(axis=1, keepdims=True), cands, np.inf)
     return best.min(axis=1).reshape(-1, n), iters.reshape(-1, n)

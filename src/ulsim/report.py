@@ -159,14 +159,14 @@ def write_cdf_csv(summary: RunSummary, path: str | Path) -> None:
         "iot_db": summary.per_ue_iot_db,
         "throughput_mbps": summary.per_ue_mbps,
     }
+    lines = ["metric,value,cum_fraction"]
+    for metric, values in series.items():
+        finite = np.sort(np.asarray(values)[np.isfinite(values)])
+        n = len(finite)
+        lines += [f"{metric},{v:.6g},{i / n:.6g}"
+                  for i, v in enumerate(finite.tolist(), 1)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value", "cum_fraction"])
-        for metric, values in series.items():
-            finite = np.sort(np.asarray(values)[np.isfinite(values)])
-            n = len(finite)
-            for i, v in enumerate(finite):
-                writer.writerow([metric, f"{v:.6g}", f"{(i + 1) / n:.6g}"])
+        fh.write("".join(line + "\r\n" for line in lines))
 
 
 def write_plmap_csv(loss_db: np.ndarray, path: str | Path) -> None:

@@ -76,38 +76,6 @@ def _rank_in_cell(cell: np.ndarray) -> np.ndarray:
     return np.arange(cell.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _cell_sums(x: np.ndarray, cell: np.ndarray, rank: np.ndarray,
-               n: np.ndarray) -> np.ndarray:
-    """Per cell c, x[cell == c].sum() bit for bit, where cell c holds n[c]
-    values and rank gives each value's position in its cell's slice.
-
-    numpy sums a float slice pairwise. Longer than 128 values, it splits the
-    slice at n//2 - (n//2) % 8 and adds the sums of the two parts. Otherwise
-    it keeps eight strided sums over the first n - n % 8 values, combines
-    them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and adds the other n % 8
-    values in order; a slice of fewer than 8 is only that tail, added to 0.
-    np.add.at adds in index order, so each strided sum and each tail keeps
-    numpy's order.
-    """
-    split = n > 128
-    if split.any():
-        # The upper part of cell c counts as cell c + n.size; an unsplit
-        # cell's upper part is empty and adds an exact 0.
-        half = n // 2
-        n2 = np.where(split, half - half % 8, n)
-        upper = rank >= n2[cell]
-        sums = _cell_sums(x, np.where(upper, cell + n.size, cell),
-                          np.where(upper, rank - n2[cell], rank),
-                          np.concatenate([n2, n - n2]))
-        return sums[:n.size] + sums[n.size:]
-    blocked = rank < (n - n % 8)[cell]
-    r = np.zeros((8, n.size))
-    np.add.at(r, (rank[blocked] % 8, cell[blocked]), x[blocked])
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    np.add.at(total, cell[~blocked], x[~blocked])
-    return total
-
-
 def dbm_to_mw(p_dbm) -> np.ndarray:
     """10^(p/10) per entry through libm's pow, not numpy's SIMD one, which
     differs in the last bit."""
@@ -158,10 +126,10 @@ def allocate(serving: np.ndarray, est_rates: np.ndarray, pf: PfState,
     ww = w[ue]
 
     # One RB each, remainder apportioned by weight share (largest remainder).
-    # Each cell's total is the numpy sum of its slice of ww: other summation
-    # orders can flip exact remainder ties.
+    # Each cell's total adds its weights one at a time in rank order: other
+    # summation orders can flip exact remainder ties.
     n = np.bincount(cell, minlength=n_cells)
-    total = _cell_sums(ww, cell, rank, n)
+    total = np.bincount(cell, ww, minlength=n_cells)
     remaining = config.data_rbs - n
     target = ww / total[cell] * remaining[cell]
     base = np.floor(target).astype(int)

@@ -1,17 +1,34 @@
-"""Reference oracle for ulsim.powerctl: the scalar per-UE C&B solver and the
-per-UE compute_powers loop that the batched array code replaced, kept
-unchanged except that path-loss rows are read from the loss matrix directly,
-the parameters from SimConfig, and the baseline formulas are written out in
-their scalar form."""
+"""Reference oracle for ulsim.powerctl: the C&B objective with every neighbor
+term evaluated, the scalar per-UE C&B solver and the per-UE compute_powers
+loop that the batched array code replaced, kept unchanged except that
+path-loss rows are read from the loss matrix directly, the parameters from
+SimConfig, and the baseline formulas are written out in their scalar form."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ulsim.config import SimConfig
+from ulsim.linkbudget import amc_realized
 from ulsim.powerctl import (_FD_STEP_DB, _PLATEAU_EPS, _SCREEN_STEP_DB,
-                            cnb_objective, pl_threshold_db)
+                            cnb_rs, pl_threshold_db)
 from ulsim.units import db_to_linear
+
+
+def cnb_ri(p_dbm, cross_losses, config: SimConfig):
+    """Neighbor-throughput estimate with every term evaluated:
+    sum_j f(snr_i / (iot_i + 10^((p - cross_j - n0)/10)))."""
+    cross = np.asarray(cross_losses, dtype=float)
+    p = np.asarray(p_dbm, dtype=float)
+    inr = db_to_linear(p[..., None] - cross - config.n0_dbm)
+    sinr = db_to_linear(config.snr_i_db) / (db_to_linear(config.iot_i_db) + inr)
+    return amc_realized(sinr, config).sum(axis=-1)
+
+
+def cnb_objective(p_dbm, pl_db, cross_losses, config: SimConfig):
+    """Weighted sum R_S(P) + zeta * R_I(P) maximized by the controller."""
+    return (cnb_rs(p_dbm, pl_db, config)
+            + config.zeta * cnb_ri(p_dbm, cross_losses, config))
 
 
 def _cnb_breakpoints(pl_db: float, cross, config: SimConfig) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Reference oracle for ulsim.scheduler.allocate: the per-cell scheduler it
-replaced, kept unchanged, plus the adapter that turned its grants into the
+replaced, kept unchanged except that a cell's weight total is summed
+sequentially in rank order, plus the adapter that turned its grants into the
 (cell, RB) occupancy and mW power arrays compute_slot once read, and the
 expansion of allocate's grant arrays into the same two arrays."""
 
@@ -85,7 +86,10 @@ def allocate(cell_ues, est_rates, pf: PfState, config: SimConfig,
     sizes = np.ones(n, dtype=int)
     remaining = config.data_rbs - n
     if remaining > 0:
-        target = ww / ww.sum() * remaining
+        total = 0.0
+        for x in ww.tolist():               # rank order, one at a time
+            total += x
+        target = ww / total * remaining
         base = np.floor(target).astype(int)
         sizes += base
         leftover = remaining - base.sum()

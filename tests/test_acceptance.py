@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from conftest import gains_of, maxpower_config
+from powerctl_oracle import cnb_objective
 from ulsim import engine, report
 from ulsim.config import DEFAULTS, SimConfig
 from ulsim.engine import compute_slot
 from ulsim.linkbudget import amc_realized, amc_smooth
-from ulsim.powerctl import (cnb_objective, cnb_ri, cnb_rs, cnb_solve,
-                            fpc_power, rlpc_power)
+from ulsim.powerctl import cnb_ri, cnb_rs, cnb_solve, fpc_power, rlpc_power
 
 CURVE = SimConfig()
 

@@ -9,10 +9,11 @@ import powerctl_oracle as oracle
 from ulsim import powerctl
 from ulsim.config import SimConfig
 from ulsim.engine import drop_seed
-from ulsim.powerctl import (cnb_neighbor_losses, cnb_objective, cnb_ri,
-                            cnb_rs, cnb_solve, compute_powers, fpc_power,
-                            pl_threshold_db, rlpc_power)
+from ulsim.powerctl import (cnb_neighbor_losses, cnb_ri, cnb_rs, cnb_solve,
+                            compute_powers, fpc_power, pl_threshold_db,
+                            rlpc_power)
 from ulsim.topology import drop_ues
+from ulsim.units import db_to_linear
 
 NOISE = SimConfig()
 
@@ -28,7 +29,7 @@ def oracle_grid(lo=-10.0, hi=23.0, step=0.01):
 def grid_argmax(pl, cross, config):
     """Dense-grid maximizer; ties resolve to the smallest power."""
     grid = oracle_grid(config.bisect_lo_dbm, config.p_max_dbm)
-    vals = cnb_objective(grid, pl, cross, config)
+    vals = oracle.cnb_objective(grid, pl, cross, config)
     return float(grid[np.argmax(vals)])
 
 
@@ -177,9 +178,99 @@ class TestUtilityTerms:
     def test_objective_composition(self):
         config = cnb(zeta=1.3)
         pl, cross = 105.0, [110.0, 120.0]
-        got = cnb_objective(3.0, pl, cross, config)
+        got = oracle.cnb_objective(3.0, pl, cross, config)
         want = cnb_rs(3.0, pl, config) + 1.3 * cnb_ri(3.0, cross, config)
         assert np.isclose(got, want, rtol=1e-15)
+
+
+@st.composite
+def neighbor_budgets(draw):
+    """C&B configs with random assumed neighbor budgets: free ones, ones where
+    snr_i / iot_i stays below the ceiling so no neighbor term can saturate,
+    and ones where snr_i / ceiling - iot_i is within about 1e-12 of 0."""
+    kind = draw(st.sampled_from(["free", "unsaturable", "edge"]))
+    snr_i = draw(st.floats(-40.0, 80.0))
+    iot_i = draw(st.floats(-40.0, 0.0 if kind == "edge" else 40.0))
+    if kind == "free":
+        ceiling = draw(st.floats(-20.0, 60.0))
+    elif kind == "unsaturable":
+        ceiling = snr_i - iot_i + draw(st.floats(1e-9, 30.0))
+    else:
+        ceiling = snr_i - iot_i + draw(st.floats(-1e-12, 1e-12))
+    floor = ceiling - draw(st.floats(1e-6, 40.0))
+    return kind, cnb(snr_i_db=snr_i, iot_i_db=iot_i, sinr_ceiling_db=ceiling,
+                     sinr_floor_db=floor)
+
+
+def ulps_around(x, k=3):
+    """x and the k floats on either side of it."""
+    out = [x]
+    for direction in (-np.inf, np.inf):
+        y = x
+        for _ in range(k):
+            y = np.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+class TestSaturatedTermSkip:
+    """cnb_ri sets the terms _saturation_db proves to be at the ceiling to
+    t_max unevaluated; it must still equal, bit for bit, the sum with every
+    term evaluated (powerctl_oracle.cnb_ri)."""
+
+    @staticmethod
+    def assert_plain(p, cross, config):
+        got, want = cnb_ri(p, cross, config), oracle.cnb_ri(p, cross, config)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(neighbor_budgets(), st.data())
+    def test_equals_plain_sum(self, budget, data):
+        kind, config = budget
+        bound = powerctl._saturation_db(config)
+        if kind == "unsaturable":
+            assert bound == -np.inf
+        snr_i = db_to_linear(config.snr_i_db)
+        inr = snr_i / config.sinr_ceiling - db_to_linear(config.iot_i_db)
+        # Gaps p - cross: random ones, ones within 1e-9 dB of the bound, and
+        # the floats next to the bound and to the ceiling breakpoint.
+        gaps = data.draw(st.lists(st.floats(-200.0, 20.0), min_size=1,
+                                  max_size=6))
+        if np.isfinite(bound):
+            gaps += [bound + e for e in data.draw(
+                st.lists(st.floats(-1e-9, 1e-9), min_size=1, max_size=6))]
+            gaps += ulps_around(bound)
+        if inr > 0:
+            gaps += ulps_around(config.n0_dbm + 10.0 * np.log10(inr))
+        gaps = np.array(gaps)
+        m = len(gaps)
+        losses = data.draw(st.lists(st.floats(60.0, 160.0), max_size=5))
+
+        # Scalar power, one row: the gap to a loss of 0 is the power itself.
+        for g in gaps:
+            self.assert_plain(g, [0.0, *losses, np.inf], config)
+        self.assert_plain(gaps[0], [], config)
+        # One power per row of an inf-padded (powers, neighbors) matrix.
+        k = len(losses) + 1
+        cross = np.tile([0.0, *losses], (m, 1))
+        pad = np.arange(k) >= np.arange(m)[:, None] % (k + 1)
+        cross[pad & (np.arange(k) > 0)] = np.inf
+        self.assert_plain(gaps, cross, config)
+        self.assert_plain(gaps, np.empty((m, 0)), config)
+        self.assert_plain(np.empty(0), np.empty((0, k)), config)
+        # A 2-D power grid against one row.
+        grid = np.stack([gaps, gaps - 1e-9, gaps + 1e-9], axis=1)
+        self.assert_plain(grid, [0.0, *losses], config)
+        self.assert_plain(grid, [], config)
+
+    def test_default_bound_just_below_ceiling_breakpoint(self):
+        # With the default budget terms saturate below the ceiling
+        # breakpoint, so the skip applies, within 2e-6 dB of it.
+        config = cnb()
+        edge = powerctl._cnb_breakpoints(np.zeros(1), np.zeros((1, 1)),
+                                         config)[0, 1]
+        assert edge - 2e-6 < powerctl._saturation_db(config) < edge
 
 
 class TestSolve:
@@ -357,6 +448,34 @@ class TestBatchedSolveOracle:
                   for p in np.concatenate([lattice - step,
                                            lattice + step]).tolist()}
         assert screen <= saved.keys()
+
+    def test_candidates_evaluated_once_for_all_zetas(self, monkeypatch):
+        # The candidate pass is the last R_S / R_I call of a solve whose UEs
+        # form one group with fewer candidates than a chunk. In a 3-zeta
+        # solve it evaluates each (UE, power) pair once in total: exactly the
+        # union of the candidate passes of three 1-zeta solves.
+        pl = np.array([118.0, 120.0, 122.0])
+        cross = pl[:, None] + np.array([6.0, 11.0, 16.0])
+        configs = [cnb(zeta=z) for z in (1.3, 0.9, 0.7)]
+        calls = []
+        real = powerctl.cnb_terms
+
+        def cnb_terms(p_dbm, pl_db, cross_losses, config):
+            ue_pl, p = np.broadcast_arrays(pl_db, p_dbm)
+            calls.append(list(zip(ue_pl.ravel().tolist(), p.ravel().tolist())))
+            return real(p_dbm, pl_db, cross_losses, config)
+
+        monkeypatch.setattr(powerctl, "cnb_terms", cnb_terms)
+        separate = []
+        for config in configs:
+            cnb_solve(pl, cross, [config])
+            separate.append(set(calls[-1]))
+        cnb_solve(pl, cross, configs)
+        shared = calls[-1]
+        assert len(shared) < powerctl._CHUNK_PAIRS
+        assert len(set(shared)) == len(shared)
+        assert set(shared) == set.union(*separate)
+        assert len(shared) < sum(map(len, separate))
 
     @pytest.mark.parametrize("zeta", [1.3, 0.7])
     def test_full_drop_matches_oracle(self, zeta):
