@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .topology import build_hex_layout
+from .units import db_to_linear
 
 __all__ = ["SCHEMES", "SimConfig", "DEFAULTS", "parse_config_file", "set_key"]
 
@@ -162,8 +163,7 @@ class SimConfig:
         return self.total_rbs - self.control_rbs
 
     # Derived link-budget constants, evaluated once per config: the slot
-    # loop reads them every slot. The dB conversions are units.db_to_linear's
-    # expression, which this module does not import.
+    # loop reads them every slot.
     @cached_property
     def n0_dbm(self) -> float:
         """Per-RB noise power (~ -116.45 dBm with defaults)."""
@@ -172,22 +172,22 @@ class SimConfig:
 
     @cached_property
     def n0_mw(self) -> float:
-        return 10.0 ** (self.n0_dbm / 10.0)
+        return db_to_linear(self.n0_dbm)
 
     @cached_property
     def combining_gain(self) -> float:
         """combining_gain_db as a linear ratio."""
-        return 10.0 ** (np.float64(self.combining_gain_db) / 10.0)
+        return db_to_linear(self.combining_gain_db)
 
     @cached_property
     def sinr_floor(self) -> float:
         """sinr_floor_db as a linear SINR."""
-        return 10.0 ** (np.float64(self.sinr_floor_db) / 10.0)
+        return db_to_linear(self.sinr_floor_db)
 
     @cached_property
     def sinr_ceiling(self) -> float:
         """sinr_ceiling_db as a linear SINR."""
-        return 10.0 ** (np.float64(self.sinr_ceiling_db) / 10.0)
+        return db_to_linear(self.sinr_ceiling_db)
 
 
 DEFAULTS: dict[str, object] = {f.name: f.default for f in fields(SimConfig)}

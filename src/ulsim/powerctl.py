@@ -189,9 +189,11 @@ def cnb_solve(pl_db, cross_losses,
 
     UEs are solved together in groups of equal neighbor count, so every
     objective row sums exactly that UE's terms and each power is the one a
-    solve of that UE alone returns. The objective is R_S(P) + zeta * R_I(P);
-    the screen's and the candidates' R_S and R_I (cnb_terms) are evaluated
-    once per UE for all configs, each weighing them with its own zeta.
+    solve of that UE alone returns. The objective is R_S(P) + zeta * R_I(P).
+    Each (config, UE) row's main bracket and rise-to-fall brackets are
+    bisected together in one loop. The screen, each bisection pass and the
+    candidates evaluate R_S and R_I (cnb_terms) once per distinct (UE,
+    power) pair over all configs, each weighing them with its own zeta.
     """
     pl = np.asarray(pl_db, dtype=float)
     cross = np.asarray(cross_losses, dtype=float)
@@ -212,24 +214,13 @@ def _solve_group(pl: np.ndarray, cross: np.ndarray, configs: list[SimConfig]):
     step = _FD_STEP_DB
     n_steps = int(round((hi - lo) / step))
     max_iters = int(np.ceil(np.log2((hi - lo) / tol))) + 1
-    # Row z * n + u of the solve is UE u under configs[z].
-    zeta = np.repeat(np.array([c.zeta for c in configs], dtype=float), n)
-    rows = len(zeta)
+    zeta = np.array([c.zeta for c in configs], dtype=float)[:, None, None]
 
-    def terms(p, row):
-        """R_S and R_I of each power p[j] for row[j]'s UE, _CHUNK_PAIRS pairs
-        at a time, so the (pairs, neighbors) temporaries stay in cache."""
-        ue = row % n
-        out = np.empty((2, len(p)))
-        for a in range(0, len(p), _CHUNK_PAIRS):
-            u = ue[a:a + _CHUNK_PAIRS]
-            out[:, a:a + _CHUNK_PAIRS] = cnb_terms(p[a:a + _CHUNK_PAIRS],
-                                                   pl[u], cross[u], config)
-        return out
-
-    def distinct_terms(p):
-        """terms of the powers p[z, u] of each UE u: only the first copy of
-        a power among all of u's rows is evaluated; its copies take its
+    def objective(p):
+        """R_S + zeta * R_I of the powers p[z, u] of each UE u, for p of shape
+        (1 or len(configs), n, m). Only the first copy of a power among all
+        of u's rows is evaluated, _CHUNK_PAIRS (UE, power) pairs at a time so
+        the (pairs, neighbors) temporaries stay in cache; copies take its
         values."""
         by_ue = p.transpose(1, 0, 2).reshape(n, -1)
         order = np.argsort(by_ue, axis=1)
@@ -240,30 +231,20 @@ def _solve_group(pl: np.ndarray, cross: np.ndarray, configs: list[SimConfig]):
         np.put_along_axis(at, order, np.cumsum(new).reshape(ps.shape) - 1,
                           axis=1)
         at = at.reshape(n, len(p), -1).transpose(1, 0, 2)
-        return terms(ps[new], np.nonzero(new)[0])[:, at]
+        ue, q = np.nonzero(new)[0], ps[new]
+        rs, ri = np.empty((2, len(q)))
+        for a in range(0, len(q), _CHUNK_PAIRS):
+            u = ue[a:a + _CHUNK_PAIRS]
+            rs[a:a + _CHUNK_PAIRS], ri[a:a + _CHUNK_PAIRS] = cnb_terms(
+                q[a:a + _CHUNK_PAIRS], pl[u], cross[u], config)
+        return rs[at] + zeta * ri[at]
 
-    def bisect(left, right, row):
-        """Bisect the brackets [left, right] of the rows row until each is
-        narrower than tol_db; returns the midpoints and iterations taken."""
-        left, right = left.copy(), right.copy()
-        it = np.zeros(len(row), dtype=int)
-        active = np.flatnonzero(right - left >= tol)
-        for _ in range(max_iters):
-            if not active.size:
-                break
-            mid = 0.5 * (left[active] + right[active])
-            rs, ri = terms(np.stack([mid - step, mid + step], axis=1).ravel(),
-                           np.repeat(row[active], 2)).reshape(2, -1, 2)
-            y = rs + zeta[row[active], None] * ri
-            rising = (y[:, 1] - y[:, 0]) / (2.0 * step) > _PLATEAU_EPS
-            left[active] = np.where(rising, mid, left[active])
-            right[active] = np.where(rising, right[active], mid)
-            it[active] += 1
-            active = active[right[active] - left[active] >= tol]
-        return 0.5 * (left + right), it
-
-    stationary, iters = bisect(np.full(rows, lo), np.full(rows, hi),
-                               np.arange(rows))
+    def rising(p):
+        """Whether the objective's central difference at each power of p is
+        positive; plateaus are not."""
+        m = p.shape[-1]
+        y = objective(np.concatenate([p + step, p - step], axis=-1))
+        return (y[..., :m] - y[..., m:]) / (2.0 * step) > _PLATEAU_EPS
 
     brk = _cnb_breakpoints(pl, cross, config)
     margin = 2.0 * step
@@ -275,29 +256,38 @@ def _solve_group(pl: np.ndarray, cross: np.ndarray, configs: list[SimConfig]):
     # rise-to-fall pairs are those of the deduplicated screen) but are
     # evaluated once, for all zetas.
     screen = np.sort(np.clip(screen, lo + margin, hi - margin), axis=1)
-    up = distinct_terms(screen[None] + step)
-    dn = distinct_terms(screen[None] - step)
-    z = zeta.reshape(-1, n, 1)
-    slope = ((up[0] + z * up[1]) - (dn[0] + z * dn[1])) / (2.0 * step)
-    sign = slope.reshape(rows, -1) > _PLATEAU_EPS
-    row, i = np.nonzero(sign[:, :-1] & ~sign[:, 1:])
-    peaks, peak_iters = bisect(screen[row % n, i], screen[row % n, i + 1], row)
-    np.maximum.at(iters, row, peak_iters)
+    sign = rising(screen[None])
+    falls = sign[..., :-1] & ~sign[..., 1:]
+    slot = np.cumsum(falls, axis=-1)
 
-    # Each row's peaks in a row of its own, padded with its stationary point.
-    rank = np.arange(len(row)) - np.searchsorted(row, row)
-    extra = np.repeat(stationary[:, None], rank.max(initial=-1) + 1, axis=1)
-    extra[row, rank] = peaks
+    # Bracket 0 of each (zeta, UE) row is [lo, hi]; slots 1... hold the row's
+    # rise-to-fall brackets in screen order, then copies of bracket 0.
+    left = np.full(falls.shape[:2] + (slot[..., -1].max() + 1,), lo)
+    right = np.full(left.shape, hi)
+    z, u, i = np.nonzero(falls)
+    left[z, u, slot[z, u, i]] = screen[u, i]
+    right[z, u, slot[z, u, i]] = screen[u, i + 1]
+    it = np.zeros(left.shape, dtype=int)
+    for _ in range(max_iters):
+        active = right - left >= tol
+        if not active.any():
+            break
+        # A finished bracket asks for its row's bracket-0 point, which is
+        # evaluated anyway.
+        mid = 0.5 * (left + right)
+        up = rising(np.where(active, mid, mid[..., :1]))
+        left = np.where(active & up, mid, left)
+        right = np.where(active & ~up, mid, right)
+        it += active
 
-    k = (np.concatenate([stationary[:, None], extra, brk[np.arange(rows) % n],
-                         np.full((rows, 2), [lo, hi])], axis=1) - lo) / step
-    cands = lo + np.clip(np.concatenate([np.floor(k), np.ceil(k)], axis=1),
+    fixed = np.concatenate([brk, np.full((n, 2), [lo, hi])], axis=1)
+    k = (np.concatenate([0.5 * (left + right), np.broadcast_to(
+        fixed, (len(configs),) + fixed.shape)], axis=-1) - lo) / step
+    cands = lo + np.clip(np.concatenate([np.floor(k), np.ceil(k)], axis=-1),
                          0, n_steps) * step
-    rs, ri = distinct_terms(cands.reshape(-1, n, cands.shape[1])).reshape(
-        2, rows, -1)
-    vals = rs + zeta[:, None] * ri
-    best = np.where(vals >= vals.max(axis=1, keepdims=True), cands, np.inf)
-    return best.min(axis=1).reshape(-1, n), iters.reshape(-1, n)
+    vals = objective(cands)
+    best = np.where(vals >= vals.max(axis=-1, keepdims=True), cands, np.inf)
+    return best.min(axis=-1), it.max(axis=-1)
 
 
 def compute_powers(configs: list[SimConfig], loss_db: np.ndarray,

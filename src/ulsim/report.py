@@ -7,7 +7,6 @@ joule of transmit energy). Per-UE lists are pooled across drops.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -170,10 +169,9 @@ def write_cdf_csv(summary: RunSummary, path: str | Path) -> None:
 
 
 def write_plmap_csv(loss_db: np.ndarray, path: str | Path) -> None:
+    n_ues, n_cells = loss_db.shape
+    lines = ["ue_id,cell_id,loss_db"]
+    lines += [f"{u},{c},{loss_db[u, c]:.6f}"
+              for u in range(n_ues) for c in range(n_cells)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ue_id", "cell_id", "loss_db"])
-        n_ues, n_cells = loss_db.shape
-        for u in range(n_ues):
-            for c in range(n_cells):
-                writer.writerow([u, c, f"{loss_db[u, c]:.6f}"])
+        fh.write("".join(line + "\r\n" for line in lines))

@@ -1,5 +1,6 @@
 """Every name a ulsim module lists in __all__ exists, so a deletion cannot
-leave a dangling export behind; config.py reads no layer but the topology."""
+leave a dangling export behind; config.py reads no layer but the topology
+(and the dB helper in units.py, which holds no parameter)."""
 
 import ast
 import importlib
@@ -39,5 +40,6 @@ def ulsim_imports(path):
 
 
 def test_config_imports_only_topology():
-    # Every default lives on SimConfig, so none can come from another layer.
-    assert ulsim_imports(config.__file__) == {"ulsim.topology"}
+    # Every default lives on SimConfig, so none can come from another layer;
+    # units.py is the one dB conversion and holds no parameter.
+    assert ulsim_imports(config.__file__) == {"ulsim.topology", "ulsim.units"}

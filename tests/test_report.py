@@ -175,6 +175,9 @@ class TestWriters:
         assert rows[0] == ["ue_id", "cell_id", "loss_db"]
         assert len(rows) == 1 + 4
         assert rows[1] == ["0", "0", "100.000000"]
+        assert path.read_bytes() == (b"ue_id,cell_id,loss_db\r\n"
+                                     b"0,0,100.000000\r\n0,1,110.000000\r\n"
+                                     b"1,0,120.000000\r\n1,1,90.000000\r\n")
 
 
 def summary_digest(summary):
