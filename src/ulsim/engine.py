@@ -10,14 +10,14 @@ metrics. Configs differing only in zeta share a drop and its power solve.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .config import SimConfig
 from .linkbudget import amc_realized, snr_of
 from .powerctl import compute_powers
-from .scheduler import PfState, allocate, grant_power_mw
+from .scheduler import allocate, grant_power_mw, pf_update
 from .topology import drop_ues
 from .units import db_to_linear
 
@@ -116,7 +116,13 @@ def simulate(serving: np.ndarray, loss_db: np.ndarray,
              configs: list[SimConfig],
              fading_seed: int = 0) -> list[MetricsAccumulator]:
     """Run the slot loop on one drop's topology (see build_snapshot) once per
-    config of a group whose configs differ at most in zeta, in config order."""
+    config of a group whose configs differ at most in zeta, in config order.
+    Raises ValueError("<key>: ...") naming the first other key in which a
+    config differs from the first."""
+    for key in (f.name for f in fields(SimConfig) if f.name != "zeta"):
+        if any(getattr(c, key) != getattr(configs[0], key) for c in configs):
+            raise ValueError(f"{key}: the configs of one group may differ "
+                             "only in zeta")
     return [_slot_loop(serving, loss_db, config, powers_dbm, fading_seed)
             for config, powers_dbm in zip(
                 configs, compute_powers(configs, loss_db, serving))]
@@ -126,7 +132,7 @@ def _slot_loop(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
                powers_dbm: np.ndarray, fading_seed: int) -> MetricsAccumulator:
     """simulate for one config, the UEs transmitting at powers_dbm."""
     n_ues, n_cells = loss_db.shape
-    pf = PfState.fresh(n_ues)
+    avg_rate = np.zeros(n_ues)                  # PF averages, see pf_update
     acc = MetricsAccumulator(*(np.zeros(n_ues) for _ in range(5)))
 
     # Per-RB rate estimate (bits/s) at a per-RB SINR.
@@ -148,10 +154,13 @@ def _slot_loop(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
     grant_mw = grant_power_mw(powers_dbm, config)
 
     # Slot t schedules on the estimate measured in slot t - delay_slots; the
-    # line starts full of the warm-up estimate.
-    history = deque([est0] * config.delay_slots, maxlen=config.delay_slots)
+    # line starts full of the warm-up estimate. A run no longer than the
+    # delay schedules every slot on it, so the line needs no more entries
+    # than the run has slots.
+    depth = min(config.delay_slots, config.slots)
+    history = deque([est0] * depth, maxlen=depth)
     for _ in range(config.slots):
-        grants = allocate(serving, history[0], pf, config, n_cells,
+        grants = allocate(serving, history[0], avg_rate, config, n_cells,
                           grant_mw)
 
         if config.fading:
@@ -168,7 +177,8 @@ def _slot_loop(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
         acc.iot_lin_sum += mean_iot
         acc.sched_slots += scheduled
 
-        pf.update(scheduled, bits / config.slot_duration_s, config)
+        avg_rate = pf_update(avg_rate, scheduled,
+                             bits / config.slot_duration_s, config)
 
         # Measured per-RB rate estimate; unscheduled UEs keep their last one.
         history.append(np.where(scheduled, rate(mean_sinr), history[-1]))

@@ -12,7 +12,6 @@ to back from the control boundary and fill all its data RBs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -21,53 +20,26 @@ if TYPE_CHECKING:
     from .config import SimConfig
 
 __all__ = [
-    "PfState",
     "allocate",
     "dbm_to_mw",
     "grant_power_mw",
+    "pf_update",
 ]
 
 
-@dataclass
-class PfState:
-    """Long-term PF averages for every UE in the network (single writer);
-    the weights alpha, beta and ewma are SimConfig's."""
+def pf_update(avg_rate: np.ndarray, scheduled: np.ndarray, rate: np.ndarray,
+              config: SimConfig) -> np.ndarray:
+    """The PF averages (bits/s, per UE) after one slot's served rate.
 
-    avg_rate: np.ndarray                # bits/s, per UE
-    served_once: np.ndarray             # bool, per UE
-
-    @classmethod
-    def fresh(cls, n_ues: int) -> "PfState":
-        """No UE served yet."""
-        return cls(avg_rate=np.zeros(n_ues),
-                   served_once=np.zeros(n_ues, dtype=bool))
-
-    def update(self, scheduled: np.ndarray, rate: np.ndarray,
-               config: SimConfig) -> None:
-        """Fold one slot's served rate (bits/s, per UE) into the averages.
-
-        A UE's first nonzero rate while scheduled starts its average; served
-        UEs then follow the EWMA, decaying toward 0 in slots without a grant.
-        """
-        boot = scheduled & ~self.served_once & (rate > 0)
-        self.avg_rate = np.where(
-            boot, rate,
-            np.where(self.served_once,
-                     (1.0 - config.ewma) * self.avg_rate + config.ewma * rate,
-                     self.avg_rate))
-        self.served_once = self.served_once | boot
-
-    def weights(self, est_rates: np.ndarray, config: SimConfig) -> np.ndarray:
-        """PF metric est^alpha / avg^beta; inf for never-served UEs, 0 for
-        UEs with no decodable estimate."""
-        w = np.where(self.served_once, 0.0, np.inf)
-        w[est_rates <= 0] = 0.0
-        defined = (est_rates > 0) & self.served_once
-        avg = self.avg_rate[defined]
-        if (avg <= 0).any():
-            raise ValueError("avg_rate must be positive (uninitialized PF state)")
-        w[defined] = est_rates[defined] ** config.alpha / avg ** config.beta
-        return w
+    A UE is served once its average is > 0. Its first nonzero rate while
+    scheduled starts the average; a served UE then follows the EWMA, decaying
+    toward 0 in slots without a grant but floored at the smallest subnormal,
+    so that it stays served for every ewma.
+    """
+    ewma = np.maximum((1.0 - config.ewma) * avg_rate + config.ewma * rate,
+                      np.finfo(float).smallest_subnormal)
+    return np.where(avg_rate > 0, ewma,
+                    np.where(scheduled & (rate > 0), rate, 0.0))
 
 
 def _rank_in_cell(cell: np.ndarray) -> np.ndarray:
@@ -96,20 +68,28 @@ def grant_power_mw(tx_power_dbm: np.ndarray, config: SimConfig) -> np.ndarray:
                     dbm_to_mw(tx_dbm)[:, None])
 
 
-def allocate(serving: np.ndarray, est_rates: np.ndarray, pf: PfState,
+def allocate(serving: np.ndarray, est_rates: np.ndarray, avg_rate: np.ndarray,
              config: SimConfig, n_cells: int, grant_mw: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Allocate all data RBs of every cell for one slot.
 
-    serving and est_rates (the delayed per-RB rate estimates) are per UE;
-    grant_mw is grant_power_mw of the UEs' powers, built once per drop.
+    serving, est_rates (the delayed per-RB rate estimates) and avg_rate (the
+    PF averages, see pf_update) are per UE; grant_mw is grant_power_mw of the
+    UEs' powers, built once per drop. A UE's weight is the PF metric
+    est^alpha / avg^beta, inf if it was never served, 0 if its estimate is
+    not decodable.
     Returns the grants in (cell, rank) order as four arrays: cell, UE, size
     in RBs, and per-RB power in mW. A cell's grants lie back to back from
     the control boundary and fill its data RBs. In a cell with a never-served
     decodable UE, only such UEs are scheduled, with equal weight.
     Deterministic: ties break by UE id.
     """
-    w = pf.weights(est_rates, config)
+    served = avg_rate > 0
+    w = np.where(served, 0.0, np.inf)
+    w[est_rates <= 0] = 0.0
+    defined = (est_rates > 0) & served
+    w[defined] = (est_rates[defined] ** config.alpha
+                  / avg_rate[defined] ** config.beta)
     boot = np.isinf(w)
     boot_cell = np.zeros(n_cells, dtype=bool)
     boot_cell[serving[boot]] = True

@@ -17,8 +17,9 @@ from scheduler_oracle import allocate_network
 from ulsim.config import SimConfig
 from ulsim.engine import MetricsAccumulator
 from ulsim.linkbudget import amc_realized, snr_of
-from ulsim.scheduler import PfState
 from ulsim.units import db_to_linear
+
+SMALLEST_SUBNORMAL = 5e-324             # 2**-1074
 
 
 def compute_slot(occ: np.ndarray, p_mw: np.ndarray, gains: np.ndarray,
@@ -93,9 +94,8 @@ def simulate(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
     history = []                        # the estimate measured in each slot
     for t in range(config.slots):
         est = history[t - d] if t >= d else est0
-        pf = PfState(avg_rate=np.array(avg), served_once=np.array(served))
-        occ, p_mw = allocate_network(serving, est, pf, config, powers_dbm,
-                                     n_cells)
+        occ, p_mw = allocate_network(serving, est, np.array(avg), config,
+                                     powers_dbm, n_cells)
         gains = base_gains
         if config.fading:
             gains = rng.standard_exponential(size=loss_db.shape) * base_gains
@@ -111,11 +111,13 @@ def simulate(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
                 acc.iot_lin_sum[u] += mean_iot[u]
                 acc.sched_slots[u] += 1
             # PF: the first rate > 0 of a scheduled UE starts its average;
-            # a served UE's average then follows the EWMA every slot.
+            # a served UE's average then follows the EWMA every slot, never
+            # below the smallest subnormal, so that it stays > 0.
             if n_rbs[u] and not served[u] and r > 0:
                 avg[u], served[u] = r, True
             elif served[u]:
-                avg[u] = (1.0 - config.ewma) * avg[u] + config.ewma * r
+                avg[u] = max((1.0 - config.ewma) * avg[u] + config.ewma * r,
+                             SMALLEST_SUBNORMAL)
 
         # A UE keeps its last estimate in a slot without a grant.
         measured = rate(mean_sinr)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ulsim.config import SimConfig
-from ulsim.scheduler import PfState
 
 
 @dataclass(frozen=True)
@@ -30,8 +29,6 @@ SlotAllocation = dict[int, list[RbAssignment]]
 def pf_weight(inst_rate: float, avg_rate: float, alpha: float,
               beta: float) -> float:
     """Proportional-fair metric inst_rate^alpha / avg_rate^beta."""
-    if avg_rate <= 0:
-        raise ValueError("avg_rate must be positive (uninitialized PF state)")
     return inst_rate ** alpha / avg_rate ** beta
 
 
@@ -45,22 +42,24 @@ def per_rb_power_dbm(scheme_power_dbm: float, rb_len: int,
     return min(scheme_power_dbm, p_max_dbm - 10.0 * math.log10(rb_len))
 
 
-def _weights(est_rates: np.ndarray, avg: np.ndarray,
-             served_once: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+def _weights(est_rates: np.ndarray, avg: np.ndarray, alpha: float,
+             beta: float) -> np.ndarray:
+    """A UE whose average is 0 was never served."""
     w = np.zeros(len(est_rates))
-    for i, (r, a, s) in enumerate(zip(est_rates, avg, served_once)):
+    for i, (r, a) in enumerate(zip(est_rates, avg)):
         if r <= 0:
             continue
-        w[i] = np.inf if not s else pf_weight(r, a, alpha, beta)
+        w[i] = np.inf if a <= 0 else pf_weight(r, a, alpha, beta)
     return w
 
 
-def allocate(cell_ues, est_rates, pf: PfState, config: SimConfig,
+def allocate(cell_ues, est_rates, avg_rate, config: SimConfig,
              tx_power_dbm=None) -> list[RbAssignment]:
     """Allocate all data RBs of one cell for one slot.
 
     cell_ues are global UE ids; est_rates are the (delayed) per-RB rate
-    estimates aligned with cell_ues; config gives the RB grid and p_max.
+    estimates aligned with cell_ues; avg_rate holds every UE's PF average,
+    indexed by global id; config gives the RB grid and p_max.
     Never-served UEs with a decodable rate preempt the PF metric.
     Deterministic: ties break by ue_id.
     """
@@ -68,8 +67,8 @@ def allocate(cell_ues, est_rates, pf: PfState, config: SimConfig,
     if cell_ues.size == 0:
         return []
     est = np.asarray(est_rates, dtype=float)
-    w = _weights(est, pf.avg_rate[cell_ues], pf.served_once[cell_ues],
-                 config.alpha, config.beta)
+    w = _weights(est, np.asarray(avg_rate)[cell_ues], config.alpha,
+                 config.beta)
     if np.isinf(w).any():
         w = np.where(np.isinf(w), 1.0, 0.0)
     eligible = np.flatnonzero(w > 0)
@@ -126,14 +125,14 @@ def occupancy(allocations: SlotAllocation, n_cells: int,
     return occ, p_mw
 
 
-def allocate_network(serving, est_rates, pf: PfState, config: SimConfig,
+def allocate_network(serving, est_rates, avg_rate, config: SimConfig,
                      tx_power_dbm, n_cells: int):
     """The whole-network slot schedule as 57 per-cell calls built it."""
     serving = np.asarray(serving)
     allocations: SlotAllocation = {}
     for c in range(n_cells):
         ues = np.flatnonzero(serving == c)
-        entries = allocate(ues, np.asarray(est_rates)[ues], pf, config,
+        entries = allocate(ues, np.asarray(est_rates)[ues], avg_rate, config,
                            tx_power_dbm=np.asarray(tx_power_dbm)[ues])
         if entries:
             allocations[c] = entries

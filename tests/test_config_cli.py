@@ -206,6 +206,20 @@ class TestCli:
         assert code == 2
         assert not out.exists()
 
+    def test_served_average_at_the_float_floor(self, tmp_path):
+        # With ewma = 0.9 a served UE's average decays to 5e-324, where the
+        # EWMA step rounds to 0; the run must still complete.
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("rings = 0\nues_per_cell = 60\nbeta = 0\n"
+                           "ewma = 0.9\n")
+        code = run_cli(["--config", cfgfile, "--scheme", "maxpower",
+                        "--slots", "400", "--drops", "1", "--out", tmp_path])
+        assert code == 0
+        data = json.loads((tmp_path / "summary.json").read_text())
+        metrics = [data[k] for k in ("avg_mbps", "edge_mbps",
+                                     "mbits_per_joule")]
+        assert all(np.isfinite(metrics)) and data["avg_mbps"] > 0
+
     def test_scheme_choices_enforced(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["--scheme", "tdma"])

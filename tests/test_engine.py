@@ -1,5 +1,7 @@
 import hashlib
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import engine_oracle
 from conftest import cnb_config, gains_of, make_snapshot, maxpower_config
 from scheduler_oracle import expand
 from test_scheduler import network_states
+import ulsim
 from ulsim import engine
 from ulsim.config import SCHEMES, SimConfig
 from ulsim.engine import (build_snapshot, compute_slot, drop_seed, run,
@@ -212,6 +215,25 @@ class TestSimulate:
         (acc,) = simulate(*snap, [cfg])
         assert acc.bits.sum() > 0
 
+    def test_delay_line_sized_by_the_run(self):
+        # Every slot of a run no longer than its delay schedules on the
+        # warm-up estimate: a huge delay_slots costs no memory and gives
+        # the results of any delay at least as long as the run.
+        config = maxpower_config(rings=0, ues_per_cell=1, slots=5, drops=1,
+                                 delay_slots=5)
+        snap = build_snapshot(config, 0)
+        (want,) = simulate(*snap, [config])
+        tracemalloc.start()
+        try:
+            (got,) = simulate(*snap, [replace(config, delay_slots=10 ** 6)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+        for name in ("bits", "energy_j", "snr_lin_sum", "iot_lin_sum",
+                     "sched_slots"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
     def test_fading_changes_results(self):
         snap = self.small_snapshot()
         (base,) = simulate(*snap, [maxpower_config(slots=15, drops=1)])
@@ -271,6 +293,30 @@ class TestEngineOracle:
                            fading=fading, staircase=staircase)
         snap = build_snapshot(config, seed)
         (got,) = simulate(*snap, [config], fading_seed=seed)
+        want = engine_oracle.simulate(*snap, config, fading_seed=seed)
+        for name in ("bits", "energy_j", "snr_lin_sum", "iot_lin_sum",
+                     "sched_slots"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_matches_plain_loop_at_the_pf_floor(self, monkeypatch):
+        # With ewma = 0.9 a served UE's average decays to the smallest
+        # subnormal, where 0.1 * 5e-324 rounds to 0, within a few hundred
+        # slots without a grant; the floor keeps it served.
+        config = maxpower_config(rings=0, ues_per_cell=8, total_rbs=6,
+                                 beta=0.0, ewma=0.9, slots=400, drops=1)
+        seed = drop_seed(config.seed, 0)
+        floored = []
+        real_update = engine.pf_update
+
+        def pf_update(*args):
+            avg = real_update(*args)
+            floored.append((avg == np.finfo(float).smallest_subnormal).any())
+            return avg
+
+        monkeypatch.setattr(engine, "pf_update", pf_update)
+        snap = build_snapshot(config, seed)
+        (got,) = simulate(*snap, [config], fading_seed=seed)
+        assert any(floored)
         want = engine_oracle.simulate(*snap, config, fading_seed=seed)
         for name in ("bits", "energy_j", "snr_lin_sum", "iot_lin_sum",
                      "sched_slots"):
@@ -413,6 +459,23 @@ class TestDrops:
         (again,) = simulate(*build_snapshot(cfg, seeds[1]), [cfg],
                             fading_seed=seeds[1])
         assert np.array_equal(accs[1].bits, again.bits)
+
+    def test_mixed_group_fails_before_any_slot(self, monkeypatch):
+        # A group shares every key but zeta; the first other key in which a
+        # config differs is named.
+        def compute_slot(*args):
+            raise AssertionError("a slot ran")
+
+        monkeypatch.setattr(engine, "compute_slot", compute_slot)
+        fpc = SimConfig(scheme="fpc", rings=1, ues_per_cell=2, slots=5,
+                        drops=1)
+        with pytest.raises(ValueError, match="^scheme: "):
+            ulsim.run([fpc, replace(fpc, scheme="cnb")])
+        with pytest.raises(ValueError, match="^rings: "):
+            run([fpc, replace(fpc, rings=0, drops=3)])
+        with pytest.raises(ValueError, match="^slots: "):
+            simulate(*build_snapshot(fpc, 1),
+                     [fpc, fpc, replace(fpc, slots=4)])
 
     def test_build_snapshot_shapes(self):
         cfg = maxpower_config(rings=1, ues_per_cell=2)

@@ -155,7 +155,7 @@ class TestWriters:
         s = report.run_config(tiny_cfg(slots=4, drops=1))
         path = tmp_path / "cdf.csv"
         report.write_cdf_csv(s, path)
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["metric", "value", "cum_fraction"]
         metrics = {r[0] for r in rows[1:]}
         assert metrics == {"snr_db", "iot_db", "throughput_mbps"}
@@ -171,7 +171,7 @@ class TestWriters:
         loss = np.array([[100.0, 110.0], [120.0, 90.0]])
         path = tmp_path / "plmap.csv"
         report.write_plmap_csv(loss, path)
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["ue_id", "cell_id", "loss_db"]
         assert len(rows) == 1 + 4
         assert rows[1] == ["0", "0", "100.000000"]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import scheduler_oracle
 from scheduler_oracle import allocate_network, expand
 from ulsim.config import SimConfig
-from ulsim.scheduler import PfState, allocate, grant_power_mw
+from ulsim.scheduler import allocate, grant_power_mw, pf_update
 
 P_MAX = 23.0
 
@@ -17,13 +17,9 @@ def mw(dbm):
     return 10.0 ** (dbm / 10.0)
 
 
-def fresh_pf(n, avg=None, served=None):
-    pf = PfState.fresh(n)
-    if avg is not None:
-        pf.avg_rate = np.asarray(avg, dtype=float)
-    if served is not None:
-        pf.served_once = np.asarray(served, dtype=bool)
-    return pf
+def fresh_pf(n, avg=None):
+    """PF averages of n UEs: avg, or none served yet."""
+    return np.zeros(n) if avg is None else np.asarray(avg, dtype=float)
 
 
 def schedule(rates, pf, grid, serving=None, powers=None, n_cells=1):
@@ -74,33 +70,32 @@ class TestPfMetric:
                  {0: 38, 1: 10}),
                 ({"alpha": 1.0, "beta": 0.0}, [300.0, 100.0], [5.0, 1.0],
                  {0: 36, 1: 12})):
-            pf = fresh_pf(2, avg=avg, served=[True, True])
+            pf = fresh_pf(2, avg=avg)
             config = SimConfig(**weights)
             occ, _ = schedule(rates, pf, config)
             assert rb_counts(occ[0], config) == want
 
-    def test_weight_requires_positive_avg(self):
-        pf = fresh_pf(2, avg=[1.0, 0.0], served=[True, True])
-        with pytest.raises(ValueError):
-            schedule([100.0, 100.0], pf, self.GRID)
-
     def test_update(self):
-        pf = PfState.fresh(3)
+        avg = fresh_pf(3)
         config = SimConfig(ewma=0.01)
         # Bootstrap: the first nonzero rate while scheduled starts the average.
-        pf.update(np.array([True, True, False]), np.array([100.0, 0.0, 7.0]),
-                  config)
-        assert pf.avg_rate.tolist() == [100.0, 0.0, 0.0]
-        assert pf.served_once.tolist() == [True, False, False]
+        avg = pf_update(avg, np.array([True, True, False]),
+                        np.array([100.0, 0.0, 7.0]), config)
+        assert avg.tolist() == [100.0, 0.0, 0.0]
         # One EWMA step for UE 0; UE 1 bootstraps.
-        pf.update(np.array([True, True, False]), np.array([200.0, 300.0, 0.0]),
-                  config)
-        assert np.isclose(pf.avg_rate[0], 101.0)
-        assert pf.avg_rate[1:].tolist() == [300.0, 0.0]
+        avg = pf_update(avg, np.array([True, True, False]),
+                        np.array([200.0, 300.0, 0.0]), config)
+        assert np.isclose(avg[0], 101.0)
+        assert avg[1:].tolist() == [300.0, 0.0]
         # Served UEs decay in slots without a grant; UE 2 stays unserved.
-        pf.update(np.zeros(3, dtype=bool), np.zeros(3), config)
-        assert np.allclose(pf.avg_rate, [0.99 * 101.0, 0.99 * 300.0, 0.0])
-        assert pf.served_once.tolist() == [True, True, False]
+        avg = pf_update(avg, np.zeros(3, dtype=bool), np.zeros(3), config)
+        assert np.allclose(avg, [0.99 * 101.0, 0.99 * 300.0, 0.0])
+        # With ewma = 0.9 the step 0.1 * 5e-324 rounds to 0: the floor keeps
+        # a served UE's average > 0, so that it stays served.
+        tiny = np.finfo(float).smallest_subnormal
+        avg = pf_update(np.array([tiny, 0.0]), np.zeros(2, dtype=bool),
+                        np.zeros(2), SimConfig(ewma=0.9))
+        assert avg.tolist() == [tiny, 0.0]
 
     def test_update_avg_validates_ewma(self):
         for ewma in (0.0, 1.0):
@@ -111,14 +106,14 @@ class TestPfMetric:
 class TestPerRbPower:
     def test_uncapped(self):
         grid = SimConfig()
-        pf = fresh_pf(1, avg=[1.0], served=[True])
+        pf = fresh_pf(1, avg=[1.0])
         _, p_mw = schedule([100.0], pf, grid, powers=[-5.0])
         assert (p_mw[0, grid.control_rbs:] == mw(-5.0)).all()
 
     def test_capped_by_total_power(self):
         # 10 RBs at 23 dBm each would be 33 dBm total; cap shares p_max.
         grid = SimConfig(total_rbs=12, control_rbs=2)
-        pf = fresh_pf(1, avg=[1.0], served=[True])
+        pf = fresh_pf(1, avg=[1.0])
         _, p_mw = schedule([100.0], pf, grid, powers=[23.0])
         assert np.allclose(p_mw[0, 2:], mw(23.0 - 10.0 * np.log10(10)),
                            rtol=1e-12)
@@ -126,7 +121,7 @@ class TestPerRbPower:
 
     def test_single_rb_never_scaled(self):
         grid = SimConfig(total_rbs=3, control_rbs=2)
-        pf = fresh_pf(1, avg=[1.0], served=[True])
+        pf = fresh_pf(1, avg=[1.0])
         _, p_mw = schedule([100.0], pf, grid, powers=[23.0])
         assert p_mw[0].tolist() == [0.0, 0.0, mw(23.0)]
 
@@ -153,32 +148,32 @@ class TestAllocate:
     GRID = SimConfig()
 
     def test_full_grid_used(self):
-        pf = fresh_pf(4, avg=[1.0, 1.0, 1.0, 1.0], served=[True] * 4)
+        pf = fresh_pf(4, avg=[1.0, 1.0, 1.0, 1.0])
         occ, _ = schedule([100.0] * 4, pf, self.GRID)
         counts = rb_counts(occ[0], self.GRID)
         assert sum(counts.values()) == self.GRID.data_rbs
         assert set(counts) == set(range(4))
 
     def test_weight_proportional_shares(self):
-        pf = fresh_pf(2, avg=[1.0, 1.0], served=[True, True])
+        pf = fresh_pf(2, avg=[1.0, 1.0])
         occ, _ = schedule([300.0, 100.0], pf, self.GRID)
         assert rb_counts(occ[0], self.GRID) == {0: 36, 1: 12}  # 3:1 of 48
 
     def test_zero_rate_unscheduled(self):
-        pf = fresh_pf(3, avg=[1.0] * 3, served=[True] * 3)
+        pf = fresh_pf(3, avg=[1.0] * 3)
         occ, _ = schedule([100.0, 0.0, 100.0], pf, self.GRID)
         assert set(rb_counts(occ[0], self.GRID)) == {0, 2}
 
     def test_never_served_preempts(self):
         # UE 1 has never been served: it gets scheduled even with huge
         # competing PF weights, and served UEs wait.
-        pf = fresh_pf(3, avg=[1e-6, 1.0, 1e-6], served=[True, False, True])
+        pf = fresh_pf(3, avg=[1e-6, 0.0, 1e-6])
         occ, _ = schedule([500.0, 10.0, 500.0], pf, self.GRID)
         assert rb_counts(occ[0], self.GRID) == {1: self.GRID.data_rbs}
 
     def test_more_ues_than_rbs(self):
         grid = SimConfig(total_rbs=6, control_rbs=2)
-        pf = fresh_pf(10, avg=np.ones(10), served=[True] * 10)
+        pf = fresh_pf(10, avg=np.ones(10))
         occ, _ = schedule(np.linspace(100.0, 1000.0, 10), pf, grid)
         # Only the 4 highest-weight UEs fit at one RB each.
         assert grants(occ[0], grid) == [(9, 2, 1), (8, 3, 1), (7, 4, 1),
@@ -186,14 +181,14 @@ class TestAllocate:
 
     def test_tie_breaks_by_ue_id(self):
         grid = SimConfig(total_rbs=4, control_rbs=2)
-        pf = fresh_pf(8, avg=np.ones(8), served=[True] * 8)
+        pf = fresh_pf(8, avg=np.ones(8))
         rates = [0.0, 0.0, 0.0, 100.0, 0.0, 100.0, 0.0, 100.0]
         occ, _ = schedule(rates, pf, grid, serving=[1, 1, 1, 0, 1, 0, 1, 0],
                           n_cells=2)
         assert [g[0] for g in grants(occ[0], grid)] == [3, 5]
 
     def test_empty_cell(self):
-        pf = fresh_pf(2, avg=[1.0, 1.0], served=[True, True])
+        pf = fresh_pf(2, avg=[1.0, 1.0])
         occ, p_mw = schedule([100.0, 100.0], pf, self.GRID, serving=[1, 1],
                              n_cells=3)
         assert (occ[[0, 2]] == -1).all() and not p_mw[[0, 2]].any()
@@ -202,7 +197,7 @@ class TestAllocate:
         assert (occ == -1).all() and not p_mw.any()
 
     def test_power_cap_applied_per_assignment(self):
-        pf = fresh_pf(2, avg=[1.0, 1.0], served=[True, True])
+        pf = fresh_pf(2, avg=[1.0, 1.0])
         occ, p_mw = schedule([100.0, 100.0], pf, self.GRID,
                              powers=[23.0, -5.0])
         counts = rb_counts(occ[0], self.GRID)
@@ -217,7 +212,7 @@ class TestAllocate:
     def test_invariants_random(self, rates, total_rbs):
         grid = SimConfig(total_rbs=total_rbs, control_rbs=2)
         n = len(rates)
-        pf = fresh_pf(n, avg=np.ones(n), served=[True] * n)
+        pf = fresh_pf(n, avg=np.ones(n))
         occ, _ = schedule(rates, pf, grid)
         entries = grants(occ[0], grid)
         if any(r > 0 for r in rates):
@@ -243,14 +238,14 @@ def network_states(draw):
     served = per_ue(st.booleans()).astype(bool)
     avg = np.where(served, per_ue(st.integers(min_value=1, max_value=9)), 0.0)
     powers = per_ue(st.sampled_from([-30.0, -7.5, 0.0, 6.0, 12.3, 23.0]))
-    pf = fresh_pf(n, avg=avg, served=served)
+    pf = fresh_pf(n, avg=avg)
     return serving.astype(int), est, pf, grid, powers.astype(float), n_cells
 
 
 def example_state(serving, est, avg, powers, n_cells, config=SimConfig()):
     n = len(serving)
     return (np.array(serving), np.array(est, dtype=float),
-            fresh_pf(n, avg=avg, served=[True] * n), config,
+            fresh_pf(n, avg=avg), config,
             np.array(powers, dtype=float), n_cells)
 
 
