@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import SimConfig
 from .linkbudget import amc_realized, snr_of
+from .parallel import two_thread_map
 from .powerctl import compute_powers
 from .scheduler import allocate, grant_power_mw, pf_update
 from .topology import drop_ues
@@ -116,16 +117,18 @@ def simulate(serving: np.ndarray, loss_db: np.ndarray,
              configs: list[SimConfig],
              fading_seed: int = 0) -> list[MetricsAccumulator]:
     """Run the slot loop on one drop's topology (see build_snapshot) once per
-    config of a group whose configs differ at most in zeta, in config order.
+    config of a group whose configs differ at most in zeta; the records come
+    in config order. The slot loops are independent work units, run on the
+    caller's thread and one worker thread (two_thread_map).
     Raises ValueError("<key>: ...") naming the first other key in which a
     config differs from the first."""
     for key in (f.name for f in fields(SimConfig) if f.name != "zeta"):
         if any(getattr(c, key) != getattr(configs[0], key) for c in configs):
             raise ValueError(f"{key}: the configs of one group may differ "
                              "only in zeta")
-    return [_slot_loop(serving, loss_db, config, powers_dbm, fading_seed)
-            for config, powers_dbm in zip(
-                configs, compute_powers(configs, loss_db, serving))]
+    return two_thread_map(
+        lambda unit: _slot_loop(serving, loss_db, *unit, fading_seed),
+        list(zip(configs, compute_powers(configs, loss_db, serving))))
 
 
 def _slot_loop(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,

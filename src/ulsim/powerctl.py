@@ -17,6 +17,7 @@ import numpy as np
 
 from .config import SimConfig
 from .linkbudget import amc_realized, amc_smooth, snr_of
+from .parallel import two_thread_map
 from .units import db_to_linear
 
 __all__ = [
@@ -189,7 +190,12 @@ def cnb_solve(pl_db, cross_losses,
 
     UEs are solved together in groups of equal neighbor count, so every
     objective row sums exactly that UE's terms and each power is the one a
-    solve of that UE alone returns. The objective is R_S(P) + zeta * R_I(P).
+    solve of that UE alone returns. The groups are independent work units,
+    run largest first on the caller's thread and one worker thread
+    (two_thread_map); with more than one group, each group larger than half
+    the largest is solved as two halves, so the two threads' temporaries
+    together stay near one largest group's. The objective is
+    R_S(P) + zeta * R_I(P).
     Each (config, UE) row's main bracket and rise-to-fall brackets are
     bisected together in one loop. The screen, each bisection pass and the
     candidates evaluate R_S and R_I (cnb_terms) once per distinct (UE,
@@ -200,10 +206,24 @@ def cnb_solve(pl_db, cross_losses,
     counts = np.isfinite(cross).sum(axis=1)
     powers = np.empty((len(configs), len(pl)))
     iters = np.empty((len(configs), len(pl)), dtype=int)
-    for k in np.flatnonzero(np.bincount(counts)):
+    sizes = np.bincount(counts)
+    # With more than one group, a group larger than half the largest (and
+    # than one UE) is cut in two halves.
+    cut = (max(sizes.max() / 2, 1) if np.count_nonzero(sizes) > 1
+           else np.inf)
+    units = []
+    for k in np.flatnonzero(sizes):
         rows = np.flatnonzero(counts == k)
+        units += [(part, k)
+                  for part in np.array_split(rows, 1 + (len(rows) > cut))]
+    units.sort(key=lambda unit: -len(unit[0]))
+
+    def solve(unit):
+        rows, k = unit
         powers[:, rows], iters[:, rows] = _solve_group(
             pl[rows], cross[rows, :k], configs)
+
+    two_thread_map(solve, units)
     return powers, iters
 
 

@@ -63,6 +63,19 @@ class SweepResult:
     summaries: tuple[RunSummary, ...]
 
 
+def _percentile_5(x: np.ndarray) -> float:
+    """np.percentile(x, 5.0), linear method, bit for bit, of a NaN-free 1-D
+    array: the same virtual index, order statistics and lerp (numpy's
+    _lerp). np.percentile's np.unique imports numpy.ma, which costs a
+    process about 12 ms."""
+    v = (len(x) - 1) * (5.0 / 100)
+    i = min(math.floor(v), len(x) - 2)  # numpy takes x[-1] twice for n = 1
+    part = np.partition(x, [i, i + 1])
+    a, b, t = part[i], part[i + 1], v - i
+    diff = b - a
+    return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+
+
 def summarize(accs: list[MetricsAccumulator], config: SimConfig) -> RunSummary:
     """Pool a run's per-drop records, in drop order, into one RunSummary.
 
@@ -86,7 +99,7 @@ def summarize(accs: list[MetricsAccumulator], config: SimConfig) -> RunSummary:
     # nan avg_mbps is not 0 and reaches the finiteness check below.
     if cell_avg == 0:
         raise ValueError("avg_mbps: the run decoded no bit")
-    edge = float(np.percentile(tput, 5.0)) / 1e6
+    edge = _percentile_5(tput) / 1e6
     eff = float(bits.sum() / 1e6 / energy_j.sum())
     for name, value in (("avg_mbps", cell_avg), ("edge_mbps", edge),
                         ("mbits_per_joule", eff)):

@@ -32,6 +32,9 @@ SECTORS_PER_SITE = 3
 PENETRATION_LOSS_DB = 20.0
 SHADOW_STD_DB = 8.0
 BORESIGHT_GAIN_DB = 14.0
+# Points per block of _wrap_geometry: a block's displacements, 7 wraps x 19
+# sites x 2 coordinates each, take 0.5 MB.
+_GEOMETRY_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -100,16 +103,27 @@ def _voronoi_reduce(points: np.ndarray, layout: SiteLayout) -> np.ndarray:
 
 
 def _wrap_geometry(points: np.ndarray, layout: SiteLayout):
-    """Distance and bearing (deg) from every site to every point, wrap-aware."""
-    diffs = (points[:, None, None, :] + layout.wrap_vectors[None, :, None, :]
-             - layout.site_positions[None, None, :, :])
-    d2 = np.einsum("nwsd,nwsd->nws", diffs, diffs)
-    k = np.argmin(d2, axis=1)                       # (n, s)
-    n_idx = np.arange(points.shape[0])[:, None]
-    s_idx = np.arange(layout.n_sites)[None, :]
-    chosen = diffs[n_idx, k, s_idx]                 # (n, s, 2)
-    dist = np.sqrt(d2[n_idx, k, s_idx])
-    bearing = np.degrees(np.arctan2(chosen[..., 1], chosen[..., 0]))
+    """Distance and bearing (deg) from every site to every point, wrap-aware.
+
+    Works _GEOMETRY_BLOCK points at a time, so that the (points, wraps,
+    sites, 2) displacement array stays small; every point's result is the
+    same as in one pass over all points.
+    """
+    n, sites = points.shape[0], layout.n_sites
+    dist, bearing = np.empty((2, n, sites))
+    s_idx = np.arange(sites)[None, :]
+    for a in range(0, n, _GEOMETRY_BLOCK):
+        block = points[a:a + _GEOMETRY_BLOCK]
+        diffs = (block[:, None, None, :]
+                 + layout.wrap_vectors[None, :, None, :]
+                 - layout.site_positions[None, None, :, :])
+        d2 = np.einsum("nwsd,nwsd->nws", diffs, diffs)
+        k = np.argmin(d2, axis=1)                   # (block, s)
+        n_idx = np.arange(len(block))[:, None]
+        chosen = diffs[n_idx, k, s_idx]             # (block, s, 2)
+        dist[a:a + _GEOMETRY_BLOCK] = np.sqrt(d2[n_idx, k, s_idx])
+        bearing[a:a + _GEOMETRY_BLOCK] = np.degrees(
+            np.arctan2(chosen[..., 1], chosen[..., 0]))
     return dist, bearing
 
 

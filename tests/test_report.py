@@ -1,9 +1,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ulsim import cli, engine, report
 from ulsim.config import DEFAULTS, SimConfig
@@ -73,6 +79,33 @@ class TestSummarize:
         for records in ([], accs[:1], accs + accs[:1]):
             with pytest.raises(ValueError, match="drops"):
                 report.summarize(records, sim)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e300) | st.sampled_from([0.0, 1.0, 5e-324]),
+                    min_size=1, max_size=120))
+    @example([0.0])
+    @example([3.5])
+    @example([2.0, 2.0, 2.0, 2.0])
+    @example([0.0] * 30 + [1.0])
+    @example([7.0, 0.0, 7.0, 1e-300, 0.0] * 9)
+    def test_edge_percentile_is_numpys(self, values):
+        x = np.array(values)
+        got = report._percentile_5(x)
+        want = np.percentile(x, 5.0)
+        assert np.float64(got).tobytes() == want.tobytes()
+
+    def test_summarize_does_not_import_numpy_ma(self):
+        # np.percentile's np.unique imports numpy.ma, about 12 ms a process.
+        code = ("import sys; from ulsim import config, report; "
+                "report.run_config(dict(config.DEFAULTS, rings=0, "
+                "ues_per_cell=2, slots=3)); "
+                "print('numpy.ma' in sys.modules)")
+        src = Path(report.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=str(src)))
+        assert out.stdout.split() == ["False"]
 
 
 class TestRunConfig:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from ulsim.powerctl import _sorted_cross_losses
 from ulsim.config import SimConfig
 from ulsim.topology import (PENETRATION_LOSS_DB, antenna_gain_db,
                             build_hex_layout, drop_ues, macro_path_loss_db)
-from ulsim.topology import _shadow_draws
+from ulsim import topology
+from ulsim.engine import build_snapshot, drop_seed
+from ulsim.topology import _shadow_draws, _wrap_geometry
 
 
 def small_drop(ues_per_cell, seed):
@@ -166,6 +169,30 @@ class TestDrops:
                 gain = float(antenna_gain_db(bearing - cell.boresight_deg))
                 base.append(loss[u, cell.cell_id] + gain)
             assert np.allclose(base, base[0], atol=1e-9)
+
+    def test_blocked_geometry_equals_one_pass(self, layout, monkeypatch):
+        # 285 points: one full block of 256 and a partial one.
+        positions, _, loss = drop_ues(SimConfig(ues_per_cell=5), seed=4)
+        assert len(positions) % topology._GEOMETRY_BLOCK
+        blocked = _wrap_geometry(positions, layout)
+        monkeypatch.setattr(topology, "_GEOMETRY_BLOCK", len(positions))
+        one_pass = _wrap_geometry(positions, layout)
+        assert all(np.array_equal(b, o) for b, o in zip(blocked, one_pass))
+        # The whole drop too, rejection sampling included.
+        assert np.array_equal(drop_ues(SimConfig(ues_per_cell=5), seed=4)[2],
+                              loss)
+
+    def test_dense_snapshot_memory_peak(self):
+        # 3,420 UEs: geometry in one pass over all points peaked at 16.4 MB,
+        # in blocks at 7.0 MB.
+        config = SimConfig(ues_per_cell=60)
+        tracemalloc.start()
+        try:
+            build_snapshot(config, drop_seed(1, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_shadowing_std(self):
         draws = _shadow_draws(3000, 19, seed=1)
