@@ -44,6 +44,9 @@ _SCREEN_STEP_DB = 1.0
 # 7 solves of a 3,420-UE drop: 1024 pairs 0.41 s, 2048 0.37 s, 4096 0.38 s;
 # 256 pay numpy's per-call cost (0.55 s) and 16384 fall out of cache (0.66 s).
 _CHUNK_PAIRS = 2048
+# Equal slices of UEs, by neighbor count, that cnb_solve runs as work units;
+# fewer raise the two threads' peak memory, more pay numpy's per-call cost.
+_SOLVE_UNITS = 20
 
 
 def pl_threshold_db(config: SimConfig) -> float:
@@ -83,7 +86,7 @@ def cnb_neighbor_losses(loss_db: np.ndarray, serving: np.ndarray,
 
     Row u holds UE u's non-serving losses strictly below th_db (see
     pl_threshold_db), ascending, then inf for every other cell: the layout
-    cnb_solve reads.
+    cnb_solve reads. An inf is no neighbor and adds 0 to cnb_ri.
     """
     cross = _sorted_cross_losses(loss_db, serving)
     return np.where(cross < th_db, cross, np.inf)
@@ -119,19 +122,27 @@ def cnb_ri(p_dbm, cross_losses, config: SimConfig):
     vanishing power each term saturates at t_max. Nonincreasing in P; zero
     when no neighbor is below the loss threshold.
 
-    Terms provably at the ceiling (_saturation_db) are set to t_max without
-    evaluating f; the others (NaN gaps too) and the row sums are computed as
-    if none were.
+    An inf cross loss marks no neighbor and adds exactly 0; each power's
+    terms are added one at a time in neighbor order, so trailing infs change
+    no sum. Terms provably at the ceiling (_saturation_db) are t_max
+    unevaluated; the others (NaN gaps too) are computed as if none were.
     """
     cross = np.asarray(cross_losses, dtype=float)
     p = np.asarray(p_dbm, dtype=float)
     gap = p[..., None] - cross
-    terms = np.full(gap.shape, config.t_max)
-    live = ~(gap < _saturation_db(config))
+    neighbor = np.isfinite(cross)
+    live = neighbor & ~(gap < _saturation_db(config))
     inr = db_to_linear(gap[live] - config.n0_dbm)
     sinr = db_to_linear(config.snr_i_db) / (db_to_linear(config.iot_i_db) + inr)
-    terms[live] = amc_realized(sinr, config)
-    return terms.sum(axis=-1)
+    # Neighbor-major, so summing axis 0 adds each power's terms in order;
+    # numpy would sum a lone power's terms pairwise, so those accumulate.
+    terms = np.zeros(gap.shape[-1:] + gap.shape[:-1])
+    by_power = np.moveaxis(terms, 0, -1)
+    np.copyto(by_power, config.t_max, where=neighbor)
+    by_power[live] = amc_realized(sinr, config)
+    if len(terms) and terms[0].size == 1:
+        return np.cumsum(terms, axis=0)[-1]
+    return terms.sum(axis=0)
 
 
 def cnb_terms(p_dbm, pl_db, cross_losses, config: SimConfig):
@@ -188,14 +199,12 @@ def cnb_solve(pl_db, cross_losses,
     iterations, the most that halving the range below tol takes, so a tol
     below the float spacing of the powers still ends.
 
-    UEs are solved together in groups of equal neighbor count, so every
-    objective row sums exactly that UE's terms and each power is the one a
-    solve of that UE alone returns. The groups are independent work units,
-    run largest first on the caller's thread and one worker thread
-    (two_thread_map); with more than one group, each group larger than half
-    the largest is solved as two halves, so the two threads' temporaries
-    together stay near one largest group's. The objective is
-    R_S(P) + zeta * R_I(P).
+    cnb_ri adds a UE's terms in neighbor order and its trailing infs as 0,
+    so each power is the one a solve of that UE alone returns, whatever UEs
+    share its batch. The UEs, by descending neighbor count, are cut into
+    _SOLVE_UNITS equal slices, each trimmed to its first UE's count, and
+    run on the caller's thread and one worker thread (two_thread_map). The
+    objective is R_S(P) + zeta * R_I(P).
     Each (config, UE) row's main bracket and rise-to-fall brackets are
     bisected together in one loop. The screen, each bisection pass and the
     candidates evaluate R_S and R_I (cnb_terms) once per distinct (UE,
@@ -206,29 +215,19 @@ def cnb_solve(pl_db, cross_losses,
     counts = np.isfinite(cross).sum(axis=1)
     powers = np.empty((len(configs), len(pl)))
     iters = np.empty((len(configs), len(pl)), dtype=int)
-    sizes = np.bincount(counts)
-    # With more than one group, a group larger than half the largest (and
-    # than one UE) is cut in two halves.
-    cut = (max(sizes.max() / 2, 1) if np.count_nonzero(sizes) > 1
-           else np.inf)
-    units = []
-    for k in np.flatnonzero(sizes):
-        rows = np.flatnonzero(counts == k)
-        units += [(part, k)
-                  for part in np.array_split(rows, 1 + (len(rows) > cut))]
-    units.sort(key=lambda unit: -len(unit[0]))
+    order = np.argsort(-counts, kind="stable")
+    units = [rows for rows in np.array_split(order, _SOLVE_UNITS) if len(rows)]
 
-    def solve(unit):
-        rows, k = unit
+    def solve(rows):
         powers[:, rows], iters[:, rows] = _solve_group(
-            pl[rows], cross[rows, :k], configs)
+            pl[rows], cross[rows, :counts[rows[0]]], configs)
 
     two_thread_map(solve, units)
     return powers, iters
 
 
 def _solve_group(pl: np.ndarray, cross: np.ndarray, configs: list[SimConfig]):
-    """cnb_solve for UEs that all have cross.shape[1] neighbors."""
+    """cnb_solve for one unit of UEs, their rows inf-padded to one width."""
     config, n = configs[0], len(pl)
     lo, hi, tol = config.bisect_lo_dbm, config.p_max_dbm, config.tol_db
     step = _FD_STEP_DB

@@ -16,13 +16,18 @@ from ulsim.units import db_to_linear
 
 
 def cnb_ri(p_dbm, cross_losses, config: SimConfig):
-    """Neighbor-throughput estimate with every term evaluated:
-    sum_j f(snr_i / (iot_i + 10^((p - cross_j - n0)/10)))."""
+    """Neighbor-throughput estimate with every term evaluated, added left to
+    right: sum_j f(snr_i / (iot_i + 10^((p - cross_j - n0)/10))), where a
+    cross loss of inf (no neighbor) adds 0."""
     cross = np.asarray(cross_losses, dtype=float)
     p = np.asarray(p_dbm, dtype=float)
     inr = db_to_linear(p[..., None] - cross - config.n0_dbm)
     sinr = db_to_linear(config.snr_i_db) / (db_to_linear(config.iot_i_db) + inr)
-    return amc_realized(sinr, config).sum(axis=-1)
+    terms = np.where(np.isfinite(cross), amc_realized(sinr, config), 0.0)
+    total = np.zeros(terms.shape[:-1])
+    for j in range(terms.shape[-1]):
+        total = total + terms[..., j]
+    return total
 
 
 def cnb_objective(p_dbm, pl_db, cross_losses, config: SimConfig):

@@ -128,11 +128,18 @@ class TestThreadedCallers:
     def test_solve_leaves_no_thread_and_matches_serial(
             self, monkeypatch, tiny_switch_interval):
         pl, cross = random_batch(np.random.default_rng(70), 150)
-        assert len(np.unique(np.isfinite(cross).sum(axis=1))) > 1
         configs = [cnb_config(zeta=z) for z in ZETAS]
+        n_units = []
+
+        def counting_map(fn, units):
+            n_units.append(len(units))
+            return two_thread_map(fn, units)
+
+        monkeypatch.setattr(powerctl, "two_thread_map", counting_map)
         before = threading.active_count()
         got = cnb_solve(pl, cross, configs)
         assert threading.active_count() == before
+        assert n_units[0] > 1
         monkeypatch.setattr(powerctl, "two_thread_map", serial_map)
         want = cnb_solve(pl, cross, configs)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))

@@ -160,6 +160,23 @@ class TestUtilityTerms:
         assert np.isclose(cnb_ri(-200.0, [115.0, 120.0, 125.0], config),
                           3 * 4.18)
 
+    def test_ri_ignores_padding(self):
+        # A cnb_neighbor_losses row is inf-padded to every non-serving cell;
+        # each inf adds exactly 0, so the row's R_I is its finite entries'.
+        # UE 0 of this drop has 23 neighbors among 56 cells.
+        config = cnb()
+        _, serving, loss = drop_ues(config, seed=drop_seed(1, 0))
+        cross = cnb_neighbor_losses(loss, serving, pl_threshold_db(config))
+        k = np.isfinite(cross).sum(axis=1)
+        assert (k[0], cross.shape[1]) == (23, 56)
+        assert cnb_ri(10.0, cross[0], config) == cnb_ri(10.0, cross[0, :23],
+                                                        config)
+        assert abs(cnb_ri(10.0, cross[0], config) - 88.80) < 0.01
+        p = np.linspace(-10.0, 23.0, len(cross))
+        assert np.array_equal(cnb_ri(p, cross, config),
+                              [cnb_ri(p[u], cross[u, :k[u]], config)
+                               for u in range(len(p))])
+
     def test_ri_high_power_kills_neighbors(self):
         config = cnb()
         assert cnb_ri(200.0, [120.0], config) == 0.0
@@ -245,7 +262,11 @@ class TestSaturatedTermSkip:
             gaps += ulps_around(config.n0_dbm + 10.0 * np.log10(inr))
         gaps = np.array(gaps)
         m = len(gaps)
-        losses = data.draw(st.lists(st.floats(60.0, 160.0), max_size=5))
+        # Up to 40 neighbors: numpy sums 8 or more terms pairwise, so rows
+        # this long show whether terms are added in neighbor order.
+        n_losses = data.draw(st.integers(0, 39))
+        losses = data.draw(st.lists(st.floats(60.0, 160.0), min_size=n_losses,
+                                    max_size=n_losses))
 
         # Scalar power, one row: the gap to a loss of 0 is the power itself.
         for g in gaps:
@@ -332,8 +353,8 @@ class TestSolve:
 
 def random_batch(rng, n):
     """n UEs with serving losses over the own-rate plateau and rising regions
-    and 0-40 neighbors each, inf-padded; a few shared neighbor counts make
-    some equal-count groups longer than one evaluation chunk."""
+    and 0-40 neighbors each, inf-padded; half the batches draw from only
+    three neighbor counts, so many UEs share one."""
     pl = rng.uniform(60.0, 145.0, size=n)
     if rng.random() < 0.5:
         counts = rng.integers(0, 41, size=n)
@@ -366,10 +387,9 @@ class TestBatchedSolveOracle:
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 150),
            st.floats(0.1, 3.0), st.sampled_from([0.005, 0.03, 0.1, 1.0]),
            st.sampled_from([-10.0, 0.0, 22.97, 22.995]))
-    # A 105-row group whose screen passes each evaluate 4,108 distinct
-    # (UE, power) pairs, two full chunks of 2,048 and 12 more, and two UEs
-    # whose best power is an extra rise-to-fall bracket's peak, not the main
-    # bisection's.
+    # 43 UEs with 15 neighbors and 105 with 3, so one unit holds both
+    # counts, and two UEs whose best power is an extra rise-to-fall
+    # bracket's peak, not the main bisection's.
     @example(seed=70, n=150, zeta=1.3, tol=0.1, lo=-10.0)
     # A range of exactly 32 tolerances: the main bisection takes 6 iterations,
     # one more than ceil(log2(range/tol)).
@@ -461,7 +481,7 @@ class TestBatchedSolveOracle:
 
     def test_candidates_evaluated_once_for_all_zetas(self, monkeypatch):
         # The candidate pass is the last R_S / R_I call of a solve whose UEs
-        # form one group with fewer candidates than a chunk. In a 3-zeta
+        # form one unit with fewer candidates than a chunk. In a 3-zeta
         # solve it evaluates each (UE, power) pair once in total: exactly the
         # union of the candidate passes of three 1-zeta solves.
         pl = np.array([118.0, 120.0, 122.0])
@@ -469,6 +489,7 @@ class TestBatchedSolveOracle:
         configs = [cnb(zeta=z) for z in (1.3, 0.9, 0.7)]
         calls = []
         real = powerctl.cnb_terms
+        monkeypatch.setattr(powerctl, "_SOLVE_UNITS", 1)
 
         def cnb_terms(p_dbm, pl_db, cross_losses, config):
             ue_pl, p = np.broadcast_arrays(pl_db, p_dbm)
