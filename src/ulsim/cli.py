@@ -93,7 +93,9 @@ def main(argv=None) -> int:
             report.write_cdf_csv(summary, out / cdf_name)
             print(f"{label}: {_headline(summary)}")
     except (KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all.
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}",
+              file=sys.stderr)
         return 2
     return 0
 

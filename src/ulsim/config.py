@@ -3,7 +3,9 @@
 The configuration file is plain text, one `key = value` per line, `#` starts a
 comment. CLI flags override file values. The keys, their types and defaults
 are SimConfig's fields; unknown keys are rejected so sweeps and overrides
-cannot silently misspell a parameter.
+cannot silently misspell a parameter. This module imports no ulsim module
+but the topology and the dB helper in units, so no default can come from
+another layer.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .topology import build_hex_layout
+from .topology import SECTORS_PER_SITE, build_hex_layout
 from .units import db_to_linear
 
 __all__ = ["SCHEMES", "SimConfig", "DEFAULTS", "parse_config_file", "set_key"]
@@ -29,6 +31,24 @@ SCHEMES = ("cnb", "fpc", "rlpc", "maxpower")
 # and numpy ints too) for int keys, any real number for float keys.
 _ACCEPTS = {int: Integral, float: Real, str: str}
 
+# The most elements a drop's largest array may hold: 2**27 float64 values, or
+# 1 GiB. A larger drop would end in a MemoryError or the OOM killer, and a
+# huge rings would first spend hours in _hex_sites. A literal, not read from
+# the machine, so that a config valid on one machine is valid on all; the
+# default drop's largest array holds 155,952.
+_MAX_DROP_ELEMENTS = 2 ** 27
+
+
+def _largest_drop_array(rings, ues_per_cell, data_rbs) -> int:
+    """Elements of a drop's largest array, counted in Python ints before any
+    is built: the (UE, cell) loss matrix, which the C&B cross-loss matrix
+    (UE, cell - 1) does not exceed, the (UE, data_rbs) grant-power table and
+    the (cells * data_rbs, cells) coupling buffer."""
+    rings, ues_per_cell, data_rbs = map(int, (rings, ues_per_cell, data_rbs))
+    cells = SECTORS_PER_SITE * (1 + 3 * rings * (rings + 1))
+    ues = ues_per_cell * cells
+    return max(ues * cells, ues * data_rbs, cells * data_rbs * cells)
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -37,6 +57,14 @@ class SimConfig:
     Each default is written once, here. Construction checks every key,
     raising ValueError("<key>: ..."), then builds the layout. Keys of the
     schemes not selected are only checked for their type and finiteness.
+
+    It is the one parameter record every layer reads: drop_ues takes the
+    layout, ues_per_cell and min_dist_m; the controllers (compute_powers,
+    for a group of configs that differ at most in zeta) the scheme keys; the
+    link budget (snr_of, amc_smooth, amc_realized) the AMC keys and the
+    derived noise floor; the scheduler (grant_power_mw, allocate, pf_update)
+    data_rbs, alpha, beta and ewma. Between layers a drop travels as the two
+    arrays (serving, loss_db).
     """
 
     # scheme selection
@@ -104,6 +132,18 @@ class SimConfig:
         exp_max = lambda x: hi10 / math.log10(x) if x > 1 else math.inf
         alpha_max = exp_max(self.t_max * self.rb_bandwidth_hz)
         beta_max = exp_max(self.data_rbs * self.t_max * self.rb_bandwidth_hz)
+        # Whether a drop's arrays fit with ues_per_cell and data_rbs at these
+        # values. Each size rule takes the keys after its own at their least,
+        # so the error names the first key that makes the arrays outgrow the
+        # bound.
+        fits = lambda ues_per_cell, data_rbs: _largest_drop_array(
+            self.rings, ues_per_cell, data_rbs) <= _MAX_DROP_ELEMENTS
+        largest = _largest_drop_array(self.rings, self.ues_per_cell,
+                                      self.data_rbs)
+        fit_rule = (f"small enough that a drop's largest array holds at most "
+                    f"{_MAX_DROP_ELEMENTS} elements; at rings = {self.rings}, "
+                    f"ues_per_cell = {self.ues_per_cell} and total_rbs = "
+                    f"{self.total_rbs} it would hold {largest}")
         for key, ok, rule in (
                 ("isd_m", self.isd_m > 0, "positive"),
                 ("rings", self.rings >= 0, ">= 0"),
@@ -130,6 +170,10 @@ class SimConfig:
                 ("ewma", 0 < self.ewma < 1, "in (0, 1)"),
                 ("control_rbs", 0 <= self.control_rbs < self.total_rbs,
                  f"in [0, total_rbs = {self.total_rbs})"),
+                ("rings", fits(1, 1), fit_rule),
+                ("ues_per_cell", fits(self.ues_per_cell, 1), fit_rule),
+                ("total_rbs", fits(self.ues_per_cell, self.data_rbs),
+                 fit_rule),
                 ("rb_bandwidth_hz", self.rb_bandwidth_hz > 0, "positive"),
                 ("n0_dbm",
                  self.rb_bandwidth_hz <= 0 or db_in_range(self.n0_dbm),
@@ -217,7 +261,8 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
             raise ValueError(f"{path}:{lineno}: expected key = value")
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in DEFAULTS:
-            raise KeyError(f"{path}:{lineno}: unknown configuration key {key!r}")
+            raise KeyError(f"{key}: unknown configuration key "
+                           f"({path}:{lineno})")
         cfg[key] = _coerce(key, raw)
     SimConfig(**cfg)
     return cfg
@@ -226,7 +271,7 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
 def set_key(cfg: dict[str, object], key: str, value) -> dict[str, object]:
     """Return a copy of cfg with one key overridden (string values parsed)."""
     if key not in DEFAULTS:
-        raise KeyError(f"unknown configuration key {key!r}")
+        raise KeyError(f"{key}: unknown configuration key")
     out = dict(cfg)
     out[key] = _coerce(key, value) if isinstance(value, str) else value
     return out

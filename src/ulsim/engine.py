@@ -19,7 +19,7 @@ from .linkbudget import amc_realized, snr_of
 from .parallel import two_thread_map
 from .powerctl import compute_powers
 from .scheduler import allocate, grant_power_mw, pf_update
-from .topology import drop_ues
+from .topology import FADING_STREAM, drop_rng, drop_seed, drop_ues
 from .units import db_to_linear
 
 __all__ = [
@@ -41,11 +41,6 @@ class MetricsAccumulator:
     snr_lin_sum: np.ndarray
     iot_lin_sum: np.ndarray
     sched_slots: np.ndarray
-
-
-def drop_seed(seed: int, drop_index: int) -> int:
-    """Topology and fading seed of one drop, derived from the run's seed."""
-    return int(np.random.SeedSequence([seed, drop_index]).generate_state(1)[0])
 
 
 def build_snapshot(config: SimConfig,
@@ -70,6 +65,12 @@ def compute_slot(cell: np.ndarray, ue: np.ndarray, sizes: np.ndarray,
     float array of shape (n_cells * data_rbs, n_cells), is overwritten: a
     caller that runs many slots passes one buffer so no slot allocates its
     own.
+
+    The coupling works per grant: each grant's received-power row at every
+    cell is formed once, copied into work once per RB of the grant, and
+    summed over the busy cells in cell order. Idle cells and control RBs
+    would add only exact zeros, so only granted RBs reach the link
+    abstraction.
     """
     n_ues, n_cells = gains.shape
     n0 = config.n0_mw
@@ -151,8 +152,7 @@ def _slot_loop(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
     work = np.empty((n_cells * config.data_rbs, n_cells))
     gains = base_gains = db_to_linear(-loss_db)
     if config.fading:
-        fad_rng = np.random.default_rng(
-            np.random.SeedSequence([fading_seed, 2]))
+        fad_rng = drop_rng(fading_seed, FADING_STREAM)
         gains = np.empty_like(base_gains)
     grant_mw = grant_power_mw(powers_dbm, config)
 

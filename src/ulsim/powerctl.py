@@ -174,47 +174,32 @@ def _cnb_breakpoints(pl_db: np.ndarray, cross: np.ndarray,
 
 def cnb_solve(pl_db, cross_losses,
               configs: list[SimConfig]) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize each UE's objective over [bisect_lo, p_max] dBm by bisection,
-    once per config of a group whose configs differ at most in zeta.
+    """Maximize each UE's objective R_S(P) + zeta * R_I(P) over [bisect_lo,
+    p_max] dBm by bisection, once per config of a group whose configs differ
+    at most in zeta.
 
     pl_db holds n serving losses; row u of the (n, K) cross_losses holds UE
     u's neighbor losses ascending, then inf (see cnb_neighbor_losses).
     Returns two (len(configs), n) arrays: per config, the powers (dBm) and
     the iteration counts, each the longest bracketing loop run for that UE.
 
-    The stationarity test is a central finite difference of the objective
-    (the capped throughput curve makes the objective piecewise, which finite
-    differences handle uniformly). Positive slope moves the left bound up,
-    otherwise the right bound moves down; plateaus count as nonpositive,
-    biasing toward the lowest maximizer.
-
-    A single bisection assumes the rising region precedes the falling one,
-    which the region-capped neighbor terms can break: the derivative sign is
-    therefore screened across the objective's breakpoints (and a coarse
-    lattice; the smooth parts vary on multi-dB scales), and every remaining
-    rise-to-fall bracket is bisected as well. The result is reported on the
-    finite-difference lattice lo + k*step: the lowest lattice power attaining
-    the best objective value among the located peaks and breakpoints, making
-    ties deterministic. No bracketing loop exceeds ceil(log2(range/tol)) + 1
-    iterations, the most that halving the range below tol takes, so a tol
-    below the float spacing of the powers still ends.
-
-    cnb_ri adds a UE's terms in neighbor order and its trailing infs as 0,
-    so each power is the one a solve of that UE alone returns, whatever UEs
-    share its batch. The UEs, by descending neighbor count, are cut into
-    _SOLVE_UNITS equal slices, each trimmed to its first UE's count, and
-    run on the caller's thread and one worker thread (two_thread_map). The
-    objective is R_S(P) + zeta * R_I(P).
-    Each (config, UE) row's main bracket and rise-to-fall brackets are
-    bisected together in one loop. The screen, each bisection pass and the
-    candidates evaluate R_S and R_I (cnb_terms) once per distinct (UE,
-    power) pair over all configs, each weighing them with its own zeta.
+    Every rise-to-fall bracket of the objective is bisected (see
+    _solve_group), and the result is the lowest power on the lattice
+    bisect_lo + k * _FD_STEP_DB that attains the best objective value among
+    the located peaks and breakpoints. No bracketing loop exceeds
+    ceil(log2(range/tol)) + 1 iterations, the most that halving the range
+    below tol takes, so a tol below the float spacing of the powers still
+    ends. Each power is the one a solve of that UE alone returns, whatever
+    UEs share its batch.
     """
     pl = np.asarray(pl_db, dtype=float)
     cross = np.asarray(cross_losses, dtype=float)
     counts = np.isfinite(cross).sum(axis=1)
     powers = np.empty((len(configs), len(pl)))
     iters = np.empty((len(configs), len(pl)), dtype=int)
+    # The UEs by descending neighbor count, cut into _SOLVE_UNITS equal work
+    # units, each trimmed to its first UE's count: cnb_ri adds a row's
+    # trailing infs as 0, so the trim changes no power.
     order = np.argsort(-counts, kind="stable")
     units = [rows for rows in np.array_split(order, _SOLVE_UNITS) if len(rows)]
 
@@ -227,7 +212,21 @@ def cnb_solve(pl_db, cross_losses,
 
 
 def _solve_group(pl: np.ndarray, cross: np.ndarray, configs: list[SimConfig]):
-    """cnb_solve for one unit of UEs, their rows inf-padded to one width."""
+    """cnb_solve for one unit of UEs, their rows inf-padded to one width.
+
+    The stationarity test is a central finite difference of the objective,
+    which handles its capped, piecewise curve uniformly: a positive slope
+    moves the left bound up, otherwise the right bound moves down, so
+    plateaus bias toward the lowest maximizer. One bisection assumes the
+    rise precedes the fall, which the region-capped neighbor terms can
+    break, so the slope's sign is first screened across the breakpoints
+    and a coarse lattice. Each (config, UE) row keeps its main bracket
+    [lo, hi] and its rise-to-fall brackets in one bracket array, bisected
+    together in one loop. The screen, each bisection pass and the
+    candidates go through one evaluator, objective, which evaluates R_S and
+    R_I (cnb_terms) once per distinct (UE, power) pair for all configs,
+    each weighing them with its own zeta.
+    """
     config, n = configs[0], len(pl)
     lo, hi, tol = config.bisect_lo_dbm, config.p_max_dbm, config.tol_db
     step = _FD_STEP_DB

@@ -23,6 +23,8 @@ if TYPE_CHECKING:
 __all__ = [
     "SiteLayout",
     "build_hex_layout",
+    "drop_rng",
+    "drop_seed",
     "drop_ues",
     "macro_path_loss_db",
     "antenna_gain_db",
@@ -32,6 +34,9 @@ SECTORS_PER_SITE = 3
 PENETRATION_LOSS_DB = 20.0
 SHADOW_STD_DB = 8.0
 BORESIGHT_GAIN_DB = 14.0
+# The random streams of a drop, each drawn from drop_rng: UE positions,
+# shadowing, and the engine's per-slot fading.
+POSITION_STREAM, SHADOW_STREAM, FADING_STREAM = 0, 1, 2
 # Points per block of _wrap_geometry: a block's displacements, 7 wraps x 19
 # sites x 2 coordinates each, take 0.5 MB.
 _GEOMETRY_BLOCK = 256
@@ -138,13 +143,20 @@ def antenna_gain_db(angle_off_deg):
     return BORESIGHT_GAIN_DB - np.minimum(12.0 * (off / 70.0) ** 2, 25.0)
 
 
-def _pos_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
+def drop_seed(seed: int, drop_index: int) -> int:
+    """Topology and fading seed of one drop, derived from the run's seed."""
+    return int(np.random.SeedSequence([seed, drop_index]).generate_state(1)[0])
+
+
+def drop_rng(seed: int, stream: int) -> np.random.Generator:
+    """The generator of one of a drop's random streams (POSITION_STREAM,
+    SHADOW_STREAM, FADING_STREAM), given the drop's seed (see drop_seed)."""
+    return np.random.default_rng(np.random.SeedSequence([int(seed), stream]))
 
 
 def _shadow_draws(n_ues: int, n_sites: int, seed: int) -> np.ndarray:
     """Per-(UE, site) log-normal shadowing, shared by co-site sectors."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
+    rng = drop_rng(seed, SHADOW_STREAM)
     return rng.normal(0.0, SHADOW_STD_DB, size=(n_ues, n_sites))
 
 
@@ -188,7 +200,8 @@ def drop_ues(config: SimConfig,
     """
     layout = config.layout
     n = config.ues_per_cell * layout.n_cells
-    positions = _sample_positions(layout, n, config.min_dist_m, _pos_rng(seed))
+    positions = _sample_positions(layout, n, config.min_dist_m,
+                                  drop_rng(seed, POSITION_STREAM))
     shadow = _shadow_draws(n, layout.n_sites, seed)
     loss = _loss_matrix(positions, shadow, layout)
     return positions, np.argmin(loss, axis=1), loss

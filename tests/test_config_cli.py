@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,36 @@ def test_key_type_checked_before_any_run(key, value, kind):
         report.run_config(cfg)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("rings", 10**6), ("ues_per_cell", 10**9), ("total_rbs", 10**9)])
+def test_oversized_drop_refused_before_any_allocation(tmp_path, capsys, key,
+                                                      value):
+    # rings = 10**6 would take (2 rings + 1)**2 steps to lay out the sites;
+    # each value asks for per-drop arrays no machine holds.
+    for v in (value, np.int64(value)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{key}: .*{value}$"):
+                SimConfig(**{key: v})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+    out = tmp_path / "out"
+    assert run_cli(["--sweep", f"{key}={value}", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert not out.exists()
+    SimConfig(ues_per_cell=60)          # the largest benchmark drop fits
+
+
+def test_default_drop_fits_up_to_13_rings():
+    # At 14 rings the (cells * data_rbs, cells) coupling array outgrows the
+    # bound first; the error names the last key that sizes it.
+    assert SimConfig(rings=13).layout.n_sites == 547
+    with pytest.raises(ValueError, match="^total_rbs: .* rings = 14,"):
+        SimConfig(rings=14)
+
+
 def test_key_types_take_integral_and_real_numbers():
     sim = SimConfig(fading=True, slots=np.int64(3), zeta=1,
                     p_max_dbm=np.float32(20.0))
@@ -194,6 +225,18 @@ class TestCli:
         code = run_cli(["--config", cfgfile, "--out", tmp_path])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_key_reads_like_a_bad_value(self, tmp_path, capsys):
+        # Printed as "error: <key>: ...", without the quotes str(KeyError)
+        # adds.
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("foo = 1\n")
+        for args, where in ((["--sweep", "foo=1,2"], ""),
+                            (["--config", cfgfile], f" ({cfgfile}:1)")):
+            assert run_cli(args + ["--out", tmp_path / "out"]) == 2
+            assert (capsys.readouterr().err
+                    == f"error: foo: unknown configuration key{where}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli(["--config", tmp_path / "nope.cfg",

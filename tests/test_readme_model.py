@@ -12,7 +12,7 @@ import pytest
 from ulsim import topology
 from ulsim.config import DEFAULTS, SimConfig
 from ulsim.linkbudget import MCS_LEVELS
-from ulsim.powerctl import _CHUNK_PAIRS, _FD_STEP_DB, pl_threshold_db
+from ulsim.powerctl import _FD_STEP_DB, pl_threshold_db
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -44,6 +44,10 @@ MODEL = [
     ("zero below −6.5 dB, full rate at or above 18 dB",
      (D["sinr_floor_db"], D["sinr_ceiling_db"]), (-6.5, 18.0)),
     ("quantized to 29 discrete MCS levels", MCS_LEVELS, 29),
+    ("Max Power transmits at 23 dBm", D["p_max_dbm"], 23.0),
+    ("with P0 = −87 dBm and κ = 0.8", (D["p0_fpc_dbm"], D["kappa"]),
+     (-87.0, 0.8)),
+    ("P0 = −102 dBm and φ = 0.8", (D["p0_rlpc_dbm"], D["phi"]), (-102.0, 0.8)),
     ("over P ∈ [−10, 23] dBm", (D["bisect_lo_dbm"], D["p_max_dbm"]),
      (-10.0, 23.0)),
     ("interference level (IoT 9 dB)", D["iot_s_db"], 9.0),
@@ -57,7 +61,6 @@ MODEL = [
                           / D["tol_db"]))),
      (0.01, 0.1, 9)),
     ("reported on the 0.01 dB search lattice", _FD_STEP_DB, 0.01),
-    ("2,048 at a time", _CHUNK_PAIRS, 2048),
     ("(α = β = 1, EWMA 0.01)", (D["alpha"], D["beta"], D["ewma"]),
      (1.0, 1.0, 0.01)),
     ("delayed by 6 slots", D["delay_slots"], 6),
