@@ -8,6 +8,7 @@ threads keep two cores busy. A unit must not write what another unit reads.
 from __future__ import annotations
 
 import threading
+from collections import deque
 
 __all__ = ["two_thread_map"]
 
@@ -17,8 +18,10 @@ def two_thread_map(fn, units: list) -> list:
     the front of the list, and one worker thread, taking them from the back;
     pass units largest first, so the two threads meet at the small ones.
 
-    A list of at most one unit runs inline, with no thread. Once a unit
-    raises, neither thread starts another; the worker has ended before this
+    Both threads pop (index, unit) pairs from one deque, whose pops are
+    atomic, so each unit runs exactly once. A list of at most one unit runs
+    inline, with no thread. A unit that raises empties the deque, so
+    neither thread starts another; the worker has ended before this
     returns, and the first exception raised is raised again here.
 
     Not concurrent.futures.ThreadPoolExecutor(2).map, which runs the two
@@ -30,33 +33,27 @@ def two_thread_map(fn, units: list) -> list:
     if len(units) <= 1:
         return [fn(u) for u in units]
     results = [None] * len(units)
-    lock = threading.Lock()
-    ends = [0, len(units)]              # the next front index, the back bound
+    pending = deque(enumerate(units))
     errors = []
 
-    def drain(front: bool) -> None:
+    def drain(pop) -> None:
         while True:
-            with lock:
-                if errors or ends[0] == ends[1]:
-                    return
-                if front:
-                    i = ends[0]
-                    ends[0] += 1
-                else:
-                    ends[1] -= 1
-                    i = ends[1]
             try:
-                results[i] = fn(units[i])
+                i, unit = pop()
+            except IndexError:          # empty, or emptied after a failure
+                return
+            try:
+                results[i] = fn(unit)
             except BaseException as exc:
-                with lock:
-                    errors.append(exc)
+                pending.clear()
+                errors.append(exc)
                 return
 
-    worker = threading.Thread(target=drain, args=(False,),
+    worker = threading.Thread(target=drain, args=(pending.pop,),
                               name="ulsim-worker")
     worker.start()
     try:
-        drain(True)
+        drain(pending.popleft)
     finally:
         worker.join()
     if errors:

@@ -160,13 +160,11 @@ def _shadow_draws(n_ues: int, n_sites: int, seed: int) -> np.ndarray:
     return rng.normal(0.0, SHADOW_STD_DB, size=(n_ues, n_sites))
 
 
-def _loss_matrix(positions: np.ndarray, shadow: np.ndarray,
-                 layout: SiteLayout) -> np.ndarray:
-    """(n_ues, n_cells) loss matrix from positions and per-site shadowing."""
-    dist, bearing = _wrap_geometry(positions, layout)
+def _loss_matrix(dist: np.ndarray, bearing: np.ndarray,
+                 shadow: np.ndarray) -> np.ndarray:
+    """(n_ues, n_cells) loss from per-site distance, bearing and shadowing."""
     base = macro_path_loss_db(dist) + shadow + PENETRATION_LOSS_DB  # (n, s)
-    n_cells = layout.n_cells
-    loss = np.empty((positions.shape[0], n_cells))
+    loss = np.empty((dist.shape[0], dist.shape[1] * SECTORS_PER_SITE))
     for k in range(SECTORS_PER_SITE):
         gain = antenna_gain_db(bearing - 120.0 * k)
         loss[:, k::SECTORS_PER_SITE] = base - gain
@@ -174,19 +172,22 @@ def _loss_matrix(positions: np.ndarray, shadow: np.ndarray,
 
 
 def _sample_positions(layout: SiteLayout, n: int, min_dist: float,
-                      rng: np.random.Generator) -> np.ndarray:
+                      rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """n points, none closer than min_dist to a site, and their distance and
+    bearing to every site, kept from the rejection test's _wrap_geometry."""
     basis = np.stack([layout.wrap_vectors[1], layout.wrap_vectors[2]], axis=1)
     out = np.empty((n, 2))
+    dist, bearing = np.empty((2, n, layout.n_sites))
     filled = 0
     while filled < n:
-        need = n - filled
-        frac = rng.uniform(-0.5, 0.5, size=(need, 2))
+        frac = rng.uniform(-0.5, 0.5, size=(n - filled, 2))
         pts = _voronoi_reduce(frac @ basis.T, layout)
-        ok = _wrap_geometry(pts, layout)[0].min(axis=1) >= min_dist
-        kept = pts[ok]
-        out[filled:filled + len(kept)] = kept
-        filled += len(kept)
-    return out
+        d, b = _wrap_geometry(pts, layout)
+        ok = d.min(axis=1) >= min_dist
+        kept = slice(filled, filled + np.count_nonzero(ok))
+        out[kept], dist[kept], bearing[kept] = pts[ok], d[ok], b[ok]
+        filled = kept.stop
+    return out, dist, bearing
 
 
 def drop_ues(config: SimConfig,
@@ -200,8 +201,7 @@ def drop_ues(config: SimConfig,
     """
     layout = config.layout
     n = config.ues_per_cell * layout.n_cells
-    positions = _sample_positions(layout, n, config.min_dist_m,
-                                  drop_rng(seed, POSITION_STREAM))
-    shadow = _shadow_draws(n, layout.n_sites, seed)
-    loss = _loss_matrix(positions, shadow, layout)
+    positions, dist, bearing = _sample_positions(
+        layout, n, config.min_dist_m, drop_rng(seed, POSITION_STREAM))
+    loss = _loss_matrix(dist, bearing, _shadow_draws(n, layout.n_sites, seed))
     return positions, np.argmin(loss, axis=1), loss

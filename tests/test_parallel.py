@@ -111,6 +111,28 @@ class TestTwoThreadMap:
         assert sorted(taken) == [0, 5]
         assert threading.active_count() == before
 
+    def test_each_unit_runs_once_under_contention(self, tiny_switch_interval):
+        # Short units and a thread switch at every chance: the two threads
+        # pop from both ends of the deque while the other one pops too. Each
+        # thread's first unit waits for the other's, so both run units.
+        met = threading.Barrier(2, timeout=10)
+        started, runs = set(), []
+        before = threading.active_count()
+
+        def fn(u):
+            thread = threading.current_thread()
+            if thread not in started:
+                started.add(thread)
+                met.wait()
+            runs.append((u, thread))
+            return u * u
+
+        units = list(range(400))
+        assert two_thread_map(fn, units) == [u * u for u in units]
+        assert threading.active_count() == before
+        assert sorted(u for u, _ in runs) == units
+        assert len({thread for _, thread in runs}) == 2
+
 
 @pytest.fixture
 def tiny_switch_interval():

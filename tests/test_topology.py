@@ -182,6 +182,22 @@ class TestDrops:
         assert np.array_equal(drop_ues(SimConfig(ues_per_cell=5), seed=4)[2],
                               loss)
 
+    def test_one_geometry_pass_per_point(self, monkeypatch):
+        # Each sampled point's distances and bearings are computed once, in
+        # the rejection test, and the loss matrix is built from them.
+        rows = {"_voronoi_reduce": 0, "_wrap_geometry": 0}
+        for name in rows:
+            real = getattr(topology, name)
+
+            def counted(points, layout, name=name, real=real):
+                rows[name] += len(points)
+                return real(points, layout)
+
+            monkeypatch.setattr(topology, name, counted)
+        positions, _, _ = drop_ues(SimConfig(ues_per_cell=5), seed=4)
+        assert rows["_voronoi_reduce"] >= len(positions)
+        assert rows["_wrap_geometry"] == rows["_voronoi_reduce"]
+
     def test_dense_snapshot_memory_peak(self):
         # 3,420 UEs: geometry in one pass over all points peaked at 16.4 MB,
         # in blocks at 7.0 MB.
