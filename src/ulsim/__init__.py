@@ -2,7 +2,7 @@
 
 from .config import SimConfig
 from .engine import MetricsAccumulator, run, run_drop
-from .report import RunSummary, SweepResult, run_config, run_sweep, summarize
+from .report import RunSummary, run_config, run_sweep, summarize
 from .scheduler import pf_update
 from .topology import SiteLayout, build_hex_layout
 

@@ -17,7 +17,8 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import report
-from .engine import build_snapshot, drop_seed
+from .engine import build_snapshot
+from .topology import drop_seed
 
 
 def _parse_sweep(arg: str) -> tuple[str, list[str]]:
@@ -72,9 +73,9 @@ def main(argv=None) -> int:
         # Run before writing anything, so a rejected config leaves no output.
         if args.sweep:
             key, values = args.sweep
-            result = report.run_sweep(cfg, key, values)
+            summaries = report.run_sweep(cfg, key, values)
             runs = [(f"{key}={v}", s, f"cdf_{key}_{v}.csv")
-                    for v, s in zip(result.values, result.summaries)]
+                    for v, s in zip(values, summaries)]
         else:
             summary = report.run_config(cfg)
             runs = [(summary.scheme, summary, "cdf.csv")]
@@ -86,7 +87,7 @@ def main(argv=None) -> int:
             _, loss_db = build_snapshot(sim, drop_seed(sim.seed, 0))
             report.write_plmap_csv(loss_db, out / "plmap.csv")
         if args.sweep:
-            report.write_sweep_json(result, out / "sweep.json")
+            report.write_sweep_json(key, values, summaries, out / "sweep.json")
         else:
             report.write_summary_json(summary, out / "summary.json")
         for label, summary, cdf_name in runs:

@@ -60,7 +60,7 @@ class SimConfig:
 
     It is the one parameter record every layer reads: drop_ues takes the
     layout, ues_per_cell and min_dist_m; the controllers (compute_powers,
-    for a group of configs that differ at most in zeta) the scheme keys; the
+    for a group of configs, see engine.run) the scheme keys; the
     link budget (snr_of, amc_smooth, amc_realized) the AMC keys and the
     derived noise floor; the scheduler (grant_power_mw, allocate, pf_update)
     data_rbs, alpha, beta and ewma. Between layers a drop travels as the two
@@ -248,11 +248,11 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config_file(path: str | Path) -> dict[str, object]:
-    """Read a flat key=value config file on top of the defaults.
-
-    The result must describe a valid run on its own (see SimConfig).
+    """Read a flat key=value config file, each key set at most once, on top
+    of the defaults. The result must describe a valid run (see SimConfig).
     """
     cfg = dict(DEFAULTS)
+    set_on: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -263,6 +263,9 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
         if key not in DEFAULTS:
             raise KeyError(f"{key}: unknown configuration key "
                            f"({path}:{lineno})")
+        if set_on.setdefault(key, lineno) != lineno:
+            raise ValueError(f"{key}: set twice, on lines {set_on[key]} and "
+                             f"{lineno} of {path}")
         cfg[key] = _coerce(key, raw)
     SimConfig(**cfg)
     return cfg

@@ -4,7 +4,7 @@ Per drop: build topology, compute each UE's open-loop power once (large-scale
 losses are static within a drop), then per slot: schedule every cell in one
 pass from delayed rate estimates, couple interference across cells per RB
 index, realize throughput through the AMC curve, and update PF state and
-metrics. Configs differing only in zeta share a drop and its power solve.
+metrics. run decides which configs share a drop.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .units import db_to_linear
 __all__ = [
     "MetricsAccumulator",
     "build_snapshot",
-    "drop_seed",
     "simulate",
     "run_drop",
     "run",
@@ -114,19 +113,25 @@ def compute_slot(cell: np.ndarray, ue: np.ndarray, sizes: np.ndarray,
     return bits, mean(sinr_sum), mean(snr_sum), mean(iot_sum), energy, scheduled
 
 
+def _key_beyond_zeta(configs: list[SimConfig]) -> str | None:
+    """The first key but zeta in which the configs differ, or None."""
+    return next((f.name for f in fields(SimConfig) if f.name != "zeta"
+                 and any(getattr(c, f.name) != getattr(configs[0], f.name)
+                         for c in configs)), None)
+
+
 def simulate(serving: np.ndarray, loss_db: np.ndarray,
              configs: list[SimConfig],
              fading_seed: int = 0) -> list[MetricsAccumulator]:
     """Run the slot loop on one drop's topology (see build_snapshot) once per
-    config of a group whose configs differ at most in zeta; the records come
-    in config order. The slot loops are independent work units, run on the
-    caller's thread and one worker thread (two_thread_map).
+    config of a group (see run); the records come in config order. The slot
+    loops are independent work units, run on the caller's thread and one
+    worker thread (two_thread_map).
     Raises ValueError("<key>: ...") naming the first other key in which a
     config differs from the first."""
-    for key in (f.name for f in fields(SimConfig) if f.name != "zeta"):
-        if any(getattr(c, key) != getattr(configs[0], key) for c in configs):
-            raise ValueError(f"{key}: the configs of one group may differ "
-                             "only in zeta")
+    if key := _key_beyond_zeta(configs):
+        raise ValueError(f"{key}: the configs of one group may differ "
+                         "only in zeta")
     return two_thread_map(
         lambda unit: _slot_loop(serving, loss_db, *unit, fading_seed),
         list(zip(configs, compute_powers(configs, loss_db, serving))))
@@ -192,14 +197,19 @@ def _slot_loop(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
 def run_drop(configs: list[SimConfig],
              drop_index: int) -> list[MetricsAccumulator]:
     """One random topology realization, deterministic given (seed, index),
-    simulated under each config of a group (see simulate)."""
+    simulated under each config of a group (see run)."""
     seed = drop_seed(configs[0].seed, drop_index)
     return simulate(*build_snapshot(configs[0], seed), configs,
                     fading_seed=seed)
 
 
 def run(configs: list[SimConfig]) -> list[list[MetricsAccumulator]]:
-    """All drops of a group of configs (see simulate), drop by drop: per
-    config, its drops' records in drop order."""
+    """Per config, its drops' records in drop order, equal bit for bit to
+    run([config]). The one rule for what shares a drop: configs that differ
+    at most in zeta form one group, run drop by drop, each drop's snapshot
+    and C&B screen serving every zeta (see simulate); any other list runs
+    each config alone."""
+    if not configs or _key_beyond_zeta(configs):
+        return [run([config])[0] for config in configs]
     return [list(accs) for accs in zip(*(run_drop(configs, d)
                                          for d in range(configs[0].drops)))]

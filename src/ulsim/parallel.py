@@ -1,7 +1,7 @@
 """Independent work units on the caller's thread plus one worker thread.
 
-The C&B solve's UE slices and the slot loops of a zeta group are
-independent, and numpy releases the GIL inside its array loops, so two
+The C&B solve's UE slices and the slot loops of a group (see engine.run)
+are independent, and numpy releases the GIL inside its array loops, so two
 threads keep two cores busy. A unit must not write what another unit reads.
 """
 

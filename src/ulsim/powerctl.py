@@ -8,7 +8,7 @@ interferes with, and maximizes the weighted sum by bisection on the derivative.
 Every controller is a pure function of one UE's path-loss row and static
 parameters, so per-UE solves are independent and fully distributed; the code
 computes all UEs of a drop together, as array expressions and one batched
-C&B solve for every config of a group that differs only in zeta.
+C&B solve for every config of a group (engine.run forms the groups).
 """
 
 from __future__ import annotations
@@ -175,8 +175,7 @@ def _cnb_breakpoints(pl_db: np.ndarray, cross: np.ndarray,
 def cnb_solve(pl_db, cross_losses,
               configs: list[SimConfig]) -> tuple[np.ndarray, np.ndarray]:
     """Maximize each UE's objective R_S(P) + zeta * R_I(P) over [bisect_lo,
-    p_max] dBm by bisection, once per config of a group whose configs differ
-    at most in zeta.
+    p_max] dBm by bisection, once per config of a group (see engine.run).
 
     pl_db holds n serving losses; row u of the (n, K) cross_losses holds UE
     u's neighbor losses ascending, then inf (see cnb_neighbor_losses).
@@ -311,7 +310,7 @@ def _solve_group(pl: np.ndarray, cross: np.ndarray, configs: list[SimConfig]):
 def compute_powers(configs: list[SimConfig], loss_db: np.ndarray,
                    serving: np.ndarray) -> np.ndarray:
     """Per-RB transmit power (dBm) of every UE, one row per config of a group
-    whose configs differ at most in zeta: shape (len(configs), n_ues).
+    (see engine.run): shape (len(configs), n_ues).
 
     Each UE's power depends only on its own row of the (UE, cell) loss matrix.
     """

@@ -9,18 +9,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfgmod
 from .config import SimConfig
-from .engine import MetricsAccumulator, drop_seed, run
+from .engine import MetricsAccumulator, run
+from .topology import drop_seed
 
 __all__ = [
     "RunSummary",
-    "SweepResult",
     "summarize",
     "run_config",
     "run_sweep",
@@ -54,13 +54,6 @@ class RunSummary:
             "n_drops": self.n_drops,
             "seeds": list(self.seeds),
         }
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    axis: str
-    values: tuple
-    summaries: tuple[RunSummary, ...]
 
 
 def _percentile_5(x: np.ndarray) -> float:
@@ -134,34 +127,27 @@ def run_config(cfg: dict) -> RunSummary:
     return summarize(run([sim])[0], sim)
 
 
-def run_sweep(cfg: dict, axis: str, values) -> SweepResult:
-    """One run per axis value, identical topology seeds across values.
-
-    Values whose configs are equal once zeta is replaced share each drop's
-    snapshot and C&B screen (engine.simulate), with results bit-identical to
-    separate runs. Every value's config is checked before the first run.
-    """
+def run_sweep(cfg: dict, axis: str, values) -> tuple[RunSummary, ...]:
+    """Per value of one key, in order, the summary run_config gives it alone
+    (engine.run decides which values share drops). Drop d has one seed for
+    every value unless the key is seed. Each value is checked before the
+    first run; a bad or repeated one raises ValueError("<axis>: ...")."""
     sims = [SimConfig(**cfgmod.set_key(cfg, axis, v)) for v in values]
-    groups: dict[SimConfig, list[int]] = {}
     for i, sim in enumerate(sims):
-        groups.setdefault(replace(sim, zeta=SimConfig.zeta), []).append(i)
-    accs = {i: drops for group in groups.values()
-            for i, drops in zip(group, run([sims[i] for i in group]))}
-    summaries = tuple(summarize(accs[i], sim) for i, sim in enumerate(sims))
-    return SweepResult(axis=axis, values=tuple(values), summaries=summaries)
+        if sim in sims[:i]:
+            raise ValueError(f"{axis}: {values[sims.index(sim)]} and "
+                             f"{values[i]} are one value once parsed")
+    return tuple(map(summarize, run(sims), sims))
 
 
 def write_summary_json(summary: RunSummary, path: str | Path) -> None:
     Path(path).write_text(json.dumps(summary.to_json_dict(), indent=2) + "\n")
 
 
-def write_sweep_json(result: SweepResult, path: str | Path) -> None:
-    payload = {
-        "axis": result.axis,
-        "values": list(result.values),
-        "runs": [s.to_json_dict() for s in result.summaries],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+def write_sweep_json(axis: str, values, summaries, path: str | Path) -> None:
+    runs = [s.to_json_dict() for s in summaries]
+    Path(path).write_text(json.dumps(
+        {"axis": axis, "values": list(values), "runs": runs}, indent=2) + "\n")
 
 
 def write_cdf_csv(summary: RunSummary, path: str | Path) -> None:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ulsim
-from ulsim import cli, report
+from ulsim import cli, engine, report
 from ulsim.config import DEFAULTS, SimConfig, parse_config_file, set_key
 
 
@@ -238,6 +238,35 @@ class TestCli:
                     == f"error: foo: unknown configuration key{where}\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("sweep, pair", [("zeta=1.3,1.3", "1.3 and 1.3"),
+                                             ("scheme=FPC,fpc", "FPC and fpc")])
+    def test_repeated_sweep_value_fails_before_any_run(
+            self, tmp_path, capsys, monkeypatch, sweep, pair):
+        # Two values that parse to one config would run it twice and write
+        # one CDF file twice.
+        def build_snapshot(*args):
+            raise AssertionError("a drop ran")
+
+        monkeypatch.setattr(engine, "build_snapshot", build_snapshot)
+        out = tmp_path / "out"
+        code = run_cli(BASE + ["--scheme", "cnb", "--out", out,
+                               "--sweep", sweep])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sweep.split('=')[0]}: ")
+        assert pair in err
+        assert not out.exists()
+
+    def test_key_set_twice_in_config_file(self, tmp_path, capsys):
+        # Not the last line silently winning: zeta 0.7 would run.
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"zeta = 1.1\n{TINY}zeta = 0.7\n")
+        out = tmp_path / "out"
+        assert run_cli(["--config", cfgfile, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: zeta: set twice, on lines 1 and 6 of {cfgfile}\n")
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         assert run_cli(["--config", tmp_path / "nope.cfg",
                         "--out", tmp_path]) == 2
@@ -318,8 +347,11 @@ def run_module(cfgfile, out):
     ("beta", "-0.5", "cnb"),
 ])
 def test_bad_value_fails_fast_naming_the_key(tmp_path, key, value, scheme):
+    # Each key once: TINY's line for the key gives way to the bad value.
+    tiny = "".join(line + "\n" for line in TINY.splitlines()
+                   if line.split(" = ")[0] != key)
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(f"scheme = {scheme}\n{TINY}{key} = {value}\n")
+    cfgfile.write_text(f"scheme = {scheme}\n{tiny}{key} = {value}\n")
     out = tmp_path / "out"
     proc = run_module(cfgfile, out)
     assert proc.returncode == 2

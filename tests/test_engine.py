@@ -12,14 +12,14 @@ import engine_oracle
 from conftest import cnb_config, gains_of, make_snapshot, maxpower_config
 from scheduler_oracle import expand
 from test_scheduler import network_states
-import ulsim
 from ulsim import engine
 from ulsim.config import SCHEMES, SimConfig
-from ulsim.engine import (build_snapshot, compute_slot, drop_seed, run,
-                          run_drop, simulate)
+from ulsim.engine import (build_snapshot, compute_slot, run, run_drop,
+                          simulate)
 from ulsim.linkbudget import amc_realized
 from ulsim.report import summarize
 from ulsim.scheduler import allocate, grant_power_mw
+from ulsim.topology import drop_seed
 
 
 class TestSimConfig:
@@ -469,13 +469,27 @@ class TestDrops:
         monkeypatch.setattr(engine, "compute_slot", compute_slot)
         fpc = SimConfig(scheme="fpc", rings=1, ues_per_cell=2, slots=5,
                         drops=1)
-        with pytest.raises(ValueError, match="^scheme: "):
-            ulsim.run([fpc, replace(fpc, scheme="cnb")])
-        with pytest.raises(ValueError, match="^rings: "):
-            run([fpc, replace(fpc, rings=0, drops=3)])
         with pytest.raises(ValueError, match="^slots: "):
             simulate(*build_snapshot(fpc, 1),
                      [fpc, fpc, replace(fpc, slots=4)])
+
+    def test_mixed_list_equals_runs_alone(self):
+        # Configs that differ in more than zeta each run alone, and the two
+        # C&B configs' results do not depend on the list they came in.
+        fpc = SimConfig(scheme="fpc", rings=1, ues_per_cell=2, slots=6,
+                        drops=2, seed=4)
+        configs = [fpc, replace(fpc, scheme="cnb", zeta=1.3),
+                   replace(fpc, scheme="cnb", zeta=0.7)]
+        got = run(configs)
+        assert len(got) == len(configs) and run([]) == []
+        for config, accs in zip(configs, got):
+            (alone,) = run([config])
+            assert len(accs) == len(alone) == config.drops
+            for a, b in zip(accs, alone):
+                for name in ("bits", "energy_j", "snr_lin_sum",
+                             "iot_lin_sum", "sched_slots"):
+                    assert np.array_equal(getattr(a, name),
+                                          getattr(b, name)), name
 
     def test_build_snapshot_shapes(self):
         cfg = maxpower_config(rings=1, ues_per_cell=2)

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 import powerctl_oracle as oracle
 from ulsim import powerctl
 from ulsim.config import SimConfig
-from ulsim.engine import drop_seed
 from ulsim.powerctl import (cnb_neighbor_losses, cnb_ri, cnb_rs, cnb_solve,
                             compute_powers, fpc_power, pl_threshold_db,
                             rlpc_power)
-from ulsim.topology import drop_ues
+from ulsim.topology import drop_seed, drop_ues
 from ulsim.units import db_to_linear
 
 NOISE = SimConfig()

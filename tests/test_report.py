@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ulsim import cli, engine, report
 from ulsim.config import DEFAULTS, SimConfig
 from ulsim.engine import run
+from ulsim.topology import drop_seed
 
 
 def tiny_cfg(**over):
@@ -115,10 +116,8 @@ class TestRunConfig:
         assert s.scheme == "cnb" and s.zeta == 1.1
 
     def test_sweep_paired_seeds(self):
-        res = report.run_sweep(tiny_cfg(slots=4, drops=1), "zeta",
-                               [1.3, 0.7])
-        assert res.axis == "zeta"
-        assert res.summaries[0].seeds == res.summaries[1].seeds
+        a, b = report.run_sweep(tiny_cfg(slots=4, drops=1), "zeta", [1.3, 0.7])
+        assert a.seeds == b.seeds
 
     def test_sweep_rejects_unknown_axis(self):
         with pytest.raises(KeyError):
@@ -127,9 +126,9 @@ class TestRunConfig:
 
 def assert_sweep_equals_separate_runs(cfg, axis, values):
     """Every summary of the sweep equals run_config of its value alone."""
-    res = report.run_sweep(cfg, axis, values)
-    assert len(res.summaries) == len(values)
-    for value, got in zip(values, res.summaries):
+    summaries = report.run_sweep(cfg, axis, values)
+    assert len(summaries) == len(values)
+    for value, got in zip(values, summaries):
         alone = report.run_config({**cfg, axis: value})
         assert got.to_json_dict() == alone.to_json_dict()
         assert got.per_ue_mbps == alone.per_ue_mbps
@@ -162,7 +161,7 @@ class TestSharedDrops:
         monkeypatch.setattr(engine, "build_snapshot", build_snapshot)
         cfg = tiny_cfg(scheme="cnb")
         report.run_sweep(cfg, "zeta", [1.3, 0.9, 0.7])
-        assert calls == [engine.drop_seed(cfg["seed"], d)
+        assert calls == [drop_seed(cfg["seed"], d)
                          for d in range(cfg["drops"])]
 
 
@@ -176,9 +175,10 @@ class TestWriters:
                              "mbits_per_joule", "n_drops", "seeds"}
 
     def test_sweep_json(self, tmp_path):
-        res = report.run_sweep(tiny_cfg(slots=4, drops=1), "zeta", [1.3, 0.7])
+        values = [1.3, 0.7]
+        summaries = report.run_sweep(tiny_cfg(slots=4, drops=1), "zeta", values)
         path = tmp_path / "sweep.json"
-        report.write_sweep_json(res, path)
+        report.write_sweep_json("zeta", values, summaries, path)
         data = json.loads(path.read_text())
         assert data["axis"] == "zeta"
         assert data["values"] == [1.3, 0.7]

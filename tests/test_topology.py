@@ -11,9 +11,10 @@ from topology_oracle import (Cell, cells_of, path_loss, wrap_displacement,
 from ulsim.powerctl import _sorted_cross_losses
 from ulsim.config import SimConfig
 from ulsim.topology import (PENETRATION_LOSS_DB, antenna_gain_db,
-                            build_hex_layout, drop_ues, macro_path_loss_db)
+                            build_hex_layout, drop_seed, drop_ues,
+                            macro_path_loss_db)
 from ulsim import topology
-from ulsim.engine import build_snapshot, drop_seed
+from ulsim.engine import build_snapshot
 from ulsim.topology import _shadow_draws, _wrap_geometry
 
 
