@@ -39,14 +39,26 @@ _ACCEPTS = {int: Integral, float: Real, str: str}
 _MAX_DROP_ELEMENTS = 2 ** 27
 
 
+# The C&B solve screens each UE's slope every 1 dB of its search range
+# (powerctl._SCREEN_STEP_DB), and takes the slope as a central difference
+# over 2 * 0.01 dB (powerctl._FD_STEP_DB): the objective may use at most
+# 1 / _CNB_SLOPE_HEADROOM of the float range, so that the slope is finite.
+_CNB_SCREEN_STEP_DB = 1.0
+_CNB_SLOPE_HEADROOM = 100.0
+
+
+def _drop_size(rings, ues_per_cell) -> tuple[int, int]:
+    """A drop's cells and UEs, in Python ints."""
+    cells = SECTORS_PER_SITE * (1 + 3 * int(rings) * (int(rings) + 1))
+    return cells, int(ues_per_cell) * cells
+
+
 def _largest_drop_array(rings, ues_per_cell, data_rbs) -> int:
     """Elements of a drop's largest array, counted in Python ints before any
     is built: the (UE, cell) loss matrix, which the C&B cross-loss matrix
     (UE, cell - 1) does not exceed, the (UE, data_rbs) grant-power table and
-    the (cells * data_rbs, cells) coupling buffer."""
-    rings, ues_per_cell, data_rbs = map(int, (rings, ues_per_cell, data_rbs))
-    cells = SECTORS_PER_SITE * (1 + 3 * rings * (rings + 1))
-    ues = ues_per_cell * cells
+    the per-slot (cells * data_rbs, cells) coupling array."""
+    (cells, ues), data_rbs = _drop_size(rings, ues_per_cell), int(data_rbs)
     return max(ues * cells, ues * data_rbs, cells * data_rbs * cells)
 
 
@@ -144,6 +156,20 @@ class SimConfig:
                     f"{_MAX_DROP_ELEMENTS} elements; at rings = {self.rings}, "
                     f"ues_per_cell = {self.ues_per_cell} and total_rbs = "
                     f"{self.total_rbs} it would hold {largest}")
+        # The C&B rules below count the drop, so they read it only once the
+        # size rules, which come first, hold.
+        fit = largest <= _MAX_DROP_ELEMENTS
+        cells, ues = _drop_size(self.rings, self.ues_per_cell)
+        # The largest zeta for which every objective value, at most t_max *
+        # (1 + zeta * (cells - 1)) with each other cell a neighbor, stays
+        # within 1 / _CNB_SLOPE_HEADROOM of the float range.
+        zeta_max = ((sys.float_info.max / _CNB_SLOPE_HEADROOM / self.t_max
+                     - 1.0) / (cells - 1)
+                    if fit and self.t_max > 0 else math.inf)
+        # The C&B screen's powers, in Python floats: a span too wide for a
+        # float reads inf and is refused.
+        screen = (ues * (float(self.p_max_dbm) - float(self.bisect_lo_dbm))
+                  / _CNB_SCREEN_STEP_DB if fit else 0.0)
         for key, ok, rule in (
                 ("isd_m", self.isd_m > 0, "positive"),
                 ("rings", self.rings >= 0, ">= 0"),
@@ -195,7 +221,19 @@ class SimConfig:
                  "t_max * rb_bandwidth_hz raised to it is finite"),
                 ("beta", 0 <= self.beta <= beta_max,
                  f"in [0, {beta_max:.6g}], so that a PF average up to "
-                 "data_rbs * t_max * rb_bandwidth_hz raised to it is finite")):
+                 "data_rbs * t_max * rb_bandwidth_hz raised to it is finite"),
+                ("zeta", other("cnb") or self.zeta <= zeta_max,
+                 f"at most {zeta_max!r}, so that the C&B objective R_S + "
+                 f"zeta * R_I, up to t_max * (1 + zeta * (cells - 1)) at "
+                 f"{cells} cells, and its finite-difference slope are "
+                 "finite"),
+                ("bisect_lo_dbm",
+                 other("cnb") or screen <= _MAX_DROP_ELEMENTS,
+                 f"high enough that the C&B screen, one power per UE per "
+                 f"{_CNB_SCREEN_STEP_DB:g} dB of [bisect_lo_dbm, p_max_dbm], "
+                 f"holds at most {_MAX_DROP_ELEMENTS} elements; at "
+                 f"{ues} UEs and p_max_dbm = {self.p_max_dbm} it would hold "
+                 f"{screen:.6g}")):
             if not ok:
                 raise ValueError(f"{key}: must be {rule}, "
                                  f"got {getattr(self, key)}")

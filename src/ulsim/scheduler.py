@@ -69,7 +69,7 @@ def grant_power_mw(tx_power_dbm: np.ndarray, config: SimConfig) -> np.ndarray:
 
 
 def allocate(serving: np.ndarray, est_rates: np.ndarray, avg_rate: np.ndarray,
-             config: SimConfig, n_cells: int, grant_mw: np.ndarray
+             config: SimConfig, grant_mw: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Allocate all data RBs of every cell for one slot.
 
@@ -82,7 +82,7 @@ def allocate(serving: np.ndarray, est_rates: np.ndarray, avg_rate: np.ndarray,
     in RBs, and per-RB power in mW. A cell's grants lie back to back from
     the control boundary and fill its data RBs. In a cell with a never-served
     decodable UE, only such UEs are scheduled, with equal weight.
-    Deterministic: ties break by UE id.
+    Deterministic: ties break by UE id. No argument is changed.
     """
     served = avg_rate > 0
     w = np.where(served, 0.0, np.inf)
@@ -91,9 +91,7 @@ def allocate(serving: np.ndarray, est_rates: np.ndarray, avg_rate: np.ndarray,
     w[defined] = (est_rates[defined] ** config.alpha
                   / avg_rate[defined] ** config.beta)
     boot = np.isinf(w)
-    boot_cell = np.zeros(n_cells, dtype=bool)
-    boot_cell[serving[boot]] = True
-    w = np.where(boot_cell[serving], boot * 1.0, w)
+    w = np.where(np.bincount(serving, boot)[serving] > 0, boot * 1.0, w)
 
     # Highest weight first per cell, UE id breaks ties (the sort is stable
     # and ue ascends); one UE per RB at most.
@@ -108,13 +106,13 @@ def allocate(serving: np.ndarray, est_rates: np.ndarray, avg_rate: np.ndarray,
     # One RB each, remainder apportioned by weight share (largest remainder).
     # Each cell's total adds its weights one at a time in rank order: other
     # summation orders can flip exact remainder ties.
-    n = np.bincount(cell, minlength=n_cells)
-    total = np.bincount(cell, ww, minlength=n_cells)
+    n = np.bincount(cell)
+    total = np.bincount(cell, ww)
     remaining = config.data_rbs - n
     target = ww / total[cell] * remaining[cell]
     base = np.floor(target).astype(int)
     sizes = 1 + base
-    leftover = remaining - np.bincount(cell, base, minlength=n_cells).astype(int)
+    leftover = remaining - np.bincount(cell, base).astype(int)
     frac = target - base
     # Largest remainder first per cell, rank breaks ties. cell is sorted, so
     # by_frac keeps each cell's entries in the cell's own index range.

@@ -1,9 +1,12 @@
 """Shared fixtures: the default configuration and small reusable layouts."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from ulsim.config import SimConfig
+from ulsim.engine import MetricsAccumulator
 from ulsim.topology import build_hex_layout
 
 
@@ -39,3 +42,10 @@ def maxpower_config(**kw):
 
 def cnb_config(zeta=1.3, **kw):
     return SimConfig(scheme="cnb", zeta=zeta, **kw)
+
+
+def assert_records_equal(got, want):
+    """Every field of two MetricsAccumulator records is equal, bit for bit."""
+    for f in fields(MetricsAccumulator):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), \
+            f.name

@@ -187,7 +187,7 @@ class TestCriterion6EngineOracle:
         slot = (np.array([0, 1, 1]), np.array([0, 2, 1]), np.array([6, 2, 4]),
                 10.0 ** (np.array([self.P0, self.P2, self.P1]) / 10.0))
         bits, mean_sinr, _, _, energy, _ = compute_slot(
-            *slot, gains_of(self.LOSS), config, np.empty((2 * 6, 2)))
+            *slot, gains_of(self.LOSS), config)
 
         # Independent scalar recomputation: received = p * gain * combining,
         # sinr = signal / (other-cell interference + per-RB noise).

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import ulsim
 from ulsim import cli, engine, report
 from ulsim.config import DEFAULTS, SimConfig, parse_config_file, set_key
+from ulsim.powerctl import compute_powers
 
 
 class TestConfigFile:
@@ -139,6 +141,57 @@ def test_default_drop_fits_up_to_13_rings():
     assert SimConfig(rings=13).layout.n_sites == 547
     with pytest.raises(ValueError, match="^total_rbs: .* rings = 14,"):
         SimConfig(rings=14)
+
+
+@pytest.mark.parametrize("value", [-1e9, -1e308])
+def test_oversized_cnb_screen_refused_before_any_allocation(tmp_path, capsys,
+                                                            value):
+    # The C&B screen lays a 1 dB lattice over [bisect_lo_dbm, p_max_dbm] for
+    # every UE: -1e9 would ask for 7.45 GiB, and -1e308 spans more powers
+    # than an int conversion of the float takes.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match=r"^bisect_lo_dbm: .* C&B screen"):
+            SimConfig(bisect_lo_dbm=value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    out = tmp_path / "out"
+    assert run_cli(["--sweep", f"bisect_lo_dbm={value}", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: bisect_lo_dbm: ")
+    assert not out.exists()
+    SimConfig(scheme="fpc", bisect_lo_dbm=value)    # a C&B rule only
+    SimConfig()
+
+
+def test_zeta_bounded_so_the_cnb_objective_stays_finite(tmp_path, capsys):
+    # zeta = 1e308 overflowed zeta * R_I, and the solve picked powers from
+    # NaN slopes. The error quotes the bound, exactly.
+    tiny = dict(rings=0, ues_per_cell=8)
+    with pytest.raises(ValueError, match="^zeta: must be at most ") as err:
+        SimConfig(zeta=1e308, **tiny)
+    zeta_max = float(re.search(r"at most (\S+),", str(err.value))[1])
+    config = SimConfig(zeta=zeta_max, **tiny)
+    serving, loss = engine.build_snapshot(config, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        powers = compute_powers([config], loss, serving)
+    assert np.isfinite(powers).all()
+
+    above = 1.01 * zeta_max
+    with pytest.raises(ValueError, match="^zeta: "):
+        SimConfig(zeta=above, **tiny)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("rings = 0\nues_per_cell = 8\n")
+    out = tmp_path / "out"
+    assert run_cli(["--config", cfgfile, "--zeta", repr(above),
+                    "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: zeta: ") and captured.out == ""
+    assert not out.exists()
+    SimConfig(scheme="fpc", zeta=1e308, **tiny)      # a C&B rule only
 
 
 def test_key_types_take_integral_and_real_numbers():
@@ -345,6 +398,9 @@ def run_module(cfgfile, out):
     ("alpha", "-1", "cnb"),
     ("beta", "1000", "fpc"),
     ("beta", "-0.5", "cnb"),
+    ("zeta", "1e308", "cnb"),
+    ("bisect_lo_dbm", "-1e9", "cnb"),
+    ("bisect_lo_dbm", "-1e308", "cnb"),
 ])
 def test_bad_value_fails_fast_naming_the_key(tmp_path, key, value, scheme):
     # Each key once: TINY's line for the key gives way to the bad value.

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engine_oracle
-from conftest import cnb_config, gains_of, make_snapshot, maxpower_config
+from conftest import (assert_records_equal, cnb_config, gains_of,
+                      make_snapshot, maxpower_config)
 from scheduler_oracle import expand
 from test_scheduler import network_states
 from ulsim import engine
@@ -44,11 +45,6 @@ class TestSimConfig:
         assert cfg.data_rbs == 48
         assert cfg.n0_dbm == -174.0 + 10.0 * np.log10(180_000.0) + 5.0
         assert cfg.n0_mw == 10.0 ** (cfg.n0_dbm / 10.0)
-
-
-def work(config, n_cells=2):
-    """A fresh compute_slot buffer for n_cells cells."""
-    return np.empty((n_cells * config.data_rbs, n_cells))
 
 
 def grants(*entries):
@@ -99,7 +95,7 @@ class TestComputeSlotOracle:
     def test_bits_and_sinr_match_hand_computation(self):
         gains, config, slot = self.scenario()
         bits, mean_sinr, mean_snr, mean_iot, energy, sched = compute_slot(
-            *slot, gains, config, work(config))
+            *slot, gains, config)
         want_bits, want_energy, want_sinr, _ = self.expected(config)
         assert np.allclose(bits, want_bits, rtol=1e-9, atol=0)
         assert np.allclose(mean_sinr, want_sinr, rtol=1e-9, atol=0)
@@ -108,8 +104,7 @@ class TestComputeSlotOracle:
 
     def test_snr_iot_samples(self):
         gains, config, slot = self.scenario()
-        _, _, mean_snr, mean_iot, _, _ = compute_slot(*slot, gains, config,
-                                                      work(config))
+        _, _, mean_snr, mean_iot, _, _ = compute_slot(*slot, gains, config)
         _, _, _, snr0 = self.expected(config)
         assert np.isclose(mean_snr[0], snr0, rtol=1e-9)
         # Every RB meets an interferer, so IoT exceeds 1.
@@ -118,15 +113,14 @@ class TestComputeSlotOracle:
     def test_idle_network(self):
         gains, config, _ = self.scenario()
         bits, _, _, _, energy, sched = compute_slot(
-            *grants(), gains, config, work(config))
+            *grants(), gains, config)
         assert not bits.any() and not energy.any() and not sched.any()
 
     def test_single_busy_cell_sees_only_noise(self):
         # Cell 1 alone transmits: SINR is the SNR on every RB.
         gains, config, _ = self.scenario()
         bits, mean_sinr, mean_snr, mean_iot, _, sched = compute_slot(
-            *grants((1, 1, 5, self.P[1]), (1, 2, 3, self.P[2])), gains, config,
-            work(config))
+            *grants((1, 1, 5, self.P[1]), (1, 2, 3, self.P[2])), gains, config)
         n0 = 10.0 ** (config.n0_dbm / 10.0)
         combine = 10.0 ** (config.combining_gain_db / 10.0)
         snr = [10.0 ** ((self.P[u] - self.LOSS[u][1]) / 10.0) * combine / n0
@@ -148,7 +142,7 @@ class TestComputeSlotOracle:
         d = config.data_rbs
         slot = grants(*[entry for c in busy for entry in (
             (c, 2 * c, 1 + c, 23.0 - c), (c, 2 * c + 1, d - 1 - c, 5.0 * c))])
-        got = compute_slot(*slot, gains_of(loss), config, work(config, n_cells))
+        got = compute_slot(*slot, gains_of(loss), config)
         want = engine_oracle.compute_slot(*expand(slot, n_cells, config),
                                           gains_of(loss), config)
         assert np.array_equal(got[5], np.array(want[5]) > 0)
@@ -162,7 +156,7 @@ class TestComputeSlotOracle:
         # every cell with a grant must fill exactly its data RBs, its grants
         # listed together in cell order.
         serving, est, pf, config, powers, n_cells = state
-        cell, ue, sizes, p_mw = allocate(serving, est, pf, config, n_cells,
+        cell, ue, sizes, p_mw = allocate(serving, est, pf, config,
                                          grant_power_mw(powers, config))
         assert (np.diff(cell) >= 0).all() and (sizes >= 1).all()
         filled = np.bincount(cell, sizes, minlength=n_cells)
@@ -171,8 +165,7 @@ class TestComputeSlotOracle:
         loss = np.random.default_rng(seed).uniform(
             90.0, 140.0, size=(len(serving), n_cells))
         slot = (cell, ue, sizes, p_mw)
-        got = compute_slot(*slot, gains_of(loss), config,
-                           work(config, n_cells))
+        got = compute_slot(*slot, gains_of(loss), config)
         want = engine_oracle.compute_slot(*expand(slot, n_cells, config),
                                           gains_of(loss), config)
         for a, b in zip(got[:5], want[:5]):
@@ -230,9 +223,7 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
-        for name in ("bits", "energy_j", "snr_lin_sum", "iot_lin_sum",
-                     "sched_slots"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert_records_equal(got, want)
 
     def test_fading_changes_results(self):
         snap = self.small_snapshot()
@@ -294,9 +285,7 @@ class TestEngineOracle:
         snap = build_snapshot(config, seed)
         (got,) = simulate(*snap, [config], fading_seed=seed)
         want = engine_oracle.simulate(*snap, config, fading_seed=seed)
-        for name in ("bits", "energy_j", "snr_lin_sum", "iot_lin_sum",
-                     "sched_slots"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert_records_equal(got, want)
 
     def test_matches_plain_loop_at_the_pf_floor(self, monkeypatch):
         # With ewma = 0.9 a served UE's average decays to the smallest
@@ -318,9 +307,7 @@ class TestEngineOracle:
         (got,) = simulate(*snap, [config], fading_seed=seed)
         assert any(floored)
         want = engine_oracle.simulate(*snap, config, fading_seed=seed)
-        for name in ("bits", "energy_j", "snr_lin_sum", "iot_lin_sum",
-                     "sched_slots"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert_records_equal(got, want)
 
 
 class TestApplyDelay:
@@ -373,25 +360,24 @@ class TestApplyDelay:
 
 
 class TestSlotBuffers:
-    """The slot loop fills per-drop buffers in place; no result may depend
-    on what a buffer held before."""
+    """What each slot reads: its faded gains, and delayed estimates that no
+    slot may change, since with fading off every slot shares base_gains and
+    the delay line shares one estimate across slots."""
 
-    def test_reused_work_matches_fresh(self):
-        serving, loss = TestSimulate().small_snapshot()
-        config = maxpower_config(slots=1)
-        gains = gains_of(loss)
-        faded = gains * np.random.default_rng(3).exponential(1.0, gains.shape)
-        ues = {c: np.flatnonzero(serving == c).tolist() for c in range(3)}
-        # Cell 1 idles first; the second slot uses fewer rows of the buffer.
-        first = grants((0, ues[0][0], 30, 10.0), (0, ues[0][1], 18, -3.0),
-                       (2, ues[2][0], 48, 20.0))
-        second = grants((0, ues[0][1], 48, 23.0))
-        reused = np.full((3 * config.data_rbs, 3), np.nan)
-        for slot, g in 2 * list(zip((first, second, grants()),
-                                    (gains, faded, gains))):
-            got = compute_slot(*slot, g, config, reused)
-            want = compute_slot(*slot, g, config, work(config, 3))
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    @settings(max_examples=100, deadline=None)
+    @given(network_states(), st.integers(0, 2 ** 32 - 1))
+    def test_slot_leaves_its_arguments_unchanged(self, state, seed):
+        serving, est, pf, config, powers, n_cells = state
+        gains = gains_of(np.random.default_rng(seed).uniform(
+            90.0, 140.0, size=(len(serving), n_cells)))
+        grant_mw = grant_power_mw(powers, config)
+        inputs = (serving, est, pf, grant_mw, gains)
+        before = [a.copy() for a in inputs]
+        slot = allocate(serving, est, pf, config, grant_mw)
+        granted = [a.copy() for a in slot]
+        compute_slot(*slot, gains, config)
+        for a, b in zip(inputs + slot, before + granted):
+            assert np.array_equal(a, b)
 
     def record(self, monkeypatch):
         """Run 12 slots faded from seed 5; return the gains and estimates
@@ -486,10 +472,7 @@ class TestDrops:
             (alone,) = run([config])
             assert len(accs) == len(alone) == config.drops
             for a, b in zip(accs, alone):
-                for name in ("bits", "energy_j", "snr_lin_sum",
-                             "iot_lin_sum", "sched_slots"):
-                    assert np.array_equal(getattr(a, name),
-                                          getattr(b, name)), name
+                assert_records_equal(a, b)
 
     def test_build_snapshot_shapes(self):
         cfg = maxpower_config(rings=1, ues_per_cell=2)

@@ -4,12 +4,11 @@ that run on it leave no thread behind and give their serial results."""
 import sys
 import threading
 import time
-from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from conftest import cnb_config
+from conftest import assert_records_equal, cnb_config
 from test_powerctl import random_batch
 from ulsim import engine, powerctl
 from ulsim.engine import build_snapshot, simulate
@@ -178,8 +177,7 @@ class TestThreadedCallers:
         monkeypatch.setattr(powerctl, "two_thread_map", serial_map)
         want = simulate(*snapshot, configs, fading_seed=11)
         for g, w in zip(got, want):
-            assert all(np.array_equal(getattr(g, f.name), getattr(w, f.name))
-                       for f in fields(w))
+            assert_records_equal(g, w)
 
     def test_slot_loop_exception_reaches_caller(self, monkeypatch):
         configs = [cnb_config(zeta=z, rings=0, ues_per_cell=2, slots=3)

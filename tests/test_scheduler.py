@@ -29,7 +29,7 @@ def schedule(rates, pf, grid, serving=None, powers=None, n_cells=1):
     serving = np.zeros(n, dtype=int) if serving is None else np.asarray(serving)
     powers = np.full(n, P_MAX) if powers is None else np.asarray(powers)
     return expand(allocate(serving, np.asarray(rates, dtype=float), pf, grid,
-                           n_cells, grant_power_mw(powers, grid)),
+                           grant_power_mw(powers, grid)),
                   n_cells, grid)
 
 
@@ -280,7 +280,7 @@ SPLIT_AVG = [
                        SimConfig(total_rbs=194)))
 def test_matches_per_cell_oracle(state):
     serving, est, pf, config, powers, n_cells = state
-    occ, p_mw = expand(allocate(serving, est, pf, config, n_cells,
+    occ, p_mw = expand(allocate(serving, est, pf, config,
                                 grant_power_mw(powers, config)),
                        n_cells, config)
     want_occ, want_p_mw = allocate_network(*state)
