@@ -70,7 +70,8 @@ def main(argv=None) -> int:
             if value is not None:
                 cfg = cfgmod.set_key(cfg, key, value)
 
-        # Run before writing anything, so a rejected config leaves no output.
+        # Build every config and run first, so a refused config writes nothing.
+        plmap = cfgmod.SimConfig(**cfg) if args.export_plmap else None
         if args.sweep:
             key, values = args.sweep
             summaries = report.run_sweep(cfg, key, values)
@@ -82,9 +83,8 @@ def main(argv=None) -> int:
 
         out = args.out
         out.mkdir(parents=True, exist_ok=True)
-        if args.export_plmap:
-            sim = cfgmod.SimConfig(**cfg)
-            _, loss_db = build_snapshot(sim, drop_seed(sim.seed, 0))
+        if plmap:
+            _, loss_db = build_snapshot(plmap, drop_seed(plmap.seed, 0))
             report.write_plmap_csv(loss_db, out / "plmap.csv")
         if args.sweep:
             report.write_sweep_json(key, values, summaries, out / "sweep.json")

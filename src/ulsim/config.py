@@ -38,37 +38,46 @@ _ACCEPTS = {int: Integral, float: Real, str: str}
 # default drop's largest array holds 155,952.
 _MAX_DROP_ELEMENTS = 2 ** 27
 
-
-# The C&B solve screens each UE's slope every 1 dB of its search range
-# (powerctl._SCREEN_STEP_DB), and takes the slope as a central difference
-# over 2 * 0.01 dB (powerctl._FD_STEP_DB): the objective may use at most
-# 1 / _CNB_SLOPE_HEADROOM of the float range, so that the slope is finite.
-_CNB_SCREEN_STEP_DB = 1.0
-_CNB_SLOPE_HEADROOM = 100.0
+# The C&B solve takes each UE's slope as a central difference over
+# 2 * _FD_STEP_DB, and screens its sign every _SCREEN_STEP_DB: the smooth
+# parts of the objective vary on multi-dB scales, so 1 dB suffices.
+_FD_STEP_DB = 0.01
+_SCREEN_STEP_DB = 1.0
 
 
-def _drop_size(rings, ues_per_cell) -> tuple[int, int]:
-    """A drop's cells and UEs, in Python ints."""
+def _finite(value) -> bool:
+    """Whether a real number is a finite float (an int past floats is not)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _show(value) -> str:
+    """A value as an error quotes it; an int too long for str, by its bits."""
+    try:
+        return str(value) if isinstance(value, Real) else repr(value)
+    except ValueError:
+        return f"an int of {value.bit_length()} bits"
+
+
+def _drop_size(rings, ues_per_cell, data_rbs) -> tuple[int, int, int]:
+    """A drop's cells, UEs and the elements of its largest array, in Python
+    ints before any array is built: the (UE, cell) loss matrix, which the C&B
+    cross-loss matrix (UE, cell - 1) does not exceed, the (UE, data_rbs)
+    grant-power table or the per-slot (cells * data_rbs, cells) coupling."""
     cells = SECTORS_PER_SITE * (1 + 3 * int(rings) * (int(rings) + 1))
-    return cells, int(ues_per_cell) * cells
-
-
-def _largest_drop_array(rings, ues_per_cell, data_rbs) -> int:
-    """Elements of a drop's largest array, counted in Python ints before any
-    is built: the (UE, cell) loss matrix, which the C&B cross-loss matrix
-    (UE, cell - 1) does not exceed, the (UE, data_rbs) grant-power table and
-    the per-slot (cells * data_rbs, cells) coupling array."""
-    (cells, ues), data_rbs = _drop_size(rings, ues_per_cell), int(data_rbs)
-    return max(ues * cells, ues * data_rbs, cells * data_rbs * cells)
+    ues, rbs = int(ues_per_cell) * cells, int(data_rbs)
+    return cells, ues, max(ues * cells, ues * rbs, cells * rbs * cells)
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """One run: a field per configuration key, in config-file order.
 
-    Each default is written once, here. Construction checks every key,
-    raising ValueError("<key>: ..."), then builds the layout. Keys of the
-    schemes not selected are only checked for their type and finiteness.
+    Each default is written once, here. Construction checks one rule at a time
+    (_rules), raising ValueError("<key>: ..."), then builds the layout. Keys of
+    unselected schemes are only checked for type and finiteness.
 
     It is the one parameter record every layer reads: drop_ues takes the
     layout, ues_per_cell and min_dist_m; the controllers (compute_powers,
@@ -123,122 +132,113 @@ class SimConfig:
     staircase: int = 0                  # 0 | 1: quantize to MCS_LEVELS steps
 
     def __post_init__(self):
+        for key, holds, rule in self._rules():
+            if not holds:
+                raise ValueError(f"{key}: {rule}, "
+                                 f"got {_show(getattr(self, key))}")
+        object.__setattr__(self, "layout",
+                           build_hex_layout(self.rings, self.isd_m))
+
+    def _rules(self):
+        """The rules in order, as (key, holds, rule); each is formed only
+        once every earlier one holds, and so may count on them."""
         for f in fields(self):
             value, kind = getattr(self, f.name), type(f.default)
-            if not isinstance(value, _ACCEPTS[kind]):
-                raise ValueError(f"{f.name}: expected {kind.__name__}, "
-                                 f"got {value!r}")
-            if kind is float and not math.isfinite(value):
-                raise ValueError(f"{f.name}: must be finite, got {value}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme: must be one of {', '.join(SCHEMES)}, "
-                             f"got {self.scheme!r}")
+            yield (f.name, isinstance(value, _ACCEPTS[kind]),
+                   f"expected {kind.__name__}")
+            if kind is float:
+                yield f.name, _finite(value), "must be finite"
+        yield ("scheme", self.scheme in SCHEMES,
+               f"must be one of {', '.join(SCHEMES)}")
         # A scheme's own rules hold only when it is the one selected.
-        other = lambda scheme: self.scheme != scheme
+        off = lambda scheme: self.scheme != scheme
         # A dB value whose linear value is a positive, finite float.
         lo10, hi10 = sys.float_info.min_10_exp, sys.float_info.max_10_exp
         db_in_range = lambda db: lo10 <= db / 10 <= hi10
         db_range = f"in [{10 * lo10}, {10 * hi10}]"
+        yield "isd_m", self.isd_m > 0, "must be positive"
+        yield "rings", self.rings >= 0, "must be >= 0"
+        yield "zeta", off("cnb") or self.zeta > 0, "must be positive"
+        yield "tol_db", off("cnb") or self.tol_db > 0, "must be positive"
+        yield ("p_max_dbm", self.p_max_dbm / 10 <= hi10,
+               f"must be at most {10 * hi10} dBm, a finite mW value")
+        yield ("bisect_lo_dbm",
+               off("cnb") or self.bisect_lo_dbm < self.p_max_dbm,
+               f"must be below p_max_dbm = {self.p_max_dbm}")
+        yield "kappa", off("fpc") or 0 <= self.kappa <= 1, "must be in [0, 1]"
+        yield "phi", off("rlpc") or 0 <= self.phi <= 1, "must be in [0, 1]"
+        yield ("min_dist_m", 0 <= self.min_dist_m < self.isd_m / 2,
+               "must be in [0, isd_m/2)")
+        yield "ues_per_cell", self.ues_per_cell >= 1, "must be >= 1"
+        yield "slots", self.slots >= 1, "must be >= 1"
+        yield "drops", self.drops >= 1, "must be >= 1"
+        yield "seed", self.seed >= 0, "must be >= 0"
+        yield "slot_duration_s", self.slot_duration_s > 0, "must be positive"
+        yield "delay_slots", self.delay_slots >= 1, "must be >= 1"
+        yield "fading", self.fading in (0, 1), "must be 0 or 1"
+        yield ("combining_gain_db", db_in_range(self.combining_gain_db),
+               f"must be {db_range} dB, a positive, finite linear gain")
+        yield "ewma", 0 < self.ewma < 1, "must be in (0, 1)"
+        yield ("control_rbs", 0 <= self.control_rbs < self.total_rbs,
+               f"must be in [0, total_rbs = {_show(self.total_rbs)})")
+        # Each size rule takes the keys after its own at their least, so the
+        # error names the first key that makes a drop's arrays too large.
+        fits = lambda ues_per_cell, data_rbs: _drop_size(
+            self.rings, ues_per_cell, data_rbs)[2] <= _MAX_DROP_ELEMENTS
+        cells, ues, largest = _drop_size(self.rings, self.ues_per_cell,
+                                         self.data_rbs)
+        fit_rule = (f"must be small enough that a drop's largest array holds "
+                    f"at most {_MAX_DROP_ELEMENTS} elements; at rings = "
+                    f"{_show(self.rings)}, ues_per_cell = "
+                    f"{_show(self.ues_per_cell)} and total_rbs = "
+                    f"{_show(self.total_rbs)} it would hold {_show(largest)}")
+        yield "rings", fits(1, 1), fit_rule
+        yield "ues_per_cell", fits(self.ues_per_cell, 1), fit_rule
+        yield "total_rbs", largest <= _MAX_DROP_ELEMENTS, fit_rule
+        yield "rb_bandwidth_hz", self.rb_bandwidth_hz > 0, "must be positive"
+        yield ("n0_dbm", db_in_range(self.n0_dbm),
+               f"must be {db_range} dBm, a positive, finite mW noise floor, "
+               "as thermal_density_dbm_hz + 10 log10(rb_bandwidth_hz) + "
+               "noise_figure_db sets it")
+        yield "t_max", self.t_max > 0, "must be positive"
+        yield "amc_a", self.amc_a > 0, "must be positive"
         max_exp = sys.float_info.max_exp
+        yield ("t_max", self.t_max / self.amc_a < max_exp,
+               f"must be below {max_exp} * amc_a = {max_exp * self.amc_a}, "
+               "so that 2 ** (t_max / amc_a) is a finite float")
+        yield "amc_b", self.amc_b > 0, "must be positive"
+        yield ("sinr_floor_db", self.sinr_floor_db < self.sinr_ceiling_db,
+               f"must be below sinr_ceiling_db = {self.sinr_ceiling_db}")
+        yield "staircase", self.staircase in (0, 1), "must be 0 or 1"
         # The largest e for which every value up to x, raised to e, is finite.
         exp_max = lambda x: hi10 / math.log10(x) if x > 1 else math.inf
         alpha_max = exp_max(self.t_max * self.rb_bandwidth_hz)
+        yield ("alpha", 0 <= self.alpha <= alpha_max,
+               f"must be in [0, {alpha_max:.6g}], so that a rate estimate up "
+               "to t_max * rb_bandwidth_hz raised to it is finite")
         beta_max = exp_max(self.data_rbs * self.t_max * self.rb_bandwidth_hz)
-        # Whether a drop's arrays fit with ues_per_cell and data_rbs at these
-        # values. Each size rule takes the keys after its own at their least,
-        # so the error names the first key that makes the arrays outgrow the
-        # bound.
-        fits = lambda ues_per_cell, data_rbs: _largest_drop_array(
-            self.rings, ues_per_cell, data_rbs) <= _MAX_DROP_ELEMENTS
-        largest = _largest_drop_array(self.rings, self.ues_per_cell,
-                                      self.data_rbs)
-        fit_rule = (f"small enough that a drop's largest array holds at most "
-                    f"{_MAX_DROP_ELEMENTS} elements; at rings = {self.rings}, "
-                    f"ues_per_cell = {self.ues_per_cell} and total_rbs = "
-                    f"{self.total_rbs} it would hold {largest}")
-        # The C&B rules below count the drop, so they read it only once the
-        # size rules, which come first, hold.
-        fit = largest <= _MAX_DROP_ELEMENTS
-        cells, ues = _drop_size(self.rings, self.ues_per_cell)
-        # The largest zeta for which every objective value, at most t_max *
-        # (1 + zeta * (cells - 1)) with each other cell a neighbor, stays
-        # within 1 / _CNB_SLOPE_HEADROOM of the float range.
-        zeta_max = ((sys.float_info.max / _CNB_SLOPE_HEADROOM / self.t_max
-                     - 1.0) / (cells - 1)
-                    if fit and self.t_max > 0 else math.inf)
+        yield ("beta", 0 <= self.beta <= beta_max,
+               f"must be in [0, {beta_max:.6g}], so that a PF average up to "
+               "data_rbs * t_max * rb_bandwidth_hz raised to it is finite")
+        # The largest zeta for which every objective value, up to t_max * (1 +
+        # zeta * (cells - 1)) with each other cell a neighbor, stays within
+        # _FD_STEP_DB of the float range, so its slope is finite.
+        zeta_max = ((sys.float_info.max * _FD_STEP_DB / self.t_max - 1.0)
+                    / (cells - 1))
+        yield ("zeta", off("cnb") or self.zeta <= zeta_max,
+               f"must be at most {zeta_max!r}, so that the C&B objective R_S "
+               f"+ zeta * R_I, up to t_max * (1 + zeta * (cells - 1)) at "
+               f"{cells} cells, and its finite-difference slope are finite")
         # The C&B screen's powers, in Python floats: a span too wide for a
         # float reads inf and is refused.
         screen = (ues * (float(self.p_max_dbm) - float(self.bisect_lo_dbm))
-                  / _CNB_SCREEN_STEP_DB if fit else 0.0)
-        for key, ok, rule in (
-                ("isd_m", self.isd_m > 0, "positive"),
-                ("rings", self.rings >= 0, ">= 0"),
-                ("zeta", other("cnb") or self.zeta > 0, "positive"),
-                ("tol_db", other("cnb") or self.tol_db > 0, "positive"),
-                ("p_max_dbm", self.p_max_dbm / 10 <= hi10,
-                 f"at most {10 * hi10} dBm, a finite mW value"),
-                ("bisect_lo_dbm",
-                 other("cnb") or self.bisect_lo_dbm < self.p_max_dbm,
-                 f"below p_max_dbm = {self.p_max_dbm}"),
-                ("kappa", other("fpc") or 0 <= self.kappa <= 1, "in [0, 1]"),
-                ("phi", other("rlpc") or 0 <= self.phi <= 1, "in [0, 1]"),
-                ("min_dist_m", 0 <= self.min_dist_m < self.isd_m / 2,
-                 "in [0, isd_m/2)"),
-                ("ues_per_cell", self.ues_per_cell >= 1, ">= 1"),
-                ("slots", self.slots >= 1, ">= 1"),
-                ("drops", self.drops >= 1, ">= 1"),
-                ("seed", self.seed >= 0, ">= 0"),
-                ("slot_duration_s", self.slot_duration_s > 0, "positive"),
-                ("delay_slots", self.delay_slots >= 1, ">= 1"),
-                ("fading", self.fading in (0, 1), "0 or 1"),
-                ("combining_gain_db", db_in_range(self.combining_gain_db),
-                 f"{db_range} dB, a positive, finite linear gain"),
-                ("ewma", 0 < self.ewma < 1, "in (0, 1)"),
-                ("control_rbs", 0 <= self.control_rbs < self.total_rbs,
-                 f"in [0, total_rbs = {self.total_rbs})"),
-                ("rings", fits(1, 1), fit_rule),
-                ("ues_per_cell", fits(self.ues_per_cell, 1), fit_rule),
-                ("total_rbs", fits(self.ues_per_cell, self.data_rbs),
-                 fit_rule),
-                ("rb_bandwidth_hz", self.rb_bandwidth_hz > 0, "positive"),
-                ("n0_dbm",
-                 self.rb_bandwidth_hz <= 0 or db_in_range(self.n0_dbm),
-                 f"{db_range} dBm, a positive, finite mW noise floor, as "
-                 "thermal_density_dbm_hz + 10 log10(rb_bandwidth_hz) + "
-                 "noise_figure_db sets it"),
-                ("t_max", self.t_max > 0, "positive"),
-                ("amc_a", self.amc_a > 0, "positive"),
-                ("t_max",
-                 self.amc_a <= 0 or self.t_max / self.amc_a < max_exp,
-                 f"below {max_exp} * amc_a = {max_exp * self.amc_a}, so "
-                 "that 2 ** (t_max / amc_a) is a finite float"),
-                ("amc_b", self.amc_b > 0, "positive"),
-                ("sinr_floor_db", self.sinr_floor_db < self.sinr_ceiling_db,
-                 f"below sinr_ceiling_db = {self.sinr_ceiling_db}"),
-                ("staircase", self.staircase in (0, 1), "0 or 1"),
-                ("alpha", 0 <= self.alpha <= alpha_max,
-                 f"in [0, {alpha_max:.6g}], so that a rate estimate up to "
-                 "t_max * rb_bandwidth_hz raised to it is finite"),
-                ("beta", 0 <= self.beta <= beta_max,
-                 f"in [0, {beta_max:.6g}], so that a PF average up to "
-                 "data_rbs * t_max * rb_bandwidth_hz raised to it is finite"),
-                ("zeta", other("cnb") or self.zeta <= zeta_max,
-                 f"at most {zeta_max!r}, so that the C&B objective R_S + "
-                 f"zeta * R_I, up to t_max * (1 + zeta * (cells - 1)) at "
-                 f"{cells} cells, and its finite-difference slope are "
-                 "finite"),
-                ("bisect_lo_dbm",
-                 other("cnb") or screen <= _MAX_DROP_ELEMENTS,
-                 f"high enough that the C&B screen, one power per UE per "
-                 f"{_CNB_SCREEN_STEP_DB:g} dB of [bisect_lo_dbm, p_max_dbm], "
-                 f"holds at most {_MAX_DROP_ELEMENTS} elements; at "
-                 f"{ues} UEs and p_max_dbm = {self.p_max_dbm} it would hold "
-                 f"{screen:.6g}")):
-            if not ok:
-                raise ValueError(f"{key}: must be {rule}, "
-                                 f"got {getattr(self, key)}")
-        object.__setattr__(self, "layout",
-                           build_hex_layout(self.rings, self.isd_m))
+                  / _SCREEN_STEP_DB)
+        yield ("bisect_lo_dbm", off("cnb") or screen <= _MAX_DROP_ELEMENTS,
+               f"must be high enough that the C&B screen, one power per UE "
+               f"per {_SCREEN_STEP_DB:g} dB of [bisect_lo_dbm, p_max_dbm], "
+               f"holds at most {_MAX_DROP_ELEMENTS} elements; at {ues} UEs "
+               f"and p_max_dbm = {self.p_max_dbm} it would hold "
+               f"{screen:.6g}")
 
     @property
     def data_rbs(self) -> int:
@@ -286,9 +286,9 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config_file(path: str | Path) -> dict[str, object]:
-    """Read a flat key=value config file, each key set at most once, on top
-    of the defaults. The result must describe a valid run (see SimConfig).
-    """
+    """Read a flat key=value config file on top of the defaults. Raises on a
+    bad line, an unknown key, a key set twice or a value of the wrong type;
+    the values are SimConfig's to check, after CLI flags and sweeps apply."""
     cfg = dict(DEFAULTS)
     set_on: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -305,7 +305,6 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
             raise ValueError(f"{key}: set twice, on lines {set_on[key]} and "
                              f"{lineno} of {path}")
         cfg[key] = _coerce(key, raw)
-    SimConfig(**cfg)
     return cfg
 
 

@@ -118,11 +118,12 @@ def _key_beyond_zeta(configs: list[SimConfig]) -> str | None:
 
 def simulate(serving: np.ndarray, loss_db: np.ndarray,
              configs: list[SimConfig],
-             fading_seed: int = 0) -> list[MetricsAccumulator]:
+             fading_seed: int) -> list[MetricsAccumulator]:
     """Run the slot loop on one drop's topology (see build_snapshot) once per
-    config of a group (see run); the records come in config order. The slot
-    loops are independent work units, run on the caller's thread and one
-    worker thread (two_thread_map).
+    config of a group (see run); the records come in config order. Fading,
+    if on, draws from fading_seed (run_drop passes the drop's seed). The
+    slot loops are independent work units, run on the caller's thread and
+    one worker thread (two_thread_map).
     Raises ValueError("<key>: ...") naming the first other key in which a
     config differs from the first."""
     if key := _key_beyond_zeta(configs):

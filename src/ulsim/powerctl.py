@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import SimConfig
+from .config import _FD_STEP_DB, _SCREEN_STEP_DB, SimConfig
 from .linkbudget import amc_realized, amc_smooth, snr_of
 from .parallel import two_thread_map
 from .units import db_to_linear
@@ -36,10 +36,6 @@ __all__ = [
 # capped regions of the throughput curve) resolve to the lowest maximizing
 # power.
 _PLATEAU_EPS = 1e-9
-_FD_STEP_DB = 0.01
-# Screening spacing for derivative sign changes between breakpoints; the
-# smooth parts of the objective vary on multi-dB scales, so 1 dB suffices.
-_SCREEN_STEP_DB = 1.0
 # (UE, power) pairs per objective evaluation in the batched solve. Medians of
 # 7 solves of a 3,420-UE drop: 1024 pairs 0.41 s, 2048 0.37 s, 4096 0.38 s;
 # 256 pay numpy's per-call cost (0.55 s) and 16384 fall out of cache (0.66 s).

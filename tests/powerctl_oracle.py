@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ulsim.config import SimConfig
+from ulsim.config import _FD_STEP_DB, _SCREEN_STEP_DB, SimConfig
 from ulsim.linkbudget import amc_realized
-from ulsim.powerctl import (_FD_STEP_DB, _PLATEAU_EPS, _SCREEN_STEP_DB,
-                            cnb_rs, pl_threshold_db)
+from ulsim.powerctl import _PLATEAU_EPS, cnb_rs, pl_threshold_db
 from ulsim.units import db_to_linear
 
 

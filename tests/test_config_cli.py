@@ -45,7 +45,7 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("scheme = tdma\n")
         with pytest.raises(ValueError):
-            parse_config_file(path)
+            SimConfig(**parse_config_file(path))
         path.write_text("just a line\n")
         with pytest.raises(ValueError):
             parse_config_file(path)
@@ -194,6 +194,25 @@ def test_zeta_bounded_so_the_cnb_objective_stays_finite(tmp_path, capsys):
     SimConfig(scheme="fpc", zeta=1e308, **tiny)      # a C&B rule only
 
 
+@pytest.mark.parametrize("key, value", [
+    ("rings", 10**2000), ("rings", 10**5000), ("zeta", 10**400),
+    ("isd_m", 10**400), ("total_rbs", 10**3000),
+], ids=["rings=10**2000", "rings=10**5000", "zeta=10**400", "isd_m=10**400",
+        "total_rbs=10**3000"])
+def test_huge_number_names_its_key(key, value):
+    # Through the Python API only: a config file's int() refuses such digits.
+    # An error quoting a number past str's 4300-digit limit, or a float rule
+    # on an int past the float range, must still name the key.
+    with pytest.raises(ValueError, match=f"^{key}: "):
+        SimConfig(**{key: value})
+
+
+def test_huge_seed_still_runs():
+    cfg = {**DEFAULTS, "scheme": "fpc", "rings": 1, "ues_per_cell": 2,
+           "slots": 3, "drops": 1, "seed": 2**70}
+    assert report.run_config(cfg).n_drops == 1
+
+
 def test_key_types_take_integral_and_real_numbers():
     sim = SimConfig(fading=True, slots=np.int64(3), zeta=1,
                     p_max_dbm=np.float32(20.0))
@@ -216,7 +235,7 @@ def test_unselected_scheme_keys_only_finite(tmp_path, scheme, key, value, ok):
         assert parse_config_file(path)[key] == float(value)
     else:
         with pytest.raises(ValueError, match=key):
-            parse_config_file(path)
+            SimConfig(**parse_config_file(path))
 
 
 def run_cli(args):
@@ -344,6 +363,26 @@ class TestCli:
         metrics = [data[k] for k in ("avg_mbps", "edge_mbps",
                                      "mbits_per_joule")]
         assert all(np.isfinite(metrics)) and data["avg_mbps"] > 0
+
+    @pytest.mark.parametrize("args, code", [
+        (["--zeta", "1.3"], 0),
+        (["--sweep", "zeta=1.3,0.7"], 0),
+        # The path-loss map is drawn under the file's config, zeta and all.
+        (["--sweep", "zeta=1.3", "--export-plmap"], 2),
+        ([], 2),
+    ], ids=["flag", "sweep", "sweep_and_plmap", "no_override"])
+    def test_flags_override_a_file_value_before_it_is_checked(
+            self, tmp_path, capsys, args, code):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{TINY}zeta = -1\n")
+        out = tmp_path / "out"
+        assert run_cli(["--config", cfgfile, "--out", out, *args]) == code
+        if code == 0:
+            written = "sweep.json" if "--sweep" in args else "summary.json"
+            assert (out / written).exists()
+        else:
+            assert capsys.readouterr().err.startswith("error: zeta: ")
+            assert not out.exists()
 
     def test_scheme_choices_enforced(self):
         with pytest.raises(SystemExit):

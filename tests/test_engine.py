@@ -183,21 +183,21 @@ class TestSimulate:
     def test_deterministic(self):
         snap = self.small_snapshot()
         cfg = cnb_config(slots=20, drops=1)
-        (a,) = simulate(*snap, [cfg])
-        (b,) = simulate(*snap, [cfg])
+        (a,) = simulate(*snap, [cfg], fading_seed=0)
+        (b,) = simulate(*snap, [cfg], fading_seed=0)
         assert np.array_equal(a.bits, b.bits)
         assert np.array_equal(a.energy_j, b.energy_j)
 
     def test_all_ues_eventually_served(self):
         snap = self.small_snapshot()
         cfg = maxpower_config(slots=30, drops=1)
-        (acc,) = simulate(*snap, [cfg])
+        (acc,) = simulate(*snap, [cfg], fading_seed=0)
         assert np.all(acc.sched_slots > 0)
 
     def test_energy_respects_power_cap(self):
         snap = self.small_snapshot()
         cfg = maxpower_config(slots=10, drops=1)
-        (acc,) = simulate(*snap, [cfg])
+        (acc,) = simulate(*snap, [cfg], fading_seed=0)
         # Total per-slot transmit power per UE is capped at 23 dBm ~ 0.2 W.
         max_energy = 10 * cfg.slot_duration_s * 10 ** (23.0 / 10.0) / 1000.0
         assert np.all(acc.energy_j <= max_energy + 1e-12)
@@ -205,7 +205,7 @@ class TestSimulate:
     def test_shorter_than_delay(self):
         snap = self.small_snapshot()
         cfg = maxpower_config(slots=3, delay_slots=6, drops=1)
-        (acc,) = simulate(*snap, [cfg])
+        (acc,) = simulate(*snap, [cfg], fading_seed=0)
         assert acc.bits.sum() > 0
 
     def test_delay_line_sized_by_the_run(self):
@@ -215,10 +215,11 @@ class TestSimulate:
         config = maxpower_config(rings=0, ues_per_cell=1, slots=5, drops=1,
                                  delay_slots=5)
         snap = build_snapshot(config, 0)
-        (want,) = simulate(*snap, [config])
+        (want,) = simulate(*snap, [config], fading_seed=0)
         tracemalloc.start()
         try:
-            (got,) = simulate(*snap, [replace(config, delay_slots=10 ** 6)])
+            (got,) = simulate(*snap, [replace(config, delay_slots=10 ** 6)],
+                              fading_seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -227,7 +228,8 @@ class TestSimulate:
 
     def test_fading_changes_results(self):
         snap = self.small_snapshot()
-        (base,) = simulate(*snap, [maxpower_config(slots=15, drops=1)])
+        (base,) = simulate(*snap, [maxpower_config(slots=15, drops=1)],
+                           fading_seed=3)
         (faded,) = simulate(*snap, [maxpower_config(slots=15, drops=1,
                                                     fading=True)],
                             fading_seed=3)
@@ -236,9 +238,11 @@ class TestSimulate:
     def test_explicit_powers_override(self):
         snap = self.small_snapshot()
         (lo,) = simulate(*snap, [maxpower_config(slots=5, drops=1,
-                                                 p_max_dbm=-10.0)])
+                                                 p_max_dbm=-10.0)],
+                         fading_seed=0)
         (hi,) = simulate(*snap, [maxpower_config(slots=5, drops=1,
-                                                 p_max_dbm=23.0)])
+                                                 p_max_dbm=23.0)],
+                         fading_seed=0)
         assert lo.energy_j.sum() < hi.energy_j.sum()
 
     # sha256 over the bytes of bits, energy_j, snr_lin_sum, iot_lin_sum and
@@ -457,7 +461,7 @@ class TestDrops:
                         drops=1)
         with pytest.raises(ValueError, match="^slots: "):
             simulate(*build_snapshot(fpc, 1),
-                     [fpc, fpc, replace(fpc, slots=4)])
+                     [fpc, fpc, replace(fpc, slots=4)], fading_seed=1)
 
     def test_mixed_list_equals_runs_alone(self):
         # Configs that differ in more than zeta each run alone, and the two

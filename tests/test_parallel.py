@@ -192,5 +192,5 @@ class TestThreadedCallers:
         monkeypatch.setattr(engine, "_slot_loop", slot_loop)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="slot loop failed"):
-            simulate(*build_snapshot(configs[0], 3), configs)
+            simulate(*build_snapshot(configs[0], 3), configs, fading_seed=3)
         assert threading.active_count() == before

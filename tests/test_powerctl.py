@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import powerctl_oracle as oracle
-from ulsim import config as cfgmod
 from ulsim import powerctl
 from ulsim.config import SimConfig
 from ulsim.powerctl import (cnb_neighbor_losses, cnb_ri, cnb_rs, cnb_solve,
@@ -46,13 +45,6 @@ def random_instance(rng):
     cross = np.sort(pl + rng.uniform(0.0, 40.0, size=n))
     zeta = rng.uniform(0.5, 1.5)
     return pl, cross, cnb(zeta=zeta)
-
-
-def test_config_bounds_the_solve_it_runs():
-    # SimConfig's C&B rules count the screen at the solve's spacing, and
-    # leave the objective room for its finite-difference slope.
-    assert cfgmod._CNB_SCREEN_STEP_DB == powerctl._SCREEN_STEP_DB
-    assert 1.0 / (2.0 * powerctl._FD_STEP_DB) < cfgmod._CNB_SLOPE_HEADROOM
 
 
 class TestBaselines:

@@ -1,18 +1,20 @@
 """Every constant README's "Model summary" quotes equals the value the code
-uses. Each row is a README phrase (matched after collapsing whitespace, since
-phrases wrap across lines), the code's value and the value the phrase quotes.
+uses, and every bound its config rules quote is the bound SimConfig checks.
+Each row starts with a README phrase (matched after collapsing whitespace,
+since phrases wrap across lines).
 """
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ulsim import topology
-from ulsim.config import DEFAULTS, SimConfig
+from ulsim.config import _FD_STEP_DB, DEFAULTS, SimConfig
 from ulsim.linkbudget import MCS_LEVELS
-from ulsim.powerctl import _FD_STEP_DB, pl_threshold_db
+from ulsim.powerctl import pl_threshold_db
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -71,14 +73,74 @@ MODEL = [
 ]
 
 
-def model_summary() -> str:
+# n0_dbm equals thermal_density_dbm_hz at a 1 Hz RB and no noise figure.
+N0_IS_THERMAL = dict(rb_bandwidth_hz=1.0, noise_figure_db=0.0)
+
+# Exact bounds: the phrase, a config at the bound that SimConfig accepts, one
+# just past it that SimConfig refuses, and the key its error names.
+BOUNDS = [
+    ("`p_max_dbm ≤ 3080`", dict(p_max_dbm=3080.0), dict(p_max_dbm=3080.5),
+     "p_max_dbm"),
+    ("`combining_gain_db` in [−3070, 3080]", dict(combining_gain_db=3080.0),
+     dict(combining_gain_db=3080.5), "combining_gain_db"),
+    ("`combining_gain_db` in [−3070, 3080]", dict(combining_gain_db=-3070.0),
+     dict(combining_gain_db=-3070.5), "combining_gain_db"),
+    ("set in [−3070, 3080] dBm",
+     dict(N0_IS_THERMAL, thermal_density_dbm_hz=3080.0),
+     dict(N0_IS_THERMAL, thermal_density_dbm_hz=3080.5), "n0_dbm"),
+    ("set in [−3070, 3080] dBm",
+     dict(N0_IS_THERMAL, thermal_density_dbm_hz=-3070.0),
+     dict(N0_IS_THERMAL, thermal_density_dbm_hz=-3070.5), "n0_dbm"),
+    # A strict bound: the largest float below it is accepted.
+    ("`t_max / amc_a < 1024`",
+     dict(amc_a=1.0, t_max=math.nextafter(1024.0, 0.0)),
+     dict(amc_a=1.0, t_max=1024.0), "t_max"),
+    # At 14 rings the coupling array outgrows the bound first, so the error
+    # names the last key that sizes it.
+    ("the defaults allow up to 13 rings", dict(rings=13), dict(rings=14),
+     "total_rbs"),
+]
+
+# "About" figures: the phrase, a config past the bound, the key its error
+# names, and the figure the bound that error quotes rounds to.
+ABOUT = [
+    ("(about 52.4 and 40.8 at the defaults)", dict(alpha=1e3), "alpha",
+     "52.4"),
+    ("(about 52.4 and 40.8 at the defaults)", dict(beta=1e3), "beta", "40.8"),
+    ("(about 7.7e303 at the defaults)", dict(zeta=1e308), "zeta", "7.7e303"),
+]
+
+
+def readme_section(heading: str) -> str:
     text = README.read_text()
-    start = text.index("## Model summary")
+    start = text.index(f"## {heading}")
     return " ".join(text[start:text.index("\n## ", start)].split())
 
 
 @pytest.mark.parametrize("phrase, code, quoted", MODEL,
                          ids=[row[0] for row in MODEL])
 def test_model_constant_matches_code(phrase, code, quoted):
-    assert phrase in model_summary()
+    assert phrase in readme_section("Model summary")
     assert np.array_equal(code, quoted)
+
+
+@pytest.mark.parametrize("phrase, at, past, key", BOUNDS,
+                         ids=[f"{key}@{list(at.values())[-1]}"
+                              for _, at, _, key in BOUNDS])
+def test_config_bound_matches_rule(phrase, at, past, key):
+    assert phrase in readme_section("Command line")
+    SimConfig(**at)
+    with pytest.raises(ValueError, match=f"^{key}: "):
+        SimConfig(**past)
+
+
+@pytest.mark.parametrize("phrase, past, key, figure", ABOUT,
+                         ids=[row[2] for row in ABOUT])
+def test_config_figure_rounds_the_bound(phrase, past, key, figure):
+    assert phrase in readme_section("Command line")
+    with pytest.raises(ValueError, match=f"^{key}: ") as err:
+        SimConfig(**past)
+    bound = float(re.search(r"(?:\[0, |at most )([^,\]]+)",
+                            str(err.value))[1])
+    digits = len(figure.split("e")[0].replace(".", ""))
+    assert float(f"{bound:.{digits}g}") == float(figure)
