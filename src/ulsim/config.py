@@ -38,11 +38,11 @@ _ACCEPTS = {int: Integral, float: Real, str: str}
 # default drop's largest array holds 155,952.
 _MAX_DROP_ELEMENTS = 2 ** 27
 
-# The C&B solve takes each UE's slope as a central difference over
-# 2 * _FD_STEP_DB, and screens its sign every _SCREEN_STEP_DB: the smooth
-# parts of the objective vary on multi-dB scales, so 1 dB suffices.
-_FD_STEP_DB = 0.01
-_SCREEN_STEP_DB = 1.0
+# The C&B solve reports powers on the lattice bisect_lo_dbm + k *
+# _LATTICE_STEP_DB. It first evaluates every _COARSE_STEP_DB of the lattice,
+# then the lattice within _COARSE_STEP_DB of the best point found.
+_LATTICE_STEP_DB = 0.01
+_COARSE_STEP_DB = 0.25
 
 
 def _finite(value) -> bool:
@@ -95,7 +95,6 @@ class SimConfig:
     snr_i_db: float = 24.0              # C&B: assumed neighbor-UE SNR
     iot_i_db: float = 5.0               # C&B: assumed neighbor IoT without us
     bisect_lo_dbm: float = -10.0        # C&B search range is [this, p_max]
-    tol_db: float = 0.1                 # C&B bisection tolerance
     p_max_dbm: float = 23.0
     p0_fpc_dbm: float = -87.0
     kappa: float = 0.8
@@ -148,6 +147,8 @@ class SimConfig:
                    f"expected {kind.__name__}")
             if kind is float:
                 yield f.name, _finite(value), "must be finite"
+                # Stored as a Python float, which numpy takes at any size.
+                object.__setattr__(self, f.name, float(value))
         yield ("scheme", self.scheme in SCHEMES,
                f"must be one of {', '.join(SCHEMES)}")
         # A scheme's own rules hold only when it is the one selected.
@@ -159,7 +160,6 @@ class SimConfig:
         yield "isd_m", self.isd_m > 0, "must be positive"
         yield "rings", self.rings >= 0, "must be >= 0"
         yield "zeta", off("cnb") or self.zeta > 0, "must be positive"
-        yield "tol_db", off("cnb") or self.tol_db > 0, "must be positive"
         yield ("p_max_dbm", self.p_max_dbm / 10 <= hi10,
                f"must be at most {10 * hi10} dBm, a finite mW value")
         yield ("bisect_lo_dbm",
@@ -220,25 +220,26 @@ class SimConfig:
         yield ("beta", 0 <= self.beta <= beta_max,
                f"must be in [0, {beta_max:.6g}], so that a PF average up to "
                "data_rbs * t_max * rb_bandwidth_hz raised to it is finite")
-        # The largest zeta for which every objective value, up to t_max * (1 +
-        # zeta * (cells - 1)) with each other cell a neighbor, stays within
-        # _FD_STEP_DB of the float range, so its slope is finite.
-        zeta_max = ((sys.float_info.max * _FD_STEP_DB / self.t_max - 1.0)
-                    / (cells - 1))
+        # Every objective value is at most t_max * (1 + zeta * (cells - 1)),
+        # with each other cell a neighbor. Bounding t_max * (1 + zeta * cells)
+        # instead leaves zeta * t_max for rounding; dividing last by t_max
+        # reads inf only where every finite zeta fits.
+        zeta_max = (sys.float_info.max - self.t_max) / cells / self.t_max
         yield ("zeta", off("cnb") or self.zeta <= zeta_max,
-               f"must be at most {zeta_max!r}, so that the C&B objective R_S "
-               f"+ zeta * R_I, up to t_max * (1 + zeta * (cells - 1)) at "
-               f"{cells} cells, and its finite-difference slope are finite")
-        # The C&B screen's powers, in Python floats: a span too wide for a
-        # float reads inf and is refused.
-        screen = (ues * (float(self.p_max_dbm) - float(self.bisect_lo_dbm))
-                  / _SCREEN_STEP_DB)
-        yield ("bisect_lo_dbm", off("cnb") or screen <= _MAX_DROP_ELEMENTS,
-               f"must be high enough that the C&B screen, one power per UE "
-               f"per {_SCREEN_STEP_DB:g} dB of [bisect_lo_dbm, p_max_dbm], "
-               f"holds at most {_MAX_DROP_ELEMENTS} elements; at {ues} UEs "
-               f"and p_max_dbm = {self.p_max_dbm} it would hold "
-               f"{screen:.6g}")
+               f"must be at most {zeta_max!r}, so that t_max * (1 + zeta * "
+               f"cells) at {cells} cells is finite, and with it the C&B "
+               f"objective R_S + zeta * R_I, up to t_max * (1 + zeta * "
+               f"(cells - 1))")
+        # The C&B solve's first level; a span too wide for a float reads inf
+        # and is refused.
+        coarse = ues * ((self.p_max_dbm - self.bisect_lo_dbm)
+                        / _COARSE_STEP_DB + 1)
+        yield ("bisect_lo_dbm", off("cnb") or coarse <= _MAX_DROP_ELEMENTS,
+               f"must be high enough that the C&B solve's first level, one "
+               f"power per UE per {_COARSE_STEP_DB:g} dB of [bisect_lo_dbm, "
+               f"p_max_dbm], holds at most {_MAX_DROP_ELEMENTS} elements; at "
+               f"{ues} UEs and p_max_dbm = {self.p_max_dbm} it would hold "
+               f"{coarse:.6g}")
 
     @property
     def data_rbs(self) -> int:

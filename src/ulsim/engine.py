@@ -202,8 +202,8 @@ def run(configs: list[SimConfig]) -> list[list[MetricsAccumulator]]:
     """Per config, its drops' records in drop order, equal bit for bit to
     run([config]). The one rule for what shares a drop: configs that differ
     at most in zeta form one group, run drop by drop, each drop's snapshot
-    and C&B screen serving every zeta (see simulate); any other list runs
-    each config alone."""
+    and the first level of its C&B solve serving every zeta (see simulate);
+    any other list runs each config alone."""
     if not configs or _key_beyond_zeta(configs):
         return [run([config])[0] for config in configs]
     return [list(accs) for accs in zip(*(run_drop(configs, d)

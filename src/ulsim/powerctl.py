@@ -3,7 +3,8 @@
 Four schemes: max power, fractional path-loss compensation (FPC), reverse-link
 power control (RLPC), and the coordinated checks-and-balances controller (CnB)
 that weighs a UE's own throughput against the throughput it costs the cells it
-interferes with, and maximizes the weighted sum by bisection on the derivative.
+interferes with, and maximizes the weighted sum over a 0.01 dB power lattice
+by a two-level search seeded by the objective's breakpoints.
 
 Every controller is a pure function of one UE's path-loss row and static
 parameters, so per-UE solves are independent and fully distributed; the code
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import _FD_STEP_DB, _SCREEN_STEP_DB, SimConfig
+from .config import _COARSE_STEP_DB, _LATTICE_STEP_DB, SimConfig
 from .linkbudget import amc_realized, amc_smooth, snr_of
 from .parallel import two_thread_map
 from .units import db_to_linear
@@ -32,13 +33,10 @@ __all__ = [
     "compute_powers",
 ]
 
-# Treat near-zero finite-difference slopes as nonpositive so plateaus (the
-# capped regions of the throughput curve) resolve to the lowest maximizing
-# power.
-_PLATEAU_EPS = 1e-9
 # (UE, power) pairs per objective evaluation in the batched solve. Medians of
-# 7 solves of a 3,420-UE drop: 1024 pairs 0.41 s, 2048 0.37 s, 4096 0.38 s;
-# 256 pay numpy's per-call cost (0.55 s) and 16384 fall out of cache (0.66 s).
+# 11 solves of a 3,420-UE drop on 2 vCPUs: 1024 pairs 0.26 s, 2048 0.20 s,
+# 4096 0.21 s (0.29 s against 2048's 0.21 s over 21 more); 256 pay numpy's
+# per-call cost (0.57 s) and 16384 fall out of cache (0.33 s).
 _CHUNK_PAIRS = 2048
 # Equal slices of UEs, by neighbor count, that cnb_solve runs as work units;
 # fewer raise the two threads' peak memory, more pay numpy's per-call cost.
@@ -168,30 +166,22 @@ def _cnb_breakpoints(pl_db: np.ndarray, cross: np.ndarray,
     return np.concatenate(pts, axis=1)
 
 
-def cnb_solve(pl_db, cross_losses,
-              configs: list[SimConfig]) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize each UE's objective R_S(P) + zeta * R_I(P) over [bisect_lo,
-    p_max] dBm by bisection, once per config of a group (see engine.run).
+def cnb_solve(pl_db, cross_losses, configs: list[SimConfig]) -> np.ndarray:
+    """Maximize each UE's objective R_S(P) + zeta * R_I(P) over the lattice
+    bisect_lo_dbm + k * _LATTICE_STEP_DB of [bisect_lo_dbm, p_max_dbm], once
+    per config of a group (see engine.run).
 
     pl_db holds n serving losses; row u of the (n, K) cross_losses holds UE
     u's neighbor losses ascending, then inf (see cnb_neighbor_losses).
-    Returns two (len(configs), n) arrays: per config, the powers (dBm) and
-    the iteration counts, each the longest bracketing loop run for that UE.
-
-    Every rise-to-fall bracket of the objective is bisected (see
-    _solve_group), and the result is the lowest power on the lattice
-    bisect_lo + k * _FD_STEP_DB that attains the best objective value among
-    the located peaks and breakpoints. No bracketing loop exceeds
-    ceil(log2(range/tol)) + 1 iterations, the most that halving the range
-    below tol takes, so a tol below the float spacing of the powers still
-    ends. Each power is the one a solve of that UE alone returns, whatever
-    UEs share its batch.
+    Returns the (len(configs), n) powers (dBm): per config and UE, the lowest
+    lattice power with the best objective value among the points the
+    two-level search of _solve_group evaluates. Each power is the one a solve
+    of that UE alone returns, whatever UEs share its batch.
     """
     pl = np.asarray(pl_db, dtype=float)
     cross = np.asarray(cross_losses, dtype=float)
     counts = np.isfinite(cross).sum(axis=1)
     powers = np.empty((len(configs), len(pl)))
-    iters = np.empty((len(configs), len(pl)), dtype=int)
     # The UEs by descending neighbor count, cut into _SOLVE_UNITS equal work
     # units, each trimmed to its first UE's count: cnb_ri adds a row's
     # trailing infs as 0, so the trim changes no power.
@@ -199,34 +189,39 @@ def cnb_solve(pl_db, cross_losses,
     units = [rows for rows in np.array_split(order, _SOLVE_UNITS) if len(rows)]
 
     def solve(rows):
-        powers[:, rows], iters[:, rows] = _solve_group(
-            pl[rows], cross[rows, :counts[rows[0]]], configs)
+        powers[:, rows] = _solve_group(pl[rows], cross[rows, :counts[rows[0]]],
+                                       configs)
 
     two_thread_map(solve, units)
-    return powers, iters
+    return powers
+
+
+def _lowest_best(k, values):
+    """Per row of the last axis, the lowest lattice index k of the largest
+    value."""
+    best = values >= values.max(axis=-1, keepdims=True)
+    return np.where(best, k, np.inf).min(axis=-1)
 
 
 def _solve_group(pl: np.ndarray, cross: np.ndarray, configs: list[SimConfig]):
     """cnb_solve for one unit of UEs, their rows inf-padded to one width.
 
-    The stationarity test is a central finite difference of the objective,
-    which handles its capped, piecewise curve uniformly: a positive slope
-    moves the left bound up, otherwise the right bound moves down, so
-    plateaus bias toward the lowest maximizer. One bisection assumes the
-    rise precedes the fall, which the region-capped neighbor terms can
-    break, so the slope's sign is first screened across the breakpoints
-    and a coarse lattice. Each (config, UE) row keeps its main bracket
-    [lo, hi] and its rise-to-fall brackets in one bracket array, bisected
-    together in one loop. The screen, each bisection pass and the
-    candidates go through one evaluator, objective, which evaluates R_S and
-    R_I (cnb_terms) once per distinct (UE, power) pair for all configs,
-    each weighing them with its own zeta.
+    The search runs on lattice indices k, the powers bisect_lo_dbm + k *
+    step. Level 1 takes every _COARSE_STEP_DB of the lattice, its top, and
+    the two lattice points around each breakpoint (_cnb_breakpoints), where
+    the objective kinks or jumps; it is evaluated once per UE for all
+    configs. Level 2 takes, per (config, UE) row, the lattice points within
+    _COARSE_STEP_DB of the row's lowest best level-1 point. That point is
+    among them and a pair's value is the same in every call, so the lowest
+    best point of level 2 is the lowest best point of both levels. Both
+    levels go through one evaluator, objective, which evaluates R_S and R_I
+    (cnb_terms) once per distinct (UE, power) pair for all configs, each
+    weighing them with its own zeta.
     """
     config, n = configs[0], len(pl)
-    lo, hi, tol = config.bisect_lo_dbm, config.p_max_dbm, config.tol_db
-    step = _FD_STEP_DB
-    n_steps = int(round((hi - lo) / step))
-    max_iters = int(np.ceil(np.log2((hi - lo) / tol))) + 1
+    lo, step = config.bisect_lo_dbm, _LATTICE_STEP_DB
+    top = round((config.p_max_dbm - lo) / step)
+    stride = round(_COARSE_STEP_DB / step)
     zeta = np.array([c.zeta for c in configs], dtype=float)[:, None, None]
 
     def objective(p):
@@ -252,55 +247,14 @@ def _solve_group(pl: np.ndarray, cross: np.ndarray, configs: list[SimConfig]):
                 q[a:a + _CHUNK_PAIRS], pl[u], cross[u], config)
         return rs[at] + zeta * ri[at]
 
-    def rising(p):
-        """Whether the objective's central difference at each power of p is
-        positive; plateaus are not."""
-        m = p.shape[-1]
-        y = objective(np.concatenate([p + step, p - step], axis=-1))
-        return (y[..., :m] - y[..., m:]) / (2.0 * step) > _PLATEAU_EPS
-
-    brk = _cnb_breakpoints(pl, cross, config)
-    margin = 2.0 * step
-    lattice = np.arange(lo + margin, hi - margin, _SCREEN_STEP_DB)
-    screen = np.concatenate([np.broadcast_to(lattice, (n, len(lattice))),
-                             brk - margin, brk + margin,
-                             np.full((n, 1), hi - margin)], axis=1)
-    # Repeats stay in the screen (equal neighbors share a sign, so the
-    # rise-to-fall pairs are those of the deduplicated screen) but are
-    # evaluated once, for all zetas.
-    screen = np.sort(np.clip(screen, lo + margin, hi - margin), axis=1)
-    sign = rising(screen[None])
-    falls = sign[..., :-1] & ~sign[..., 1:]
-    slot = np.cumsum(falls, axis=-1)
-
-    # Bracket 0 of each (zeta, UE) row is [lo, hi]; slots 1... hold the row's
-    # rise-to-fall brackets in screen order, then copies of bracket 0.
-    left = np.full(falls.shape[:2] + (slot[..., -1].max() + 1,), lo)
-    right = np.full(left.shape, hi)
-    z, u, i = np.nonzero(falls)
-    left[z, u, slot[z, u, i]] = screen[u, i]
-    right[z, u, slot[z, u, i]] = screen[u, i + 1]
-    it = np.zeros(left.shape, dtype=int)
-    for _ in range(max_iters):
-        active = right - left >= tol
-        if not active.any():
-            break
-        # A finished bracket asks for its row's bracket-0 point, which is
-        # evaluated anyway.
-        mid = 0.5 * (left + right)
-        up = rising(np.where(active, mid, mid[..., :1]))
-        left = np.where(active & up, mid, left)
-        right = np.where(active & ~up, mid, right)
-        it += active
-
-    fixed = np.concatenate([brk, np.full((n, 2), [lo, hi])], axis=1)
-    k = (np.concatenate([0.5 * (left + right), np.broadcast_to(
-        fixed, (len(configs),) + fixed.shape)], axis=-1) - lo) / step
-    cands = lo + np.clip(np.concatenate([np.floor(k), np.ceil(k)], axis=-1),
-                         0, n_steps) * step
-    vals = objective(cands)
-    best = np.where(vals >= vals.max(axis=-1, keepdims=True), cands, np.inf)
-    return best.min(axis=-1), it.max(axis=-1)
+    coarse = np.append(np.arange(0, top, stride), top)
+    brk = (_cnb_breakpoints(pl, cross, config) - lo) / step
+    k1 = np.clip(np.concatenate([np.broadcast_to(coarse, (n, len(coarse))),
+                                 np.floor(brk), np.ceil(brk)], axis=1),
+                 0, top)[None]
+    centre = _lowest_best(k1, objective(lo + k1 * step))
+    k2 = np.clip(centre[..., None] + np.arange(-stride, stride + 1), 0, top)
+    return lo + _lowest_best(k2, objective(lo + k2 * step)) * step
 
 
 def compute_powers(configs: list[SimConfig], loss_db: np.ndarray,
@@ -314,7 +268,7 @@ def compute_powers(configs: list[SimConfig], loss_db: np.ndarray,
     pl = loss_db[np.arange(n_ues), serving]
     if config.scheme == "cnb":
         cross = cnb_neighbor_losses(loss_db, serving, pl_threshold_db(config))
-        return cnb_solve(pl, cross, configs)[0]
+        return cnb_solve(pl, cross, configs)
     if config.scheme == "fpc":
         row = fpc_power(pl, config)
     elif config.scheme == "rlpc":

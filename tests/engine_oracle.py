@@ -74,7 +74,7 @@ def compute_slot(occ: np.ndarray, p_mw: np.ndarray, gains: np.ndarray,
 def simulate(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
              fading_seed: int = 0) -> MetricsAccumulator:
     n_ues, n_cells = loss_db.shape
-    powers_dbm, _ = compute_powers(config, loss_db, serving)
+    powers_dbm = compute_powers(config, loss_db, serving)
     combine = float(db_to_linear(config.combining_gain_db))
     dt = config.slot_duration_s
     rate = lambda sinr: amc_realized(

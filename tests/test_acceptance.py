@@ -10,7 +10,7 @@ import pytest
 
 from conftest import gains_of, maxpower_config
 from powerctl_oracle import cnb_objective
-from ulsim import engine, report
+from ulsim import engine, powerctl, report
 from ulsim.config import DEFAULTS, SimConfig
 from ulsim.engine import compute_slot
 from ulsim.linkbudget import amc_realized, amc_smooth
@@ -36,16 +36,26 @@ def sample_instances(n, seed):
 
 
 class TestCriterion1BisectionOracle:
-    def test_solver_matches_grid_argmax(self):
+    def test_solver_matches_grid_argmax(self, monkeypatch):
         grid = oracle_grid()
         solve_time = 0.0
+        pairs = []
+        terms = powerctl.cnb_terms
+
+        def counted_terms(p_dbm, *args):
+            pairs.append(np.size(p_dbm))
+            return terms(p_dbm, *args)
+
+        monkeypatch.setattr(powerctl, "cnb_terms", counted_terms)
         for pl, cross, zeta in sample_instances(1000, seed=0):
             config = SimConfig(scheme="cnb", zeta=zeta)
+            pairs.clear()
             t0 = time.perf_counter()
-            ((sol,),), ((iters,),) = cnb_solve(
-                np.array([pl]), np.array([cross]), [config])
+            ((sol,),) = cnb_solve(np.array([pl]), np.array([cross]), [config])
             solve_time += time.perf_counter() - t0
-            assert iters <= 9
+            # 133 coarse points (every 0.25 dB and p_max), the floor and
+            # ceil lattice points of 1 + 2K breakpoints, 51 refinements.
+            assert sum(pairs) <= 133 + 2 * (1 + 2 * len(cross)) + 51
             vals = cnb_objective(grid, pl, cross, config)
             best = grid[np.argmax(vals)]  # ties resolve to the lowest power
             assert abs(sol - best) <= 0.2, (pl, list(cross), zeta, sol, best)

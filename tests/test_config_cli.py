@@ -77,7 +77,7 @@ class TestConfigFile:
 # Every key in config-file order, with its default value and type.
 PINNED_DEFAULTS = {
     "scheme": "cnb", "zeta": 1.3, "iot_s_db": 9.0, "snr_i_db": 24.0,
-    "iot_i_db": 5.0, "bisect_lo_dbm": -10.0, "tol_db": 0.1, "p_max_dbm": 23.0,
+    "iot_i_db": 5.0, "bisect_lo_dbm": -10.0, "p_max_dbm": 23.0,
     "p0_fpc_dbm": -87.0, "kappa": 0.8, "p0_rlpc_dbm": -102.0, "phi": 0.8,
     "rings": 2, "isd_m": 500.0, "ues_per_cell": 10, "min_dist_m": 35.0,
     "slots": 2000, "drops": 5, "seed": 0, "slot_duration_s": 1e-3,
@@ -91,7 +91,7 @@ PINNED_DEFAULTS = {
 
 
 def test_defaults_pinned():
-    assert len(PINNED_DEFAULTS) == 37
+    assert len(PINNED_DEFAULTS) == 36
     assert list(DEFAULTS.items()) == list(PINNED_DEFAULTS.items())
     assert ([type(v) for v in DEFAULTS.values()]
             == [type(v) for v in PINNED_DEFAULTS.values()])
@@ -146,13 +146,14 @@ def test_default_drop_fits_up_to_13_rings():
 @pytest.mark.parametrize("value", [-1e9, -1e308])
 def test_oversized_cnb_screen_refused_before_any_allocation(tmp_path, capsys,
                                                             value):
-    # The C&B screen lays a 1 dB lattice over [bisect_lo_dbm, p_max_dbm] for
-    # every UE: -1e9 would ask for 7.45 GiB, and -1e308 spans more powers
-    # than an int conversion of the float takes.
+    # The C&B solve's first level lays a 0.25 dB lattice over
+    # [bisect_lo_dbm, p_max_dbm] for every UE: -1e9 would ask for 2.3e12
+    # powers, and -1e308 spans more powers than an int conversion of the
+    # float takes.
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError,
-                           match=r"^bisect_lo_dbm: .* C&B screen"):
+        with pytest.raises(ValueError, match=r"^bisect_lo_dbm: .* C&B "
+                           r"solve's first level"):
             SimConfig(bisect_lo_dbm=value)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -167,8 +168,8 @@ def test_oversized_cnb_screen_refused_before_any_allocation(tmp_path, capsys,
 
 
 def test_zeta_bounded_so_the_cnb_objective_stays_finite(tmp_path, capsys):
-    # zeta = 1e308 overflowed zeta * R_I, and the solve picked powers from
-    # NaN slopes. The error quotes the bound, exactly.
+    # zeta = 1e308 overflows zeta * R_I. The error quotes the bound,
+    # exactly.
     tiny = dict(rings=0, ues_per_cell=8)
     with pytest.raises(ValueError, match="^zeta: must be at most ") as err:
         SimConfig(zeta=1e308, **tiny)
@@ -219,11 +220,31 @@ def test_key_types_take_integral_and_real_numbers():
     assert sim.fading and sim.slots == 3 and sim.zeta == 1
 
 
+def test_float_keys_stored_as_python_floats():
+    # numpy takes no log10 of an int past int64, as n0_dbm would be.
+    assert (SimConfig(rb_bandwidth_hz=10**300)
+            == SimConfig(rb_bandwidth_hz=1e300))
+    sim = SimConfig(zeta=1, p_max_dbm=np.float32(20.0))
+    assert type(sim.zeta) is float and type(sim.p_max_dbm) is float
+
+
+def test_tol_db_is_an_unknown_key(tmp_path, capsys):
+    # The C&B solve searches a fixed lattice and has no tolerance; a file
+    # that still sets one is refused, whichever scheme it selects.
+    cfgfile = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    for scheme in ("cnb", "rlpc"):
+        cfgfile.write_text(f"scheme = {scheme}\ntol_db = 0\n")
+        assert run_cli(["--config", cfgfile, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: tol_db: unknown configuration key")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scheme, key, value, ok", [
     ("maxpower", "p_max_dbm", "-60", True),     # below bisect_lo_dbm
     ("fpc", "zeta", "-1", True),
     ("cnb", "kappa", "1.5", True),
-    ("rlpc", "tol_db", "0", True),
     ("fpc", "zeta", "nan", False),
 ])
 def test_unselected_scheme_keys_only_finite(tmp_path, scheme, key, value, ok):
@@ -424,7 +445,7 @@ def run_module(cfgfile, out):
     ("kappa", "1.5", "fpc"),
     ("phi", "-0.1", "rlpc"),
     ("zeta", "-1", "cnb"),
-    ("tol_db", "0", "cnb"),
+    ("tol_db", "0", "cnb"),                     # no longer a key
     ("bisect_lo_dbm", "30", "cnb"),
     ("slots", "2.5", "cnb"),
     ("p_max_dbm", "4000", "cnb"),
@@ -480,13 +501,3 @@ def test_run_that_decodes_no_bit_is_an_error(tmp_path, lines):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: avg_mbps: ")
     assert proc.stdout == "" and not out.exists()
-
-
-def test_tolerance_below_float_spacing_ends(tmp_path):
-    # The bracket width stops shrinking at the float spacing of the powers,
-    # far above 1e-20 dB; the iteration cap must still end every bisection.
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(f"scheme = cnb\n{TINY}tol_db = 1e-20\n")
-    proc = run_module(cfgfile, tmp_path / "out")
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "out" / "summary.json").exists()

@@ -33,10 +33,32 @@ def grid_argmax(pl, cross, config):
 
 
 def solve_one(pl, cross, config):
-    """Batched solve of a single UE: (power, iterations)."""
-    powers, iters = cnb_solve(np.array([pl]), np.array([cross], dtype=float),
-                              [config])
-    return powers[0, 0], iters[0, 0]
+    """Batched solve of a single UE."""
+    return cnb_solve(np.array([pl]), np.array([cross], dtype=float),
+                     [config])[0, 0]
+
+
+def count_pairs(monkeypatch):
+    """A list that collects, per call of powerctl.cnb_terms from now on, the
+    (UE serving loss, power) pairs it evaluates."""
+    calls = []
+    real = powerctl.cnb_terms
+
+    def cnb_terms(p_dbm, pl_db, cross_losses, config):
+        ue_pl, p = np.broadcast_arrays(pl_db, p_dbm)
+        calls.append(list(zip(ue_pl.ravel().tolist(), p.ravel().tolist())))
+        return real(p_dbm, pl_db, cross_losses, config)
+
+    monkeypatch.setattr(powerctl, "cnb_terms", cnb_terms)
+    return calls
+
+
+def pair_bound(n_neighbors):
+    """The (UE, power) pairs a 1-zeta solve of one UE evaluates at most, at
+    the default range [-10, 23] dBm: 133 coarse points (every 0.25 dB and
+    p_max), the floor and ceil lattice points of its 1 + 2K breakpoints,
+    and 51 refinement points."""
+    return 133 + 2 * (1 + 2 * n_neighbors) + 51
 
 
 def random_instance(rng):
@@ -82,7 +104,6 @@ class TestBaselines:
         for bad in (dict(scheme="fpc", kappa=1.5),
                     dict(scheme="rlpc", phi=-0.1),
                     dict(scheme="cnb", zeta=0.0),
-                    dict(scheme="cnb", tol_db=0.0),
                     dict(scheme="nope")):
             with pytest.raises(ValueError):
                 SimConfig(**bad)
@@ -294,30 +315,32 @@ class TestSaturatedTermSkip:
 
 
 class TestSolve:
-    def test_matches_oracle_on_random_instances(self):
+    def test_matches_oracle_on_random_instances(self, monkeypatch):
         rng = np.random.default_rng(20240817)
+        calls = count_pairs(monkeypatch)
         for _ in range(200):
             pl, cross, config = random_instance(rng)
-            sol, iters = solve_one(pl, cross, config)
-            assert iters <= 9
+            calls.clear()
+            sol = solve_one(pl, cross, config)
+            assert sum(map(len, calls)) <= pair_bound(len(cross))
             assert abs(sol - grid_argmax(pl, cross, config)) <= 0.2
 
     def test_spec_single_neighbor_instance(self):
         config = cnb(zeta=1.3)
-        sol, _ = solve_one(105.0, [110.0], config)
+        sol = solve_one(105.0, [110.0], config)
         assert abs(sol - grid_argmax(105.0, [110.0], config)) <= 0.2
 
     def test_bound_safety(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             pl, cross, config = random_instance(rng)
-            sol, _ = solve_one(pl, cross, config)
+            sol = solve_one(pl, cross, config)
             assert config.bisect_lo_dbm <= sol <= config.p_max_dbm
 
     def test_empty_neighbors_uncapped_gives_p_max(self):
         # Own rate still rising at the cap power: 23 dBm is the unique max.
         config = cnb()
-        sol, _ = solve_one(125.0, [], config)
+        sol = solve_one(125.0, [], config)
         assert abs(sol - 23.0) < 1e-9
         assert abs(sol - grid_argmax(125.0, [], config)) <= 0.2
 
@@ -325,7 +348,7 @@ class TestSolve:
         # Own rate saturates inside the range; the lowest maximizer wins,
         # matching the tie convention of the dense-grid oracle.
         config = cnb()
-        sol, _ = solve_one(100.0, [], config)
+        sol = solve_one(100.0, [], config)
         best = grid_argmax(100.0, [], config)
         assert abs(sol - best) <= 0.2
         assert sol < 23.0
@@ -336,8 +359,8 @@ class TestSolve:
             pl, cross, _ = random_instance(rng)
             if len(cross) == 0:
                 continue
-            p_hi, _ = solve_one(pl, cross, cnb(zeta=1.3))
-            p_lo, _ = solve_one(pl, cross, cnb(zeta=0.7))
+            p_hi = solve_one(pl, cross, cnb(zeta=1.3))
+            p_lo = solve_one(pl, cross, cnb(zeta=0.7))
             assert p_lo >= p_hi - 1e-9
             # Same ordering holds for the oracle itself.
             assert (grid_argmax(pl, cross, cnb(zeta=0.7))
@@ -367,135 +390,102 @@ def random_batch(rng, n):
 
 
 class TestBatchedSolveOracle:
-    """The batched solver returns exactly the scalar solver's powers and
-    iteration counts (tests/powerctl_oracle.py)."""
+    """The batched solver returns exactly the exhaustive lattice argmax
+    (tests/powerctl_oracle.py)."""
 
     def _check(self, pl, cross, configs):
         """Row z of a solve of the group configs is the oracle's under
         configs[z]."""
-        powers, iters = cnb_solve(pl, cross, configs)
-        assert powers.shape == iters.shape == (len(configs), len(pl))
+        powers = cnb_solve(pl, cross, configs)
+        assert powers.shape == (len(configs), len(pl))
         for z, config in enumerate(configs):
             want = [oracle.cnb_solve(pl[u], cross[u][np.isfinite(cross[u])],
-                                     config, return_iters=True)
-                    for u in range(len(pl))]
-            assert np.array_equal(powers[z], [w[0] for w in want])
-            assert np.array_equal(iters[z], [w[1] for w in want])
+                                     config) for u in range(len(pl))]
+            assert np.array_equal(powers[z], want)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 150),
-           st.floats(0.1, 3.0), st.sampled_from([0.005, 0.03, 0.1, 1.0]),
+           st.floats(0.1, 3.0),
            st.sampled_from([-10.0, 0.0, 22.97, 22.995]))
-    # 43 UEs with 15 neighbors and 105 with 3, so one unit holds both
-    # counts, and two UEs whose best power is an extra rise-to-fall
-    # bracket's peak, not the main bisection's.
-    @example(seed=70, n=150, zeta=1.3, tol=0.1, lo=-10.0)
-    # A range of exactly 32 tolerances: the main bisection takes 6 iterations,
-    # one more than ceil(log2(range/tol)).
-    @example(seed=3, n=20, zeta=1.3, tol=1.0, lo=-9.0)
-    def test_matches_scalar_oracle(self, seed, n, zeta, tol, lo):
+    # 43 UEs with 15 neighbors and 105 with 3, so one unit holds both counts.
+    @example(seed=70, n=150, zeta=1.3, lo=-10.0)
+    # A range of 32 dB, which no sampled lo gives.
+    @example(seed=3, n=20, zeta=1.3, lo=-9.0)
+    def test_matches_scalar_oracle(self, seed, n, zeta, lo):
         pl, cross = random_batch(np.random.default_rng(seed), n)
-        self._check(pl, cross, [cnb(zeta=zeta, tol_db=tol, bisect_lo_dbm=lo)])
+        self._check(pl, cross, [cnb(zeta=zeta, bisect_lo_dbm=lo)])
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 150),
            st.lists(st.floats(0.1, 3.0), min_size=3, max_size=3),
-           st.sampled_from([0.005, 0.03, 0.1, 1.0]),
            st.sampled_from([-10.0, 0.0, 22.97, 22.995]))
-    @example(seed=70, n=150, zetas=[1.3, 0.9, 0.7], tol=0.1, lo=-10.0)
-    # A UE whose zeta rows hold 1, 1 and 2 rise-to-fall brackets: two of its
-    # rows pad with copies of [lo, hi], and every row's peak brackets finish
-    # before its main bisection does.
-    @example(seed=0, n=20, zetas=[1.3, 0.9, 0.7], tol=0.1, lo=-10.0)
-    def test_zeta_group_matches_scalar_oracle(self, seed, n, zetas, tol, lo):
-        # One solve for three zetas shares the screen; each row must still be
-        # exactly the oracle's powers and iterations for its own zeta.
+    @example(seed=70, n=150, zetas=[1.3, 0.9, 0.7], lo=-10.0)
+    @example(seed=0, n=20, zetas=[1.3, 0.9, 0.7], lo=-10.0)
+    def test_zeta_group_matches_scalar_oracle(self, seed, n, zetas, lo):
+        # One solve for three zetas shares the first level; each row must
+        # still be exactly the oracle's powers for its own zeta.
         pl, cross = random_batch(np.random.default_rng(seed), n)
-        self._check(pl, cross, [cnb(zeta=z, tol_db=tol, bisect_lo_dbm=lo)
-                                for z in zetas])
+        self._check(pl, cross, [cnb(zeta=z, bisect_lo_dbm=lo) for z in zetas])
+
+    # Three UEs of three neighbors each, whose floor breakpoints lie far
+    # above p_max.
+    PL = np.array([118.0, 120.0, 122.0])
+    CROSS = PL[:, None] + np.array([6.0, 11.0, 16.0])
+    ZETAS = (1.3, 0.9, 0.7)
 
     def test_each_distinct_point_evaluated_once(self, monkeypatch):
-        # Floor breakpoints far above p_max clip onto hi - 2*step in the
-        # screen and onto hi among the candidates. No call of the R_S / R_I
-        # evaluator may evaluate one (UE, power) pair twice, in a 1-zeta or
-        # a 3-zeta solve, whose zeta rows all start bisecting from the same
-        # midpoints; each pass here fits one call.
-        pl = np.array([118.0, 120.0, 122.0])
-        cross = pl[:, None] + np.array([6.0, 11.0, 16.0])
-        config = cnb(zeta=1.3)
+        # The floor breakpoints clip onto the lattice top, which the first
+        # level also holds as its last coarse point, and every zeta row's
+        # refinement window may overlap the others'. No call of the R_S /
+        # R_I evaluator may evaluate one (UE, power) pair twice, in a
+        # 1-zeta or a 3-zeta solve.
+        pl, cross, config = self.PL, self.CROSS, cnb(zeta=1.3)
         brk = powerctl._cnb_breakpoints(pl, cross, config)
         assert ((brk > config.p_max_dbm).sum(axis=1) >= 2).all()
-        calls = []
-        real = powerctl.cnb_terms
-
-        def cnb_terms(p_dbm, pl_db, cross_losses, config):
-            ue_pl, p = np.broadcast_arrays(pl_db, p_dbm)
-            calls.append(np.stack([ue_pl.ravel(), p.ravel()], axis=1))
-            return real(p_dbm, pl_db, cross_losses, config)
-
-        monkeypatch.setattr(powerctl, "cnb_terms", cnb_terms)
-        for configs in ([config], [cnb(zeta=z) for z in (1.3, 0.9, 0.7)]):
+        calls = count_pairs(monkeypatch)
+        for configs in ([config], [cnb(zeta=z) for z in self.ZETAS]):
             calls.clear()
             self._check(pl, cross, configs)
             assert calls
             for pairs in calls:
-                assert len(np.unique(pairs, axis=0)) == len(pairs)
+                assert len(set(pairs)) == len(pairs)
 
     def test_screen_evaluated_once_for_all_zetas(self, monkeypatch):
-        # A 3-zeta solve evaluates no (UE, power) pair more often than three
-        # 1-zeta solves do. It evaluates each pair of the shared screen, and
-        # the main bisection's first pair (lo + hi) / 2 +- step, once in
-        # total, not once per zeta; later bisection points shared by two of
-        # the zeta rows are saved once.
-        pl = np.array([118.0, 120.0, 122.0])
-        cross = pl[:, None] + np.array([6.0, 11.0, 16.0])
-        configs = [cnb(zeta=z) for z in (1.3, 0.9, 0.7)]
-        counts = [Counter()]
-        real = powerctl.cnb_terms
-
-        def cnb_terms(p_dbm, pl_db, cross_losses, config):
-            ue_pl, p = np.broadcast_arrays(pl_db, p_dbm)
-            counts[-1].update(zip(ue_pl.ravel().tolist(), p.ravel().tolist()))
-            return real(p_dbm, pl_db, cross_losses, config)
-
-        monkeypatch.setattr(powerctl, "cnb_terms", cnb_terms)
-        for config in configs:
-            cnb_solve(pl, cross, [config])
-        counts.append(Counter())
-        cnb_solve(pl, cross, configs)
-        separate, shared = counts
-
-        saved = separate - shared
-        assert not shared - separate
-        assert set(saved.values()) <= {1, 2}
+        # The first level, a screen of the lattice every 0.25 dB, its top
+        # and the lattice points around each breakpoint, is the first R_S /
+        # R_I call of a solve whose UEs form one unit with fewer pairs than
+        # a chunk. A 3-zeta solve evaluates each of its pairs once in total,
+        # as each 1-zeta solve does.
+        pl, cross = self.PL, self.CROSS
+        configs = [cnb(zeta=z) for z in self.ZETAS]
         lo, hi = configs[0].bisect_lo_dbm, configs[0].p_max_dbm
-        step = powerctl._FD_STEP_DB
-        lattice = np.arange(lo + 2 * step, hi - 2 * step,
-                            powerctl._SCREEN_STEP_DB)
-        mid = 0.5 * (lo + hi)
-        twice = {(u, p) for u in pl.tolist()
-                 for p in np.concatenate([lattice - step, lattice + step,
-                                          [mid - step, mid + step]]).tolist()}
-        assert all(saved[pair] == 2 for pair in twice)
+        step = 0.01
+        top = round((hi - lo) / step)
+        brk = (powerctl._cnb_breakpoints(pl, cross, configs[0]) - lo) / step
+        want = Counter(
+            (pl[u], lo + k * step) for u in range(len(pl))
+            for k in {*range(0, top, 25), top,
+                      *np.clip(np.floor(brk[u]), 0, top).tolist(),
+                      *np.clip(np.ceil(brk[u]), 0, top).tolist()})
+        monkeypatch.setattr(powerctl, "_SOLVE_UNITS", 1)
+        calls = count_pairs(monkeypatch)
+        for group in ([c] for c in configs):
+            cnb_solve(pl, cross, group)
+            assert Counter(calls[0]) == want
+            calls.clear()
+        cnb_solve(pl, cross, configs)
+        assert len(calls) == 2 and Counter(calls[0]) == want
 
     def test_candidates_evaluated_once_for_all_zetas(self, monkeypatch):
-        # The candidate pass is the last R_S / R_I call of a solve whose UEs
-        # form one unit with fewer candidates than a chunk. In a 3-zeta
-        # solve it evaluates each (UE, power) pair once in total: exactly the
-        # union of the candidate passes of three 1-zeta solves.
-        pl = np.array([118.0, 120.0, 122.0])
-        cross = pl[:, None] + np.array([6.0, 11.0, 16.0])
-        configs = [cnb(zeta=z) for z in (1.3, 0.9, 0.7)]
-        calls = []
-        real = powerctl.cnb_terms
+        # The second level, each zeta row's refinement window, is the last
+        # R_S / R_I call of a solve whose UEs form one unit with fewer pairs
+        # than a chunk. In a 3-zeta solve it evaluates each (UE, power) pair
+        # once in total: exactly the union of the second levels of three
+        # 1-zeta solves.
+        pl, cross = self.PL, self.CROSS
+        configs = [cnb(zeta=z) for z in self.ZETAS]
         monkeypatch.setattr(powerctl, "_SOLVE_UNITS", 1)
-
-        def cnb_terms(p_dbm, pl_db, cross_losses, config):
-            ue_pl, p = np.broadcast_arrays(pl_db, p_dbm)
-            calls.append(list(zip(ue_pl.ravel().tolist(), p.ravel().tolist())))
-            return real(p_dbm, pl_db, cross_losses, config)
-
-        monkeypatch.setattr(powerctl, "cnb_terms", cnb_terms)
+        calls = count_pairs(monkeypatch)
         separate = []
         for config in configs:
             cnb_solve(pl, cross, [config])
@@ -512,7 +502,7 @@ class TestBatchedSolveOracle:
         config = cnb(zeta=zeta)
         _, serving, loss = drop_ues(config, seed=drop_seed(42, 0))
         (got,) = compute_powers([config], loss, serving)
-        want, _ = oracle.compute_powers(config, loss, serving)
+        want = oracle.compute_powers(config, loss, serving)
         assert np.array_equal(got, want)
 
 
@@ -549,5 +539,5 @@ class TestComputePowers:
         for scheme in self.SCHEMES[:3]:
             config = SimConfig(scheme=scheme)
             (got,) = compute_powers([config], loss, serving)
-            want, _ = oracle.compute_powers(config, loss, serving)
+            want = oracle.compute_powers(config, loss, serving)
             assert np.array_equal(got, want)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ulsim import topology
-from ulsim.config import _FD_STEP_DB, DEFAULTS, SimConfig
+from ulsim.config import _COARSE_STEP_DB, _LATTICE_STEP_DB, DEFAULTS, SimConfig
 from ulsim.linkbudget import MCS_LEVELS
 from ulsim.powerctl import pl_threshold_db
 
@@ -57,12 +57,12 @@ MODEL = [
      round(pl_threshold_db(CONFIG), 2), 139.45),
     ("each assumed at 24 dB SNR and 5 dB background IoT",
      (D["snr_i_db"], D["iot_i_db"]), (24.0, 5.0)),
-    ("(step 0.01 dB, tolerance 0.1 dB, ≤ 9 iterations per bracketing loop)",
-     (_FD_STEP_DB, D["tol_db"],
-      math.ceil(math.log2((D["p_max_dbm"] - D["bisect_lo_dbm"])
-                          / D["tol_db"]))),
-     (0.01, 0.1, 9)),
-    ("reported on the 0.01 dB search lattice", _FD_STEP_DB, 0.01),
+    ("(every 0.25 dB of the 0.01 dB lattice, then ±0.25 dB around the best "
+     "point)", (_COARSE_STEP_DB, _LATTICE_STEP_DB), (0.25, 0.01)),
+    ("at most 133 + 2·(1 + 2K) + 51 objective evaluations",
+     round((D["p_max_dbm"] - D["bisect_lo_dbm"]) / _COARSE_STEP_DB) + 1
+     + round(2 * _COARSE_STEP_DB / _LATTICE_STEP_DB) + 1, 133 + 51),
+    ("reported on the 0.01 dB search lattice", _LATTICE_STEP_DB, 0.01),
     ("(α = β = 1, EWMA 0.01)", (D["alpha"], D["beta"], D["ewma"]),
      (1.0, 1.0, 0.01)),
     ("delayed by 6 slots", D["delay_slots"], 6),
@@ -107,7 +107,7 @@ ABOUT = [
     ("(about 52.4 and 40.8 at the defaults)", dict(alpha=1e3), "alpha",
      "52.4"),
     ("(about 52.4 and 40.8 at the defaults)", dict(beta=1e3), "beta", "40.8"),
-    ("(about 7.7e303 at the defaults)", dict(zeta=1e308), "zeta", "7.7e303"),
+    ("(about 7.5e305 at the defaults)", dict(zeta=1e308), "zeta", "7.5e305"),
 ]
 
 

@@ -255,4 +255,4 @@ class TestSummaryPins:
         for name in ("sweep.json", "cdf_zeta_1.3.csv", "cdf_zeta_0.7.csv"):
             h.update((out / name).read_bytes())
         assert h.hexdigest() == (
-            "8f9fd8a6342c83f201a54f4db5b469d0f222ed4d68ccb2646cec75e8b8efb283")
+            "6b50c59775006f42b6d9a484bacb37065e8a9c63a103c028e71bd8bdac6d88d3")
