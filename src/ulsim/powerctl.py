@@ -168,8 +168,9 @@ def _cnb_breakpoints(pl_db: np.ndarray, cross: np.ndarray,
 
 def cnb_solve(pl_db, cross_losses, configs: list[SimConfig]) -> np.ndarray:
     """Maximize each UE's objective R_S(P) + zeta * R_I(P) over the lattice
-    bisect_lo_dbm + k * _LATTICE_STEP_DB of [bisect_lo_dbm, p_max_dbm], once
-    per config of a group (see engine.run).
+    bisect_lo_dbm + k * _LATTICE_STEP_DB, from bisect_lo_dbm up to its
+    highest power at most p_max_dbm, once per config of a group (see
+    engine.run).
 
     pl_db holds n serving losses; row u of the (n, K) cross_losses holds UE
     u's neighbor losses ascending, then inf (see cnb_neighbor_losses).
@@ -198,63 +199,60 @@ def cnb_solve(pl_db, cross_losses, configs: list[SimConfig]) -> np.ndarray:
 
 def _lowest_best(k, values):
     """Per row of the last axis, the lowest lattice index k of the largest
-    value."""
+    value; every row holds one, so k.max() stands in for the others."""
     best = values >= values.max(axis=-1, keepdims=True)
-    return np.where(best, k, np.inf).min(axis=-1)
+    return np.where(best, k, k.max()).min(axis=-1)
 
 
 def _solve_group(pl: np.ndarray, cross: np.ndarray, configs: list[SimConfig]):
     """cnb_solve for one unit of UEs, their rows inf-padded to one width.
 
-    The search runs on lattice indices k, the powers bisect_lo_dbm + k *
-    step. Level 1 takes every _COARSE_STEP_DB of the lattice, its top, and
-    the two lattice points around each breakpoint (_cnb_breakpoints), where
-    the objective kinks or jumps; it is evaluated once per UE for all
-    configs. Level 2 takes, per (config, UE) row, the lattice points within
-    _COARSE_STEP_DB of the row's lowest best level-1 point. That point is
-    among them and a pair's value is the same in every call, so the lowest
-    best point of level 2 is the lowest best point of both levels. Both
-    levels go through one evaluator, objective, which evaluates R_S and R_I
-    (cnb_terms) once per distinct (UE, power) pair for all configs, each
-    weighing them with its own zeta.
+    The search runs on int lattice indices k in [0, top], the powers
+    bisect_lo_dbm + k * step, where top is the highest index whose power is
+    at most p_max_dbm. Level 1 takes every _COARSE_STEP_DB of the lattice,
+    its top, and the two lattice points around each breakpoint
+    (_cnb_breakpoints), where the objective kinks or jumps; it is evaluated
+    once per UE for all configs. Level 2 takes, per (config, UE) row, the
+    lattice points within _COARSE_STEP_DB of the row's lowest best level-1
+    point. That point is among them and a pair's value is the same in every
+    call, so the lowest best point of level 2 is the lowest best point of
+    both levels. Both levels go through one evaluator, objective, which
+    evaluates R_S and R_I (cnb_terms) once per distinct (UE, index) pair for
+    all configs, each weighing them with its own zeta.
     """
     config, n = configs[0], len(pl)
     lo, step = config.bisect_lo_dbm, _LATTICE_STEP_DB
+    # round() lands within half a step, so at most one step above p_max.
     top = round((config.p_max_dbm - lo) / step)
+    top -= lo + top * step > config.p_max_dbm
     stride = round(_COARSE_STEP_DB / step)
     zeta = np.array([c.zeta for c in configs], dtype=float)[:, None, None]
 
-    def objective(p):
-        """R_S + zeta * R_I of the powers p[z, u] of each UE u, for p of shape
-        (1 or len(configs), n, m). Only the first copy of a power among all
-        of u's rows is evaluated, _CHUNK_PAIRS (UE, power) pairs at a time so
-        the (pairs, neighbors) temporaries stay in cache; copies take its
-        values."""
-        by_ue = p.transpose(1, 0, 2).reshape(n, -1)
-        order = np.argsort(by_ue, axis=1)
-        ps = np.take_along_axis(by_ue, order, axis=1)
-        new = np.ones(ps.shape, dtype=bool)
-        new[:, 1:] = ps[:, 1:] != ps[:, :-1]
-        at = np.empty(ps.shape, dtype=int)
-        np.put_along_axis(at, order, np.cumsum(new).reshape(ps.shape) - 1,
-                          axis=1)
-        at = at.reshape(n, len(p), -1).transpose(1, 0, 2)
-        ue, q = np.nonzero(new)[0], ps[new]
-        rs, ri = np.empty((2, len(q)))
-        for a in range(0, len(q), _CHUNK_PAIRS):
-            u = ue[a:a + _CHUNK_PAIRS]
-            rs[a:a + _CHUNK_PAIRS], ri[a:a + _CHUNK_PAIRS] = cnb_terms(
-                q[a:a + _CHUNK_PAIRS], pl[u], cross[u], config)
+    def objective(k):
+        """R_S + zeta * R_I at the indices k[z, u] of each UE u, for k of
+        shape (1 or len(configs), n, m). Each distinct (UE, index) pair, keyed
+        u * (top + 1) + k (an int64 the bisect_lo_dbm size rule keeps below
+        2**32), is evaluated once, UE-major with powers ascending,
+        _CHUNK_PAIRS pairs at a time so the (pairs, neighbors) temporaries
+        stay in cache; every copy takes its key's values."""
+        keys, at = np.unique(np.arange(n)[:, None] * (top + 1) + k,
+                             return_inverse=True)
+        ue, q = np.divmod(keys, top + 1)
+        rs, ri = np.empty((2, len(keys)))
+        for a in range(0, len(keys), _CHUNK_PAIRS):
+            c = slice(a, a + _CHUNK_PAIRS)
+            rs[c], ri[c] = cnb_terms(lo + q[c] * step, pl[ue[c]],
+                                     cross[ue[c]], config)
         return rs[at] + zeta * ri[at]
 
     coarse = np.append(np.arange(0, top, stride), top)
     brk = (_cnb_breakpoints(pl, cross, config) - lo) / step
     k1 = np.clip(np.concatenate([np.broadcast_to(coarse, (n, len(coarse))),
                                  np.floor(brk), np.ceil(brk)], axis=1),
-                 0, top)[None]
-    centre = _lowest_best(k1, objective(lo + k1 * step))
+                 0, top).astype(int)[None]
+    centre = _lowest_best(k1, objective(k1))
     k2 = np.clip(centre[..., None] + np.arange(-stride, stride + 1), 0, top)
-    return lo + _lowest_best(k2, objective(lo + k2 * step)) * step
+    return lo + _lowest_best(k2, objective(k2)) * step
 
 
 def compute_powers(configs: list[SimConfig], loss_db: np.ndarray,

@@ -100,12 +100,12 @@ def summarize(accs: list[MetricsAccumulator], config: SimConfig) -> RunSummary:
             raise ValueError(f"{name}: the run gave {value}, not a finite "
                              "number")
 
-    # Time averages over the slots each UE was scheduled in.
+    # Time averages over the slots each UE was scheduled in; -inf marks a
+    # UE never scheduled, which write_cdf_csv leaves out.
     ok = sched_slots > 0
-    snr_db = np.full(len(bits), -np.inf)
-    snr_db[ok] = 10.0 * np.log10(snr_lin_sum[ok] / sched_slots[ok])
-    iot_db = np.zeros(len(bits))
-    iot_db[ok] = 10.0 * np.log10(iot_lin_sum[ok] / sched_slots[ok])
+    snr_db, iot_db = np.full((2, len(bits)), -np.inf)
+    for db, lin_sum in ((snr_db, snr_lin_sum), (iot_db, iot_lin_sum)):
+        db[ok] = 10.0 * np.log10(lin_sum[ok] / sched_slots[ok])
 
     return RunSummary(
         scheme=config.scheme,

@@ -37,11 +37,12 @@ def cnb_objective(p_dbm, pl_db, cross_losses, config: SimConfig):
 
 
 def cnb_solve(pl_db: float, cross_losses, config: SimConfig) -> float:
-    """The exhaustive argmax of the objective over the lattice bisect_lo +
-    k * step of [bisect_lo, p_max] dBm: the lowest lattice power with the
-    largest value."""
+    """The exhaustive argmax of the objective over the points of the lattice
+    bisect_lo + k * step from bisect_lo up to p_max dBm: the lowest lattice
+    power with the largest value."""
     lo, step = config.bisect_lo_dbm, _LATTICE_STEP_DB
-    grid = lo + np.arange(round((config.p_max_dbm - lo) / step) + 1) * step
+    grid = lo + np.arange(int((config.p_max_dbm - lo) / step) + 2) * step
+    grid = grid[grid <= config.p_max_dbm]
     return float(grid[np.argmax(cnb_objective(grid, pl_db, cross_losses,
                                               config))])
 

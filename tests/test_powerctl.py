@@ -21,17 +21,6 @@ def cnb(**kw):
     return SimConfig(scheme="cnb", **kw)
 
 
-def oracle_grid(lo=-10.0, hi=23.0, step=0.01):
-    return lo + np.arange(int(round((hi - lo) / step)) + 1) * step
-
-
-def grid_argmax(pl, cross, config):
-    """Dense-grid maximizer; ties resolve to the smallest power."""
-    grid = oracle_grid(config.bisect_lo_dbm, config.p_max_dbm)
-    vals = oracle.cnb_objective(grid, pl, cross, config)
-    return float(grid[np.argmax(vals)])
-
-
 def solve_one(pl, cross, config):
     """Batched solve of a single UE."""
     return cnb_solve(np.array([pl]), np.array([cross], dtype=float),
@@ -323,12 +312,12 @@ class TestSolve:
             calls.clear()
             sol = solve_one(pl, cross, config)
             assert sum(map(len, calls)) <= pair_bound(len(cross))
-            assert abs(sol - grid_argmax(pl, cross, config)) <= 0.2
+            assert abs(sol - oracle.cnb_solve(pl, cross, config)) <= 0.2
 
     def test_spec_single_neighbor_instance(self):
         config = cnb(zeta=1.3)
         sol = solve_one(105.0, [110.0], config)
-        assert abs(sol - grid_argmax(105.0, [110.0], config)) <= 0.2
+        assert abs(sol - oracle.cnb_solve(105.0, [110.0], config)) <= 0.2
 
     def test_bound_safety(self):
         rng = np.random.default_rng(5)
@@ -342,14 +331,14 @@ class TestSolve:
         config = cnb()
         sol = solve_one(125.0, [], config)
         assert abs(sol - 23.0) < 1e-9
-        assert abs(sol - grid_argmax(125.0, [], config)) <= 0.2
+        assert abs(sol - oracle.cnb_solve(125.0, [], config)) <= 0.2
 
     def test_empty_neighbors_capped_gives_plateau_edge(self):
         # Own rate saturates inside the range; the lowest maximizer wins,
         # matching the tie convention of the dense-grid oracle.
         config = cnb()
         sol = solve_one(100.0, [], config)
-        best = grid_argmax(100.0, [], config)
+        best = oracle.cnb_solve(100.0, [], config)
         assert abs(sol - best) <= 0.2
         assert sol < 23.0
 
@@ -363,8 +352,8 @@ class TestSolve:
             p_lo = solve_one(pl, cross, cnb(zeta=0.7))
             assert p_lo >= p_hi - 1e-9
             # Same ordering holds for the oracle itself.
-            assert (grid_argmax(pl, cross, cnb(zeta=0.7))
-                    >= grid_argmax(pl, cross, cnb(zeta=1.3)) - 1e-9)
+            assert (oracle.cnb_solve(pl, cross, cnb(zeta=0.7))
+                    >= oracle.cnb_solve(pl, cross, cnb(zeta=1.3)) - 1e-9)
 
     def test_determinism(self):
         config = cnb(zeta=1.1)
@@ -426,6 +415,37 @@ class TestBatchedSolveOracle:
         # still be exactly the oracle's powers for its own zeta.
         pl, cross = random_batch(np.random.default_rng(seed), n)
         self._check(pl, cross, [cnb(zeta=z, bisect_lo_dbm=lo) for z in zetas])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-20.0, 22.99), st.integers(0, 2 ** 32 - 1))
+    # Ranges of 33.015 and 32.996 dB, no whole number of 0.01 dB steps.
+    @example(lo=-10.015, seed=0)
+    @example(lo=-9.996, seed=0)
+    def test_powers_within_range(self, lo, seed):
+        # The lattice ends at its highest power at most p_max, even where
+        # p_max is not on it. UE 0, at 150 dB with no neighbor, still gains
+        # own rate at p_max, so it takes that top point.
+        pl, cross = random_batch(np.random.default_rng(seed), 20)
+        pl[0] = 150.0
+        config = cnb(bisect_lo_dbm=lo)
+        powers = cnb_solve(pl, cross, [config])
+        assert ((lo <= powers) & (powers <= config.p_max_dbm)).all()
+        self._check(pl, cross, [config])
+
+    def test_lone_pair_chunk(self, monkeypatch):
+        # The solve's last R_S / R_I call holds one (UE, power) pair, the
+        # lattice top, whose 24 neighbor terms cnb_ri adds by its lone-power
+        # path. Every term is t_max at every power, and the own-rate cap
+        # lies a few ulps above the point below the top, so the top wins by
+        # less than adding the terms in another order would lower it.
+        pl, cross = np.array([111.0984959752979]), 160.0 + np.arange(24.0)
+        config = cnb(zeta=1.0)
+        calls = count_pairs(monkeypatch)
+        cnb_solve(pl, cross[None], [config])
+        monkeypatch.setattr(powerctl, "_CHUNK_PAIRS", len(calls[-1]) - 1)
+        calls.clear()
+        self._check(pl, cross[None], [config])
+        assert calls[-1] == [(pl[0], config.p_max_dbm)]
 
     # Three UEs of three neighbors each, whose floor breakpoints lie far
     # above p_max.

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +61,9 @@ class TestSummarize:
         parts = report.summarize([drops[d] for d in range(4)], sim)
         assert parts == pooled
 
-    def test_unserved_ue_stats(self):
-        # UE 0 is scheduled in 2 slots, UE 1 never.
+    def test_unserved_ue_stats(self, tmp_path):
+        # UE 0 is scheduled in 2 slots, UE 1 never: its SNR and IoT are
+        # absent, and the CDFs hold UE 0's alone.
         acc = engine.MetricsAccumulator(
             bits=np.array([1e3, 0.0]), energy_j=np.array([1e-3, 0.0]),
             snr_lin_sum=np.array([20.0, 0.0]),
@@ -71,7 +73,11 @@ class TestSummarize:
         assert np.isclose(s.per_ue_snr_db[0], 10.0)
         assert np.isclose(s.per_ue_iot_db[0], 10.0 * np.log10(2.0))
         assert s.per_ue_snr_db[1] == -np.inf
-        assert s.per_ue_iot_db[1] == 0.0
+        assert s.per_ue_iot_db[1] == -np.inf
+        report.write_cdf_csv(s, tmp_path / "cdf.csv")
+        rows = (tmp_path / "cdf.csv").read_text().split()[1:]
+        assert Counter(r.split(",")[0] for r in rows) == {
+            "snr_db": 1, "iot_db": 1, "throughput_mbps": 2}
 
     def test_requires_drops(self):
         # One record per configured drop: no fewer, none, and no more.
