@@ -286,3 +286,84 @@ def test_matches_per_cell_oracle(state):
     want_occ, want_p_mw = allocate_network(*state)
     assert np.array_equal(occ, want_occ)
     assert np.array_equal(p_mw, want_p_mw)
+
+
+def test_overflowing_metric_bootstraps():
+    # UE 0 is served, at pf_update's floor, so its PF metric overflows to
+    # inf (with a warning, as in the oracle): it weighs like a never-served
+    # UE and takes cell 0. Cell 1 is scheduled by its PF metrics.
+    state = example_state([0, 0, 1, 1], [1e6, 1e6, 5e5, 2e5],
+                          [np.finfo(float).smallest_subnormal, 1.0, 1.0, 3.0],
+                          [23.0] * 4, 2)
+    serving, est, pf, config, powers, n_cells = state
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        occ, p_mw = expand(allocate(serving, est, pf, config,
+                                    grant_power_mw(powers, config)),
+                           n_cells, config)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        want_occ, want_p_mw = allocate_network(*state)
+    assert rb_counts(occ[0], config) == {0: config.data_rbs}
+    assert len(rb_counts(occ[1], config)) == 2
+    assert np.array_equal(occ, want_occ)
+    assert np.array_equal(p_mw, want_p_mw)
+
+
+def float_state(seed, n_cells, ues_per_cell):
+    """A seeded PF state at benchmark scale with float weights. A quarter of
+    the UEs copy the estimate and average of the UE before them in their
+    cell, so weights tie exactly; some estimates are zero; in three cells
+    some UEs were never served and can decode, elsewhere some were never
+    served and cannot."""
+    rng = np.random.default_rng(seed)
+    serving = rng.permutation(np.repeat(np.arange(n_cells), ues_per_cell))
+    n = serving.size
+    est = rng.uniform(1e4, 2e6, n)
+    avg = rng.uniform(1e3, 1e6, n)
+    est[rng.random(n) < 0.05] = 0.0
+    order = np.argsort(serving, kind="stable")
+    for prev, u in zip(order[:-1], order[1:]):
+        if serving[prev] == serving[u] and rng.random() < 0.25:
+            est[u], avg[u] = est[prev], avg[prev]
+    never = rng.random(n) < np.where(
+        np.isin(serving, rng.choice(n_cells, 3, replace=False)), 0.3, 0.1)
+    avg[never] = 0.0
+    est[never & (rng.random(n) < 0.5)] = 0.0
+    powers = rng.choice([-30.0, -7.5, 0.0, 6.0, 12.3, 23.0], n)
+    return serving, est, avg, SimConfig(), powers, n_cells
+
+
+# The desk and dense sizes (60 UEs a cell truncate at data_rbs), and more
+# cells than a one-byte cell key holds.
+@pytest.mark.parametrize("n_cells, ues_per_cell", [(57, 10), (57, 60),
+                                                   (300, 3)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_matches_per_cell_oracle_at_benchmark_scale(seed, n_cells,
+                                                    ues_per_cell):
+    state = float_state(seed, n_cells, ues_per_cell)
+    serving, est, avg, config, powers, _ = state
+    boot = (avg == 0) & (est > 0)
+    defined = (avg > 0) & (est > 0)
+    assert boot.any() and defined.any()
+    assert len(np.unique(est[defined] / avg[defined])) < defined.sum()
+    occ, p_mw = expand(allocate(serving, est, avg, config,
+                                grant_power_mw(powers, config)),
+                       n_cells, config)
+    want_occ, want_p_mw = allocate_network(*state)
+    assert np.array_equal(occ, want_occ)
+    assert np.array_equal(p_mw, want_p_mw)
+
+
+def test_every_accepted_cell_id_fits_the_int16_sort_key():
+    # allocate sorts cell ids as int16. The size rule admits the most cells
+    # at one UE per cell and one data RB.
+    least = dict(ues_per_cell=1, total_rbs=1, control_rbs=0)
+    rings = 0
+    while True:
+        try:
+            SimConfig(rings=rings + 1, **least)
+        except ValueError as err:
+            assert str(err).startswith("rings: ")
+            break
+        rings += 1
+    cells = SimConfig(rings=rings, **least).layout.n_cells
+    assert cells <= np.iinfo(np.int16).max
