@@ -59,6 +59,14 @@ def _headline(summary: report.RunSummary) -> str:
             f"eff={summary.power_efficiency_mbits_per_j:.2f} Mbits/J")
 
 
+def _check_out(out: Path) -> None:
+    """Refuse an --out that cannot be a directory: one that is not a
+    directory, or whose nearest existing ancestor is not. Creates nothing."""
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ValueError(f"--out: {nearest} exists and is not a directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -70,6 +78,7 @@ def main(argv=None) -> int:
             if value is not None:
                 cfg = cfgmod.set_key(cfg, key, value)
 
+        _check_out(args.out)
         # Build every config and run first, so a refused config writes nothing.
         plmap = cfgmod.SimConfig(**cfg) if args.export_plmap else None
         if args.sweep:

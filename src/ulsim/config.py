@@ -160,6 +160,9 @@ class SimConfig:
         yield "isd_m", self.isd_m > 0, "must be positive"
         yield "rings", self.rings >= 0, "must be >= 0"
         yield "zeta", off("cnb") or self.zeta > 0, "must be positive"
+        for key in ("iot_s_db", "snr_i_db", "iot_i_db"):
+            yield (key, off("cnb") or db_in_range(getattr(self, key)),
+                   f"must be {db_range} dB, a positive, finite linear ratio")
         yield ("p_max_dbm", self.p_max_dbm / 10 <= hi10,
                f"must be at most {10 * hi10} dBm, a finite mW value")
         yield ("bisect_lo_dbm",
@@ -207,6 +210,9 @@ class SimConfig:
                f"must be below {max_exp} * amc_a = {max_exp * self.amc_a}, "
                "so that 2 ** (t_max / amc_a) is a finite float")
         yield "amc_b", self.amc_b > 0, "must be positive"
+        for key in ("sinr_floor_db", "sinr_ceiling_db"):
+            yield (key, db_in_range(getattr(self, key)),
+                   f"must be {db_range} dB, a positive, finite linear SINR")
         yield ("sinr_floor_db", self.sinr_floor_db < self.sinr_ceiling_db,
                f"must be below sinr_ceiling_db = {self.sinr_ceiling_db}")
         yield "staircase", self.staircase in (0, 1), "must be 0 or 1"

@@ -116,27 +116,26 @@ def cnb_ri(p_dbm, cross_losses, config: SimConfig):
     vanishing power each term saturates at t_max. Nonincreasing in P; zero
     when no neighbor is below the loss threshold.
 
-    An inf cross loss marks no neighbor and adds exactly 0; each power's
-    terms are added one at a time in neighbor order, so trailing infs change
-    no sum. Terms provably at the ceiling (_saturation_db) are t_max
-    unevaluated; the others (NaN gaps too) are computed as if none were.
+    An inf cross loss marks no neighbor and adds exactly 0. The terms keep
+    gap's (powers, neighbors) shape and are added one neighbor column at a
+    time, so each power's sum runs left to right in neighbor order, however
+    many powers the call holds, and trailing infs change no sum. Terms
+    provably at the ceiling (_saturation_db) are t_max unevaluated; the
+    others (NaN gaps too) are computed as if none were.
     """
     cross = np.asarray(cross_losses, dtype=float)
     p = np.asarray(p_dbm, dtype=float)
     gap = p[..., None] - cross
-    neighbor = np.isfinite(cross)
+    neighbor = np.broadcast_to(np.isfinite(cross), gap.shape)
     live = neighbor & ~(gap < _saturation_db(config))
     inr = db_to_linear(gap[live] - config.n0_dbm)
     sinr = db_to_linear(config.snr_i_db) / (db_to_linear(config.iot_i_db) + inr)
-    # Neighbor-major, so summing axis 0 adds each power's terms in order;
-    # numpy would sum a lone power's terms pairwise, so those accumulate.
-    terms = np.zeros(gap.shape[-1:] + gap.shape[:-1])
-    by_power = np.moveaxis(terms, 0, -1)
-    np.copyto(by_power, config.t_max, where=neighbor)
-    by_power[live] = amc_realized(sinr, config)
-    if len(terms) and terms[0].size == 1:
-        return np.cumsum(terms, axis=0)[-1]
-    return terms.sum(axis=0)
+    terms = np.where(neighbor, config.t_max, 0.0)
+    terms[live] = amc_realized(sinr, config)
+    total = np.zeros(gap.shape[:-1])
+    for j in range(gap.shape[-1]):
+        total += terms[..., j]
+    return total
 
 
 def cnb_terms(p_dbm, pl_db, cross_losses, config: SimConfig):

@@ -133,6 +133,7 @@ def test_oversized_drop_refused_before_any_allocation(tmp_path, capsys, key,
     assert capsys.readouterr().err.startswith(f"error: {key}: ")
     assert not out.exists()
     SimConfig(ues_per_cell=60)          # the largest benchmark drop fits
+    SimConfig(slots=2**62, drops=2**62)     # run length has no bound
 
 
 def test_default_drop_fits_up_to_13_rings():
@@ -246,6 +247,8 @@ def test_tol_db_is_an_unknown_key(tmp_path, capsys):
     ("fpc", "zeta", "-1", True),
     ("cnb", "kappa", "1.5", True),
     ("fpc", "zeta", "nan", False),
+    ("fpc", "iot_s_db", "1e300", True),
+    ("cnb", "iot_s_db", "1e300", False),
 ])
 def test_unselected_scheme_keys_only_finite(tmp_path, scheme, key, value, ok):
     """A scheme's own rules apply only when it is selected; the keys of the
@@ -253,7 +256,8 @@ def test_unselected_scheme_keys_only_finite(tmp_path, scheme, key, value, ok):
     path = tmp_path / "run.cfg"
     path.write_text(f"scheme = {scheme}\n{key} = {value}\n")
     if ok:
-        assert parse_config_file(path)[key] == float(value)
+        sim = SimConfig(**parse_config_file(path))
+        assert getattr(sim, key) == float(value)
     else:
         with pytest.raises(ValueError, match=key):
             SimConfig(**parse_config_file(path))
@@ -371,6 +375,20 @@ class TestCli:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_that_cannot_be_a_directory_fails_before_any_run(
+            self, tmp_path, capsys, monkeypatch, out):
+        def simulate(*args, **kwargs):
+            raise AssertionError("a drop ran")
+        monkeypatch.setattr(engine, "simulate", simulate)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        assert run_cli(BASE + ["--out", tmp_path / out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --out: ") and not captured.out
+        assert afile.read_text() == "kept\n"
+        assert sorted(tmp_path.iterdir()) == [afile]
+
     def test_served_average_at_the_float_floor(self, tmp_path):
         # With ewma = 0.9 a served UE's average decays to 5e-324, where the
         # EWMA step rounds to 0; the run must still complete.
@@ -461,6 +479,11 @@ def run_module(cfgfile, out):
     ("zeta", "1e308", "cnb"),
     ("bisect_lo_dbm", "-1e9", "cnb"),
     ("bisect_lo_dbm", "-1e308", "cnb"),
+    ("iot_s_db", "1e300", "cnb"),
+    ("snr_i_db", "1e300", "cnb"),
+    ("iot_i_db", "1e300", "cnb"),
+    ("sinr_ceiling_db", "4000", "fpc"),
+    ("sinr_floor_db", "-1e300", "cnb"),
 ])
 def test_bad_value_fails_fast_naming_the_key(tmp_path, key, value, scheme):
     # Each key once: TINY's line for the key gives way to the bad value.

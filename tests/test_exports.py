@@ -1,8 +1,9 @@
 """Every name a ulsim module lists in __all__ exists, and every source or
 test file and every ulsim name README.md quotes exists, so a deletion or a
-rename cannot leave a dangling export or reference behind; config.py reads
-no layer but the topology (and the dB helper in units.py, which holds no
-parameter)."""
+rename cannot leave a dangling export or reference behind; every top-level
+function and class of src/ulsim is used in src/ulsim, so none lives on for
+tests alone; config.py reads no layer but the topology (and the dB helper in
+units.py, which holds no parameter)."""
 
 import ast
 import importlib
@@ -42,6 +43,22 @@ def ulsim_imports(path):
             found.update([module] if module != "ulsim" else
                          (f"ulsim.{a.name}" for a in node.names))
     return {m for m in found if m.split(".")[0] == "ulsim"}
+
+
+def test_every_definition_is_used_in_the_package():
+    # A read is a loaded Name or Attribute; an import, a definition or an
+    # __all__ string is not, so a helper only tests call shows up here.
+    sources = sorted((ROOT / "src" / "ulsim").glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text()) for path in sources}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+    unused = [f"{name}::{node.name}" for name, tree in trees.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in read]
+    assert sources and not unused
 
 
 def test_config_imports_only_topology():

@@ -294,13 +294,21 @@ class TestSaturatedTermSkip:
         self.assert_plain(grid, [0.0, *losses], config)
         self.assert_plain(grid, [], config)
 
-    def test_default_bound_just_below_ceiling_breakpoint(self):
-        # With the default budget terms saturate below the ceiling
-        # breakpoint, so the skip applies, within 2e-6 dB of it.
-        config = cnb()
-        edge = powerctl._cnb_breakpoints(np.zeros(1), np.zeros((1, 1)),
-                                         config)[0, 1]
-        assert edge - 2e-6 < powerctl._saturation_db(config) < edge
+    @settings(max_examples=300, deadline=None)
+    @given(neighbor_budgets())
+    @example(("free", cnb()))
+    def test_bound_just_below_ceiling_breakpoint(self, budget):
+        # Wherever terms provably saturate, they do so below the ceiling
+        # breakpoint the solve seeds its search with, within 2e-6 dB of it.
+        # The default budget is one such case, so the skip applies.
+        _, config = budget
+        bound = powerctl._saturation_db(config)
+        if config == cnb():
+            assert np.isfinite(bound)
+        if np.isfinite(bound):
+            edge = powerctl._cnb_breakpoints(np.zeros(1), np.zeros((1, 1)),
+                                             config)[0, 1]
+            assert edge - 2e-6 < bound < edge
 
 
 class TestSolve:
@@ -434,10 +442,11 @@ class TestBatchedSolveOracle:
 
     def test_lone_pair_chunk(self, monkeypatch):
         # The solve's last R_S / R_I call holds one (UE, power) pair, the
-        # lattice top, whose 24 neighbor terms cnb_ri adds by its lone-power
-        # path. Every term is t_max at every power, and the own-rate cap
-        # lies a few ulps above the point below the top, so the top wins by
-        # less than adding the terms in another order would lower it.
+        # lattice top, whose 24 neighbor terms cnb_ri adds in neighbor order
+        # as it does for every chunk. Every term is t_max at every power,
+        # and the own-rate cap lies a few ulps above the point below the
+        # top, so the top wins by less than adding the terms in another
+        # order would lower it.
         pl, cross = np.array([111.0984959752979]), 160.0 + np.arange(24.0)
         config = cnb(zeta=1.0)
         calls = count_pairs(monkeypatch)

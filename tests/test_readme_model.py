@@ -85,6 +85,18 @@ BOUNDS = [
      dict(combining_gain_db=3080.5), "combining_gain_db"),
     ("`combining_gain_db` in [−3070, 3080]", dict(combining_gain_db=-3070.0),
      dict(combining_gain_db=-3070.5), "combining_gain_db"),
+    ("`sinr_floor_db` and `sinr_ceiling_db` in [−3070, 3080]",
+     dict(sinr_floor_db=-3070.0), dict(sinr_floor_db=-3070.5),
+     "sinr_floor_db"),
+    ("`sinr_floor_db` and `sinr_ceiling_db` in [−3070, 3080]",
+     dict(sinr_ceiling_db=3080.0), dict(sinr_ceiling_db=3080.5),
+     "sinr_ceiling_db"),
+    ("`iot_s_db`, `snr_i_db` and `iot_i_db` in [−3070, 3080]",
+     dict(iot_s_db=3080.0), dict(iot_s_db=3080.5), "iot_s_db"),
+    ("`iot_s_db`, `snr_i_db` and `iot_i_db` in [−3070, 3080]",
+     dict(snr_i_db=-3070.0), dict(snr_i_db=-3070.5), "snr_i_db"),
+    ("`iot_s_db`, `snr_i_db` and `iot_i_db` in [−3070, 3080]",
+     dict(iot_i_db=3080.0), dict(iot_i_db=3080.5), "iot_i_db"),
     ("set in [−3070, 3080] dBm",
      dict(N0_IS_THERMAL, thermal_density_dbm_hz=3080.0),
      dict(N0_IS_THERMAL, thermal_density_dbm_hz=3080.5), "n0_dbm"),
