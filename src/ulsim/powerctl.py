@@ -153,8 +153,7 @@ def _cnb_breakpoints(pl_db: np.ndarray, cross: np.ndarray,
     ceiling (cost becomes nonzero) and floor (cost saturates).
     """
     n0_dbm = config.n0_dbm
-    x_cap = (2.0 ** (config.t_max / config.amc_a) - 1.0) / config.amc_b
-    cap = pl_db + n0_dbm + config.iot_s_db + 10.0 * np.log10(x_cap)
+    cap = pl_db + n0_dbm + config.iot_s_db + 10.0 * np.log10(config.x_cap)
     pts = [cap[:, None]]
     snr_i = db_to_linear(config.snr_i_db)
     iot_i = db_to_linear(config.iot_i_db)
@@ -233,7 +232,8 @@ def _solve_group(pl: np.ndarray, cross: np.ndarray, configs: list[SimConfig]):
         u * (top + 1) + k (an int64 the bisect_lo_dbm size rule keeps below
         2**32), is evaluated once, UE-major with powers ascending,
         _CHUNK_PAIRS pairs at a time so the (pairs, neighbors) temporaries
-        stay in cache; every copy takes its key's values."""
+        stay in cache; every copy takes its key's values through
+        np.unique's inverse, which has the keys' shape from numpy 2.0."""
         keys, at = np.unique(np.arange(n)[:, None] * (top + 1) + k,
                              return_inverse=True)
         ue, q = np.divmod(keys, top + 1)

@@ -35,7 +35,7 @@ def sample_instances(n, seed):
     return out
 
 
-class TestCriterion1BisectionOracle:
+class TestCriterion1LatticeOracle:
     def test_solver_matches_grid_argmax(self, monkeypatch):
         grid = oracle_grid()
         solve_time = 0.0
@@ -58,7 +58,7 @@ class TestCriterion1BisectionOracle:
             assert sum(pairs) <= 133 + 2 * (1 + 2 * len(cross)) + 51
             vals = cnb_objective(grid, pl, cross, config)
             best = grid[np.argmax(vals)]  # ties resolve to the lowest power
-            assert abs(sol - best) <= 0.2, (pl, list(cross), zeta, sol, best)
+            assert sol == best, (pl, list(cross), zeta, sol, best)
         assert solve_time < 5.0
 
 

@@ -249,6 +249,7 @@ def test_tol_db_is_an_unknown_key(tmp_path, capsys):
     ("fpc", "zeta", "nan", False),
     ("fpc", "iot_s_db", "1e300", True),
     ("cnb", "iot_s_db", "1e300", False),
+    ("fpc", "amc_a", "1e300", True),            # only C&B takes log(x_cap)
 ])
 def test_unselected_scheme_keys_only_finite(tmp_path, scheme, key, value, ok):
     """A scheme's own rules apply only when it is selected; the keys of the
@@ -484,6 +485,8 @@ def run_module(cfgfile, out):
     ("iot_i_db", "1e300", "cnb"),
     ("sinr_ceiling_db", "4000", "fpc"),
     ("sinr_floor_db", "-1e300", "cnb"),
+    ("amc_a", "1e300", "cnb"),                  # C&B's own-rate cap is 0
+    ("t_max", "1e-300", "cnb"),
 ])
 def test_bad_value_fails_fast_naming_the_key(tmp_path, key, value, scheme):
     # Each key once: TINY's line for the key gives way to the bad value.

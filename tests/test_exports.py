@@ -1,9 +1,9 @@
 """Every name a ulsim module lists in __all__ exists, and every source or
 test file and every ulsim name README.md quotes exists, so a deletion or a
 rename cannot leave a dangling export or reference behind; every top-level
-function and class of src/ulsim is used in src/ulsim, so none lives on for
-tests alone; config.py reads no layer but the topology (and the dB helper in
-units.py, which holds no parameter)."""
+function, class and assigned name of src/ulsim is used in src/ulsim, so none
+lives on for tests alone; config.py reads no layer but the topology (and the
+dB helper in units.py, which holds no parameter)."""
 
 import ast
 import importlib
@@ -45,19 +45,31 @@ def ulsim_imports(path):
     return {m for m in found if m.split(".")[0] == "ulsim"}
 
 
+def top_level_names(node):
+    """The names a module-level statement binds by a definition or an
+    assignment; imports re-export and are left out."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign) else
+               [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for target in targets for n in ast.walk(target)
+            if isinstance(n, ast.Name)]
+
+
 def test_every_definition_is_used_in_the_package():
     # A read is a loaded Name or Attribute; an import, a definition or an
-    # __all__ string is not, so a helper only tests call shows up here.
+    # __all__ string is not, so a helper or constant only tests read shows
+    # up here. Dunders (__all__, __version__) are read from outside.
     sources = sorted((ROOT / "src" / "ulsim").glob("*.py"))
     trees = {path.name: ast.parse(path.read_text()) for path in sources}
     read = {node.id if isinstance(node, ast.Name) else node.attr
             for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))
             and isinstance(node.ctx, ast.Load)}
-    unused = [f"{name}::{node.name}" for name, tree in trees.items()
-              for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and node.name not in read]
+    unused = [f"{name}::{bound}" for name, tree in trees.items()
+              for node in tree.body for bound in top_level_names(node)
+              if bound not in read
+              and not (bound.startswith("__") and bound.endswith("__"))]
     assert sources and not unused
 
 

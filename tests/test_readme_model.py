@@ -107,6 +107,16 @@ BOUNDS = [
     ("`t_max / amc_a < 1024`",
      dict(amc_a=1.0, t_max=math.nextafter(1024.0, 0.0)),
      dict(amc_a=1.0, t_max=1024.0), "t_max"),
+    # The cap's numerator rounds to 0 once t_max / amc_a is below about
+    # 1.6e-16, and the quotient once amc_b is large enough; other schemes
+    # never take its log.
+    ("for C&B the own-rate cap `(2 ** (t_max / amc_a) − 1) / amc_b`",
+     dict(t_max=2e-16), dict(t_max=1e-16), "t_max"),
+    ("for C&B the own-rate cap `(2 ** (t_max / amc_a) − 1) / amc_b`",
+     dict(t_max=2e-16, amc_b=1.0), dict(t_max=2e-16, amc_b=1.7e308),
+     "t_max"),
+    ("`amc_a = 1e300` or `t_max = 1e-300` is refused",
+     dict(scheme="fpc", amc_a=1e300), dict(amc_a=1e300), "t_max"),
     # At 14 rings the coupling array outgrows the bound first, so the error
     # names the last key that sizes it.
     ("the defaults allow up to 13 rings", dict(rings=13), dict(rings=14),
