@@ -38,11 +38,9 @@ _ACCEPTS = {int: Integral, float: Real, str: str}
 # default drop's largest array holds 155,952.
 _MAX_DROP_ELEMENTS = 2 ** 27
 
-# The C&B solve reports powers on the lattice bisect_lo_dbm + k *
-# _LATTICE_STEP_DB. It first evaluates every _COARSE_STEP_DB of the lattice,
-# then the lattice within _COARSE_STEP_DB of the best point found.
+# The C&B solve searches the power lattice bisect_lo_dbm + k *
+# _LATTICE_STEP_DB.
 _LATTICE_STEP_DB = 0.01
-_COARSE_STEP_DB = 0.25
 
 
 def _finite(value) -> bool:
@@ -230,6 +228,24 @@ class SimConfig:
         yield ("beta", 0 <= self.beta <= beta_max,
                f"must be in [0, {beta_max:.6g}], so that a PF average up to "
                "data_rbs * t_max * rb_bandwidth_hz raised to it is finite")
+        # A UE's bits and energy over a run are at most slots times one
+        # slot's most: data_rbs RBs of t_max * rb_bandwidth_hz *
+        # slot_duration_s bits, and p_max in mW times slot_duration_s / 1000
+        # joules over all its RBs. Half the largest float leaves room for
+        # rounding; the quotient is compared with slots as an int, exactly.
+        slot_most = self.slot_duration_s * max(
+            self.data_rbs * self.t_max * self.rb_bandwidth_hz,
+            float(db_to_linear(self.p_max_dbm)) / 1000.0)
+        yield ("slot_duration_s",
+               not slot_most or sys.float_info.max / 2 / slot_most
+               >= self.slots,
+               f"must be small enough that a UE's bit and energy totals over "
+               f"slots = {_show(self.slots)}, each at most slots * "
+               f"slot_duration_s * max(data_rbs * t_max * rb_bandwidth_hz, "
+               f"p_max in mW / 1000), stay within half the largest float at "
+               f"data_rbs = {self.data_rbs}, t_max = {self.t_max}, "
+               f"rb_bandwidth_hz = {self.rb_bandwidth_hz} and p_max_dbm = "
+               f"{self.p_max_dbm}")
         # Every objective value is at most t_max * (1 + zeta * (cells - 1)),
         # with each other cell a neighbor. Bounding t_max * (1 + zeta * cells)
         # instead leaves zeta * t_max for rounding; dividing last by t_max
@@ -240,16 +256,20 @@ class SimConfig:
                f"cells) at {cells} cells is finite, and with it the C&B "
                f"objective R_S + zeta * R_I, up to t_max * (1 + zeta * "
                f"(cells - 1))")
-        # The C&B solve's first level; a span too wide for a float reads inf
-        # and is refused.
-        coarse = ues * ((self.p_max_dbm - self.bisect_lo_dbm)
-                        / _COARSE_STEP_DB + 1)
-        yield ("bisect_lo_dbm", off("cnb") or coarse <= _MAX_DROP_ELEMENTS,
-               f"must be high enough that the C&B solve's first level, one "
-               f"power per UE per {_COARSE_STEP_DB:g} dB of [bisect_lo_dbm, "
-               f"p_max_dbm], holds at most {_MAX_DROP_ELEMENTS} elements; at "
-               f"{ues} UEs and p_max_dbm = {self.p_max_dbm} it would hold "
-               f"{coarse:.6g}")
+        # A level of the C&B search splits at most one interval per two
+        # lattice steps of each (config, UE) row, so it evaluates at most one
+        # (UE, power) pair per UE per two steps of [bisect_lo_dbm,
+        # p_max_dbm]. The bound also keeps the solve's int keys, fewer than
+        # UEs times lattice points, below 2**32. A span too wide for a float
+        # reads inf and is refused.
+        level = (ues * (self.p_max_dbm - self.bisect_lo_dbm)
+                 / (2 * _LATTICE_STEP_DB))
+        yield ("bisect_lo_dbm", off("cnb") or level <= _MAX_DROP_ELEMENTS,
+               f"must be high enough that a level of the C&B search, at most "
+               f"one (UE, power) pair per UE per two {_LATTICE_STEP_DB:g} dB "
+               f"steps of [bisect_lo_dbm, p_max_dbm], evaluates at most "
+               f"{_MAX_DROP_ELEMENTS} pairs; at {ues} UEs and p_max_dbm = "
+               f"{self.p_max_dbm} it could evaluate {level:.6g}")
 
     @property
     def data_rbs(self) -> int:

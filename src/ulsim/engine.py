@@ -16,7 +16,6 @@ import numpy as np
 
 from .config import SimConfig
 from .linkbudget import amc_realized, snr_of
-from .parallel import two_thread_map
 from .powerctl import compute_powers
 from .scheduler import allocate, grant_power_mw, pf_update
 from .topology import FADING_STREAM, drop_rng, drop_seed, drop_ues
@@ -123,17 +122,15 @@ def simulate(serving: np.ndarray, loss_db: np.ndarray,
              fading_seed: int) -> list[MetricsAccumulator]:
     """Run the slot loop on one drop's topology (see build_snapshot) once per
     config of a group (see run); the records come in config order. Fading,
-    if on, draws from fading_seed (run_drop passes the drop's seed). The
-    slot loops are independent work units, run on the caller's thread and
-    one worker thread (two_thread_map).
+    if on, draws from fading_seed (run_drop passes the drop's seed).
     Raises ValueError("<key>: ...") naming the first other key in which a
     config differs from the first."""
     if key := _key_beyond_zeta(configs):
         raise ValueError(f"{key}: the configs of one group may differ "
                          "only in zeta")
-    return two_thread_map(
-        lambda unit: _slot_loop(serving, loss_db, *unit, fading_seed),
-        list(zip(configs, compute_powers(configs, loss_db, serving))))
+    powers = compute_powers(configs, loss_db, serving)
+    return [_slot_loop(serving, loss_db, config, row, fading_seed)
+            for config, row in zip(configs, powers)]
 
 
 def _slot_loop(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
@@ -204,8 +201,8 @@ def run(configs: list[SimConfig]) -> list[list[MetricsAccumulator]]:
     """Per config, its drops' records in drop order, equal bit for bit to
     run([config]). The one rule for what shares a drop: configs that differ
     at most in zeta form one group, run drop by drop, each drop's snapshot
-    and the first level of its C&B solve serving every zeta (see simulate);
-    any other list runs each config alone."""
+    and its C&B solve serving every zeta (see simulate and cnb_solve); any
+    other list runs each config alone."""
     if not configs or _key_beyond_zeta(configs):
         return [run([config])[0] for config in configs]
     return [list(accs) for accs in zip(*(run_drop(configs, d)

@@ -4,7 +4,7 @@ Four schemes: max power, fractional path-loss compensation (FPC), reverse-link
 power control (RLPC), and the coordinated checks-and-balances controller (CnB)
 that weighs a UE's own throughput against the throughput it costs the cells it
 interferes with, and maximizes the weighted sum over a 0.01 dB power lattice
-by a two-level search seeded by the objective's breakpoints.
+by a monotone branch-and-bound.
 
 Every controller is a pure function of one UE's path-loss row and static
 parameters, so per-UE solves are independent and fully distributed; the code
@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import _COARSE_STEP_DB, _LATTICE_STEP_DB, SimConfig
+from .config import _LATTICE_STEP_DB, SimConfig
 from .linkbudget import amc_realized, amc_smooth, snr_of
-from .parallel import two_thread_map
 from .units import db_to_linear
 
 __all__ = [
@@ -34,13 +33,10 @@ __all__ = [
 ]
 
 # (UE, power) pairs per objective evaluation in the batched solve. Medians of
-# 11 solves of a 3,420-UE drop on 2 vCPUs: 1024 pairs 0.26 s, 2048 0.20 s,
-# 4096 0.21 s (0.29 s against 2048's 0.21 s over 21 more); 256 pay numpy's
-# per-call cost (0.57 s) and 16384 fall out of cache (0.33 s).
+# 7 serial 4-zeta solves of a 3,420-UE drop on 2 vCPUs: 1024 to 4096 pairs
+# 0.087-0.089 s; 512 pay numpy's per-call cost (0.104 s) and 8192 fall out
+# of cache (0.117 s).
 _CHUNK_PAIRS = 2048
-# Equal slices of UEs, by neighbor count, that cnb_solve runs as work units;
-# fewer raise the two threads' peak memory, more pay numpy's per-call cost.
-_SOLVE_UNITS = 20
 
 
 def pl_threshold_db(config: SimConfig) -> float:
@@ -144,26 +140,6 @@ def cnb_terms(p_dbm, pl_db, cross_losses, config: SimConfig):
     return cnb_rs(p_dbm, pl_db, config), cnb_ri(p_dbm, cross_losses, config)
 
 
-def _cnb_breakpoints(pl_db: np.ndarray, cross: np.ndarray,
-                     config: SimConfig) -> np.ndarray:
-    """Powers (dBm) where each row's piecewise objective kinks or jumps.
-
-    One point where the own-throughput curve saturates, and per neighbor the
-    powers at which the neighbor's assumed SINR crosses the decodable-region
-    ceiling (cost becomes nonzero) and floor (cost saturates).
-    """
-    n0_dbm = config.n0_dbm
-    cap = pl_db + n0_dbm + config.iot_s_db + 10.0 * np.log10(config.x_cap)
-    pts = [cap[:, None]]
-    snr_i = db_to_linear(config.snr_i_db)
-    iot_i = db_to_linear(config.iot_i_db)
-    for edge_db in (config.sinr_ceiling_db, config.sinr_floor_db):
-        inr = snr_i / db_to_linear(edge_db) - iot_i
-        if inr > 0:
-            pts.append(cross + n0_dbm + 10.0 * np.log10(inr))
-    return np.concatenate(pts, axis=1)
-
-
 def cnb_solve(pl_db, cross_losses, configs: list[SimConfig]) -> np.ndarray:
     """Maximize each UE's objective R_S(P) + zeta * R_I(P) over the lattice
     bisect_lo_dbm + k * _LATTICE_STEP_DB, from bisect_lo_dbm up to its
@@ -172,86 +148,86 @@ def cnb_solve(pl_db, cross_losses, configs: list[SimConfig]) -> np.ndarray:
 
     pl_db holds n serving losses; row u of the (n, K) cross_losses holds UE
     u's neighbor losses ascending, then inf (see cnb_neighbor_losses).
-    Returns the (len(configs), n) powers (dBm): per config and UE, the lowest
-    lattice power with the best objective value among the points the
-    two-level search of _solve_group evaluates. Each power is the one a solve
-    of that UE alone returns, whatever UEs share its batch.
+    Returns the (len(configs), n) powers (dBm): per config and UE, the
+    lowest lattice power with the largest objective value. Each power is the
+    one a solve of that UE alone returns, whatever UEs share its batch.
+
+    The search is a branch-and-bound over (config, UE) rows on int lattice
+    indices k in [0, top], the powers bisect_lo_dbm + k * step. R_S is
+    nondecreasing in P and R_I nonincreasing, and rounded + and * by a
+    zeta > 0 are monotone, so no point inside a lattice interval [a, b]
+    has a value above the bound R_S(b) + zeta * R_I(a). Each row starts
+    from [0, top], both ends evaluated. Each level drops every interval
+    whose bound is below the row's best value, or equals it and starts at
+    or after the row's best index (the lowest index with the best value so
+    far), as it can hold no larger value and no equal one at a lower index,
+    and splits every other interval with an interior point at its
+    midpoint. So the result is the exhaustive lattice argmax. Every row of a UE splits the same dyadic tree, so a
+    solve evaluates each (UE, index) pair at most once, for all configs;
+    at worst, that is the whole lattice.
     """
     pl = np.asarray(pl_db, dtype=float)
     cross = np.asarray(cross_losses, dtype=float)
     counts = np.isfinite(cross).sum(axis=1)
-    powers = np.empty((len(configs), len(pl)))
-    # The UEs by descending neighbor count, cut into _SOLVE_UNITS equal work
-    # units, each trimmed to its first UE's count: cnb_ri adds a row's
-    # trailing infs as 0, so the trim changes no power.
+    # The UEs by descending neighbor count, so that each chunk of pairs is
+    # trimmed to its first UE's count: cnb_ri adds a row's trailing infs as
+    # 0, so the trim changes no power.
     order = np.argsort(-counts, kind="stable")
-    units = [rows for rows in np.array_split(order, _SOLVE_UNITS) if len(rows)]
-
-    def solve(rows):
-        powers[:, rows] = _solve_group(pl[rows], cross[rows, :counts[rows[0]]],
-                                       configs)
-
-    two_thread_map(solve, units)
-    return powers
-
-
-def _lowest_best(k, values):
-    """Per row of the last axis, the lowest lattice index k of the largest
-    value; every row holds one, so k.max() stands in for the others."""
-    best = values >= values.max(axis=-1, keepdims=True)
-    return np.where(best, k, k.max()).min(axis=-1)
-
-
-def _solve_group(pl: np.ndarray, cross: np.ndarray, configs: list[SimConfig]):
-    """cnb_solve for one unit of UEs, their rows inf-padded to one width.
-
-    The search runs on int lattice indices k in [0, top], the powers
-    bisect_lo_dbm + k * step, where top is the highest index whose power is
-    at most p_max_dbm. Level 1 takes every _COARSE_STEP_DB of the lattice,
-    its top, and the two lattice points around each breakpoint
-    (_cnb_breakpoints), where the objective kinks or jumps; it is evaluated
-    once per UE for all configs. Level 2 takes, per (config, UE) row, the
-    lattice points within _COARSE_STEP_DB of the row's lowest best level-1
-    point. That point is among them and a pair's value is the same in every
-    call, so the lowest best point of level 2 is the lowest best point of
-    both levels. Both levels go through one evaluator, objective, which
-    evaluates R_S and R_I (cnb_terms) once per distinct (UE, index) pair for
-    all configs, each weighing them with its own zeta.
-    """
+    pl, cross, counts = pl[order], cross[order], counts[order]
     config, n = configs[0], len(pl)
     lo, step = config.bisect_lo_dbm, _LATTICE_STEP_DB
     # round() lands within half a step, so at most one step above p_max.
     top = round((config.p_max_dbm - lo) / step)
     top -= lo + top * step > config.p_max_dbm
-    stride = round(_COARSE_STEP_DB / step)
-    zeta = np.array([c.zeta for c in configs], dtype=float)[:, None, None]
 
-    def objective(k):
-        """R_S + zeta * R_I at the indices k[z, u] of each UE u, for k of
-        shape (1 or len(configs), n, m). Each distinct (UE, index) pair, keyed
-        u * (top + 1) + k (an int64 the bisect_lo_dbm size rule keeps below
-        2**32), is evaluated once, UE-major with powers ascending,
-        _CHUNK_PAIRS pairs at a time so the (pairs, neighbors) temporaries
-        stay in cache; every copy takes its key's values through
-        np.unique's inverse, which has the keys' shape from numpy 2.0."""
-        keys, at = np.unique(np.arange(n)[:, None] * (top + 1) + k,
-                             return_inverse=True)
-        ue, q = np.divmod(keys, top + 1)
+    def terms(ue, k):
+        """R_S and R_I (cnb_terms) at the indices k of the UEs ue. Each
+        distinct pair, keyed ue * (top + 1) + k (an int64 the bisect_lo_dbm
+        size rule keeps below 2**32), is evaluated once, UE-major with powers
+        ascending, _CHUNK_PAIRS pairs at a time so the (pairs, neighbors)
+        temporaries stay in cache."""
+        keys, at = np.unique(ue * (top + 1) + k, return_inverse=True)
+        ue, k = np.divmod(keys, top + 1)
         rs, ri = np.empty((2, len(keys)))
         for a in range(0, len(keys), _CHUNK_PAIRS):
             c = slice(a, a + _CHUNK_PAIRS)
-            rs[c], ri[c] = cnb_terms(lo + q[c] * step, pl[ue[c]],
-                                     cross[ue[c]], config)
-        return rs[at] + zeta * ri[at]
+            rs[c], ri[c] = cnb_terms(lo + k[c] * step, pl[ue[c]],
+                                     cross[ue[c], :counts[ue[a]]], config)
+        return rs[at], ri[at]
 
-    coarse = np.append(np.arange(0, top, stride), top)
-    brk = (_cnb_breakpoints(pl, cross, config) - lo) / step
-    k1 = np.clip(np.concatenate([np.broadcast_to(coarse, (n, len(coarse))),
-                                 np.floor(brk), np.ceil(brk)], axis=1),
-                 0, top).astype(int)[None]
-    centre = _lowest_best(k1, objective(k1))
-    k2 = np.clip(centre[..., None] + np.arange(-stride, stride + 1), 0, top)
-    return lo + _lowest_best(k2, objective(k2)) * step
+    # Row r is config r // n at UE r % n. An interval is (row, a, b) with
+    # R_I(a) and R_S(b), the two terms its bound reads.
+    row = np.arange(len(configs) * n)
+    zeta = np.repeat([c.zeta for c in configs], n)
+    rs, ri = terms(np.tile(row % n, 2), np.repeat([0, top], len(row)))
+    at_lo, at_top = np.split(rs + np.tile(zeta, 2) * ri, 2)
+    best = np.maximum(at_lo, at_top)
+    best_k = np.where(at_lo >= at_top, 0, top)
+    a, b = np.zeros_like(row), np.full_like(row, top)
+    ri_a, rs_b = ri[:len(row)], rs[len(row):]
+    while True:
+        bound = rs_b + zeta[row] * ri_a
+        split = (b - a > 1) & ((bound > best[row]) | (bound == best[row])
+                               & (a < best_k[row]))
+        if not split.any():
+            break
+        row, a, b, ri_a, rs_b = (x[split] for x in (row, a, b, ri_a, rs_b))
+        m = (a + b) // 2
+        rs, ri = terms(row % n, m)
+        value = rs + zeta[row] * ri
+        # A row whose best value rises drops its best index (top, above
+        # every midpoint, stands in); then each row takes the lowest of its
+        # midpoints at its best value, if lower.
+        before = best.copy()
+        np.maximum.at(best, row, value)
+        best_k[best > before] = top
+        tie = value == best[row]
+        np.minimum.at(best_k, row[tie], m[tie])
+        row, a, b = np.tile(row, 2), np.append(a, m), np.append(m, b)
+        ri_a, rs_b = np.append(ri_a, ri), np.append(rs, rs_b)
+    powers = np.empty((len(configs), n))
+    powers[:, order] = lo + best_k.reshape(len(configs), n) * step
+    return powers
 
 
 def compute_powers(configs: list[SimConfig], loss_db: np.ndarray,

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -147,14 +148,14 @@ def test_default_drop_fits_up_to_13_rings():
 @pytest.mark.parametrize("value", [-1e9, -1e308])
 def test_oversized_cnb_screen_refused_before_any_allocation(tmp_path, capsys,
                                                             value):
-    # The C&B solve's first level lays a 0.25 dB lattice over
-    # [bisect_lo_dbm, p_max_dbm] for every UE: -1e9 would ask for 2.3e12
-    # powers, and -1e308 spans more powers than an int conversion of the
-    # float takes.
+    # A level of the C&B search may screen one power per UE per two steps
+    # of the 0.01 dB lattice over [bisect_lo_dbm, p_max_dbm]: -1e9 would
+    # ask for 2.9e13 powers, and -1e308 for more than an int conversion of
+    # the float takes.
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"^bisect_lo_dbm: .* C&B "
-                           r"solve's first level"):
+        with pytest.raises(ValueError, match=r"^bisect_lo_dbm: .* a level "
+                           r"of the C&B search"):
             SimConfig(bisect_lo_dbm=value)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -310,6 +311,28 @@ class TestCli:
         assert data["values"] == ["1.3", "1.1"]
         assert (sorted(p.name for p in tmp_path.glob("cdf_*.csv"))
                 == ["cdf_zeta_1.1.csv", "cdf_zeta_1.3.csv"])
+
+    def test_sweep_starts_no_thread(self, tmp_path, monkeypatch):
+        # A run is one thread: with Thread.start refused, a zeta sweep ends,
+        # and writes what its values, run one at a time, write.
+        def refuse(thread):
+            raise RuntimeError(f"the run started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(TINY)
+        zetas = ["1.3", "1.1", "0.9", "0.7"]
+        sweep = tmp_path / "sweep"
+        assert run_cli(["--config", cfgfile, "--out", sweep,
+                        "--sweep", "zeta=" + ",".join(zetas)]) == 0
+        runs = json.loads((sweep / "sweep.json").read_text())["runs"]
+        for zeta, run in zip(zetas, runs, strict=True):
+            alone = tmp_path / zeta
+            assert run_cli(["--config", cfgfile, "--out", alone,
+                            "--zeta", zeta]) == 0
+            assert run == json.loads((alone / "summary.json").read_text())
+            assert ((sweep / f"cdf_zeta_{zeta}.csv").read_bytes()
+                    == (alone / "cdf.csv").read_bytes())
 
     def test_export_plmap(self, tmp_path):
         code = run_cli(BASE + ["--out", tmp_path, "--export-plmap"])
@@ -487,6 +510,7 @@ def run_module(cfgfile, out):
     ("sinr_floor_db", "-1e300", "cnb"),
     ("amc_a", "1e300", "cnb"),                  # C&B's own-rate cap is 0
     ("t_max", "1e-300", "cnb"),
+    ("slot_duration_s", "1e300", "cnb"),        # a UE's bits overflow
 ])
 def test_bad_value_fails_fast_naming_the_key(tmp_path, key, value, scheme):
     # Each key once: TINY's line for the key gives way to the bad value.
@@ -498,6 +522,7 @@ def test_bad_value_fails_fast_naming_the_key(tmp_path, key, value, scheme):
     proc = run_module(cfgfile, out)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and key in proc.stderr
+    assert "Warning" not in proc.stderr
     assert proc.stdout == "" and not out.exists()
 
 

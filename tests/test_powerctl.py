@@ -1,4 +1,4 @@
-from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,12 +42,19 @@ def count_pairs(monkeypatch):
     return calls
 
 
-def pair_bound(n_neighbors):
-    """The (UE, power) pairs a 1-zeta solve of one UE evaluates at most, at
-    the default range [-10, 23] dBm: 133 coarse points (every 0.25 dB and
-    p_max), the floor and ceil lattice points of its 1 + 2K breakpoints,
-    and 51 refinement points."""
-    return 133 + 2 * (1 + 2 * n_neighbors) + 51
+def lattice_top(config):
+    """The highest lattice index whose power is at most p_max_dbm."""
+    lo, step = config.bisect_lo_dbm, 0.01
+    top = round((config.p_max_dbm - lo) / step)
+    return top - (lo + top * step > config.p_max_dbm)
+
+
+def edge_loss_gap_db(config, edge_db):
+    """The gap p - cross (dB) at which a neighbor's assumed SINR reaches
+    edge_db, where its C&B term kinks or jumps."""
+    inr = (db_to_linear(config.snr_i_db) / db_to_linear(edge_db)
+           - db_to_linear(config.iot_i_db))
+    return config.n0_dbm + 10.0 * np.log10(inr)
 
 
 def random_instance(rng):
@@ -299,27 +306,53 @@ class TestSaturatedTermSkip:
     @example(("free", cnb()))
     def test_bound_just_below_ceiling_breakpoint(self, budget):
         # Wherever terms provably saturate, they do so below the ceiling
-        # breakpoint the solve seeds its search with, within 2e-6 dB of it.
-        # The default budget is one such case, so the skip applies.
+        # breakpoint, the gap at which a neighbor's assumed SINR falls to the
+        # decodable ceiling, within 2e-6 dB of it. The default budget is one
+        # such case, so the skip applies.
         _, config = budget
         bound = powerctl._saturation_db(config)
         if config == cnb():
             assert np.isfinite(bound)
         if np.isfinite(bound):
-            edge = powerctl._cnb_breakpoints(np.zeros(1), np.zeros((1, 1)),
-                                             config)[0, 1]
+            edge = edge_loss_gap_db(config, config.sinr_ceiling_db)
             assert edge - 2e-6 < bound < edge
+
+
+class TestLatticeMonotonicity:
+    """cnb_solve's branch-and-bound is exact only if, as computed, R_S never
+    falls and R_I never rises from one lattice point to the next."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(neighbor_budgets(), st.data())
+    def test_terms_monotone_between_adjacent_lattice_points(self, budget,
+                                                            data):
+        _, config = budget
+        lo = data.draw(st.sampled_from([-10.0, -40.0, 0.0, 22.97]))
+        config = replace(config, bisect_lo_dbm=lo,
+                         iot_s_db=data.draw(st.floats(-20.0, 40.0)))
+        pl = data.draw(st.floats(40.0, 200.0))
+        cross = np.sort(data.draw(st.lists(st.floats(40.0, 200.0),
+                                           max_size=40)))
+        # The lattice powers, formed as cnb_solve forms them.
+        p = lo + np.arange(lattice_top(config) + 1) * 0.01
+        rs = cnb_rs(p, pl, config)
+        ri = cnb_ri(p, np.broadcast_to(cross, (len(p), len(cross))), config)
+        assert (np.diff(rs) >= 0).all()
+        assert (np.diff(ri) <= 0).all()
 
 
 class TestSolve:
     def test_matches_oracle_on_random_instances(self, monkeypatch):
+        # A solve evaluates no (UE, power) pair twice, so at most every
+        # lattice point once.
         rng = np.random.default_rng(20240817)
         calls = count_pairs(monkeypatch)
         for _ in range(200):
             pl, cross, config = random_instance(rng)
             calls.clear()
             sol = solve_one(pl, cross, config)
-            assert sum(map(len, calls)) <= pair_bound(len(cross))
+            pairs = sum(calls, [])
+            assert len(set(pairs)) == len(pairs) <= lattice_top(config) + 1
             assert sol == oracle.cnb_solve(pl, cross, config)
 
     def test_spec_single_neighbor_instance(self):
@@ -441,20 +474,23 @@ class TestBatchedSolveOracle:
         self._check(pl, cross, [config])
 
     def test_lone_pair_chunk(self, monkeypatch):
-        # The solve's last R_S / R_I call holds one (UE, power) pair, the
-        # lattice top, whose 24 neighbor terms cnb_ri adds in neighbor order
-        # as it does for every chunk. Every term is t_max at every power,
-        # and the own-rate cap lies a few ulps above the point below the
-        # top, so the top wins by less than adding the terms in another
-        # order would lower it.
+        # The solve's first evaluation holds the lattice's two ends; with a
+        # chunk one pair short of it, its second R_S / R_I call holds one
+        # (UE, power) pair, the lattice top, whose 24 neighbor terms cnb_ri
+        # adds in neighbor order as it does for every chunk. Every term is
+        # t_max at every power, and the own-rate cap lies a few ulps above
+        # the point below the top, so the top wins by less than adding the
+        # terms in another order would lower it.
         pl, cross = np.array([111.0984959752979]), 160.0 + np.arange(24.0)
         config = cnb(zeta=1.0)
         calls = count_pairs(monkeypatch)
         cnb_solve(pl, cross[None], [config])
-        monkeypatch.setattr(powerctl, "_CHUNK_PAIRS", len(calls[-1]) - 1)
+        assert len(calls[0]) == 2
+        monkeypatch.setattr(powerctl, "_CHUNK_PAIRS", len(calls[0]) - 1)
         calls.clear()
         self._check(pl, cross[None], [config])
-        assert calls[-1] == [(pl[0], config.p_max_dbm)]
+        assert calls[1] == [(pl[0], config.p_max_dbm)]
+        assert cnb_solve(pl, cross[None], [config])[0, 0] == config.p_max_dbm
 
     # Three UEs of three neighbors each, whose floor breakpoints lie far
     # above p_max.
@@ -463,13 +499,11 @@ class TestBatchedSolveOracle:
     ZETAS = (1.3, 0.9, 0.7)
 
     def test_each_distinct_point_evaluated_once(self, monkeypatch):
-        # The floor breakpoints clip onto the lattice top, which the first
-        # level also holds as its last coarse point, and every zeta row's
-        # refinement window may overlap the others'. No call of the R_S /
-        # R_I evaluator may evaluate one (UE, power) pair twice, in a
-        # 1-zeta or a 3-zeta solve.
+        # Each R_S / R_I call of a 1-zeta or a 3-zeta solve evaluates each
+        # (UE, power) pair once, the 3-zeta solve's rows of one UE sharing
+        # its pairs.
         pl, cross, config = self.PL, self.CROSS, cnb(zeta=1.3)
-        brk = powerctl._cnb_breakpoints(pl, cross, config)
+        brk = cross + edge_loss_gap_db(config, config.sinr_floor_db)
         assert ((brk > config.p_max_dbm).sum(axis=1) >= 2).all()
         calls = count_pairs(monkeypatch)
         for configs in ([config], [cnb(zeta=z) for z in self.ZETAS]):
@@ -479,52 +513,48 @@ class TestBatchedSolveOracle:
             for pairs in calls:
                 assert len(set(pairs)) == len(pairs)
 
-    def test_screen_evaluated_once_for_all_zetas(self, monkeypatch):
-        # The first level, a screen of the lattice every 0.25 dB, its top
-        # and the lattice points around each breakpoint, is the first R_S /
-        # R_I call of a solve whose UEs form one unit with fewer pairs than
-        # a chunk. A 3-zeta solve evaluates each of its pairs once in total,
-        # as each 1-zeta solve does.
-        pl, cross = self.PL, self.CROSS
-        configs = [cnb(zeta=z) for z in self.ZETAS]
-        lo, hi = configs[0].bisect_lo_dbm, configs[0].p_max_dbm
-        step = 0.01
-        top = round((hi - lo) / step)
-        brk = (powerctl._cnb_breakpoints(pl, cross, configs[0]) - lo) / step
-        want = Counter(
-            (pl[u], lo + k * step) for u in range(len(pl))
-            for k in {*range(0, top, 25), top,
-                      *np.clip(np.floor(brk[u]), 0, top).tolist(),
-                      *np.clip(np.ceil(brk[u]), 0, top).tolist()})
-        monkeypatch.setattr(powerctl, "_SOLVE_UNITS", 1)
-        calls = count_pairs(monkeypatch)
-        for group in ([c] for c in configs):
-            cnb_solve(pl, cross, group)
-            assert Counter(calls[0]) == want
-            calls.clear()
-        cnb_solve(pl, cross, configs)
-        assert len(calls) == 2 and Counter(calls[0]) == want
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+           st.sampled_from([-10.0, 0.0, 22.97]))
+    def test_screen_evaluated_once_for_all_zetas(self, seed, n, lo):
+        # The search screens each UE's lattice once for every zeta of a
+        # group: over a whole 1-zeta or 3-zeta solve, no (UE, power) pair
+        # is evaluated twice, so at most every lattice point of every UE
+        # once.
+        pl, cross = random_batch(np.random.default_rng(seed), n)
+        zetas = np.random.default_rng(seed).uniform(0.1, 3.0, size=3)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_pairs(patch)
+            for configs in ([cnb(zeta=zetas[0], bisect_lo_dbm=lo)],
+                            [cnb(zeta=z, bisect_lo_dbm=lo) for z in zetas]):
+                calls.clear()
+                cnb_solve(pl, cross, configs)
+                pairs = sum(calls, [])
+                assert len(set(pairs)) == len(pairs)
+                assert len(pairs) <= len(pl) * (lattice_top(configs[0]) + 1)
 
-    def test_candidates_evaluated_once_for_all_zetas(self, monkeypatch):
-        # The second level, each zeta row's refinement window, is the last
-        # R_S / R_I call of a solve whose UEs form one unit with fewer pairs
-        # than a chunk. In a 3-zeta solve it evaluates each (UE, power) pair
-        # once in total: exactly the union of the second levels of three
-        # 1-zeta solves.
-        pl, cross = self.PL, self.CROSS
-        configs = [cnb(zeta=z) for z in self.ZETAS]
-        monkeypatch.setattr(powerctl, "_SOLVE_UNITS", 1)
-        calls = count_pairs(monkeypatch)
-        separate = []
-        for config in configs:
-            cnb_solve(pl, cross, [config])
-            separate.append(set(calls[-1]))
-        cnb_solve(pl, cross, configs)
-        shared = calls[-1]
-        assert len(shared) < powerctl._CHUNK_PAIRS
-        assert len(set(shared)) == len(shared)
-        assert set(shared) == set.union(*separate)
-        assert len(shared) < sum(map(len, separate))
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+           st.sampled_from([-10.0, 0.0, 22.97]))
+    def test_candidates_evaluated_once_for_all_zetas(self, seed, n, lo):
+        # A row's search reads only its own values, and every row of a UE
+        # splits the same intervals, so the (UE, power) pairs a 3-zeta solve
+        # evaluates are exactly the union of those its three 1-zeta solves
+        # evaluate.
+        pl, cross = random_batch(np.random.default_rng(seed), n)
+        configs = [cnb(zeta=z, bisect_lo_dbm=lo) for z in
+                   np.random.default_rng(seed).uniform(0.1, 3.0, size=3)]
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_pairs(patch)
+            separate = []
+            for config in configs:
+                calls.clear()
+                cnb_solve(pl, cross, [config])
+                separate.append(set(sum(calls, [])))
+            calls.clear()
+            cnb_solve(pl, cross, configs)
+            shared = set(sum(calls, []))
+        assert shared == set.union(*separate)
 
     @pytest.mark.parametrize("zeta", [1.3, 0.7])
     def test_full_drop_matches_oracle(self, zeta):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ulsim import topology
-from ulsim.config import _COARSE_STEP_DB, _LATTICE_STEP_DB, DEFAULTS, SimConfig
+from ulsim.config import _LATTICE_STEP_DB, DEFAULTS, SimConfig
 from ulsim.linkbudget import MCS_LEVELS
 from ulsim.powerctl import pl_threshold_db
 
@@ -21,6 +21,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 D = DEFAULTS
 CONFIG = SimConfig()
 LAYOUT = topology.build_hex_layout(D["rings"], D["isd_m"])
+# The C&B power lattice's steps over [bisect_lo_dbm, p_max_dbm].
+STEPS = round((D["p_max_dbm"] - D["bisect_lo_dbm"]) / _LATTICE_STEP_DB)
 gain = lambda deg: float(topology.antenna_gain_db(deg))
 loss = lambda m: float(topology.macro_path_loss_db(m))
 
@@ -57,11 +59,9 @@ MODEL = [
      round(pl_threshold_db(CONFIG), 2), 139.45),
     ("each assumed at 24 dB SNR and 5 dB background IoT",
      (D["snr_i_db"], D["iot_i_db"]), (24.0, 5.0)),
-    ("(every 0.25 dB of the 0.01 dB lattice, then ±0.25 dB around the best "
-     "point)", (_COARSE_STEP_DB, _LATTICE_STEP_DB), (0.25, 0.01)),
-    ("at most 133 + 2·(1 + 2K) + 51 objective evaluations",
-     round((D["p_max_dbm"] - D["bisect_lo_dbm"]) / _COARSE_STEP_DB) + 1
-     + round(2 * _COARSE_STEP_DB / _LATTICE_STEP_DB) + 1, 133 + 51),
+    ("the lattice's 3300 steps take at most ⌈log2(3300)⌉ = 12 levels",
+     (STEPS, math.ceil(math.log2(STEPS))), (3300, 12)),
+    ("the whole lattice, 3301 evaluations", STEPS + 1, 3301),
     ("reported on the 0.01 dB search lattice", _LATTICE_STEP_DB, 0.01),
     ("(α = β = 1, EWMA 0.01)", (D["alpha"], D["beta"], D["ewma"]),
      (1.0, 1.0, 0.01)),
@@ -117,6 +117,9 @@ BOUNDS = [
      "t_max"),
     ("`amc_a = 1e300` or `t_max = 1e-300` is refused",
      dict(scheme="fpc", amc_a=1e300), dict(amc_a=1e300), "t_max"),
+    ("the defaults `bisect_lo_dbm = −4686.3` is accepted and `−4686.4` "
+     "refused", dict(bisect_lo_dbm=-4686.3), dict(bisect_lo_dbm=-4686.4),
+     "bisect_lo_dbm"),
     # At 14 rings the coupling array outgrows the bound first, so the error
     # names the last key that sizes it.
     ("the defaults allow up to 13 rings", dict(rings=13), dict(rings=14),
