@@ -208,7 +208,8 @@ class SimConfig:
                f"must be below {max_exp} * amc_a = {max_exp * self.amc_a}, "
                "so that 2 ** (t_max / amc_a) is a finite float")
         yield "amc_b", self.amc_b > 0, "must be positive"
-        yield ("t_max", off("cnb") or self.x_cap > 0,
+        yield ("t_max", off("cnb")
+               or (2.0 ** (self.t_max / self.amc_a) - 1.0) / self.amc_b > 0,
                f"must be large enough that the C&B own-rate cap (2 ** (t_max "
                f"/ amc_a) - 1) / amc_b is positive at amc_a = {self.amc_a} "
                f"and amc_b = {self.amc_b}")
@@ -301,12 +302,6 @@ class SimConfig:
     def sinr_ceiling(self) -> float:
         """sinr_ceiling_db as a linear SINR."""
         return db_to_linear(self.sinr_ceiling_db)
-
-    @cached_property
-    def x_cap(self) -> float:
-        """C&B's own-rate cap: the linear SINR at which the smooth AMC curve
-        reaches t_max."""
-        return (2.0 ** (self.t_max / self.amc_a) - 1.0) / self.amc_b
 
 
 DEFAULTS: dict[str, object] = {f.name: f.default for f in fields(SimConfig)}

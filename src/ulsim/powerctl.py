@@ -33,9 +33,9 @@ __all__ = [
 ]
 
 # (UE, power) pairs per objective evaluation in the batched solve. Medians of
-# 7 serial 4-zeta solves of a 3,420-UE drop on 2 vCPUs: 1024 to 4096 pairs
-# 0.087-0.089 s; 512 pay numpy's per-call cost (0.104 s) and 8192 fall out
-# of cache (0.117 s).
+# 7 serial 4-zeta solves of three 3,420-UE drops on 2 vCPUs: 2048 pairs
+# 0.104-0.115 s, 1024 0.111-0.121 s and 4096 0.107-0.120 s; 512 pay numpy's
+# per-call cost (0.124-0.139 s) and 8192 fall out of cache (0.140-0.165 s).
 _CHUNK_PAIRS = 2048
 
 
@@ -75,11 +75,13 @@ def cnb_neighbor_losses(loss_db: np.ndarray, serving: np.ndarray,
     """Cross losses toward the cells each UE can interfere above the noise floor.
 
     Row u holds UE u's non-serving losses strictly below th_db (see
-    pl_threshold_db), ascending, then inf for every other cell: the layout
-    cnb_solve reads. An inf is no neighbor and adds 0 to cnb_ri.
+    pl_threshold_db), ascending, then inf up to the widest row's neighbor
+    count: the layout cnb_solve reads. An inf is no neighbor and adds 0 to
+    cnb_ri.
     """
     cross = _sorted_cross_losses(loss_db, serving)
-    return np.where(cross < th_db, cross, np.inf)
+    near = cross < th_db
+    return np.where(near, cross, np.inf)[:, :near.sum(axis=1).max(initial=0)]
 
 
 def _saturation_db(config: SimConfig) -> float:
@@ -168,12 +170,6 @@ def cnb_solve(pl_db, cross_losses, configs: list[SimConfig]) -> np.ndarray:
     """
     pl = np.asarray(pl_db, dtype=float)
     cross = np.asarray(cross_losses, dtype=float)
-    counts = np.isfinite(cross).sum(axis=1)
-    # The UEs by descending neighbor count, so that each chunk of pairs is
-    # trimmed to its first UE's count: cnb_ri adds a row's trailing infs as
-    # 0, so the trim changes no power.
-    order = np.argsort(-counts, kind="stable")
-    pl, cross, counts = pl[order], cross[order], counts[order]
     config, n = configs[0], len(pl)
     lo, step = config.bisect_lo_dbm, _LATTICE_STEP_DB
     # round() lands within half a step, so at most one step above p_max.
@@ -192,7 +188,7 @@ def cnb_solve(pl_db, cross_losses, configs: list[SimConfig]) -> np.ndarray:
         for a in range(0, len(keys), _CHUNK_PAIRS):
             c = slice(a, a + _CHUNK_PAIRS)
             rs[c], ri[c] = cnb_terms(lo + k[c] * step, pl[ue[c]],
-                                     cross[ue[c], :counts[ue[a]]], config)
+                                     cross[ue[c]], config)
         return rs[at], ri[at]
 
     # Row r is config r // n at UE r % n. An interval is (row, a, b) with
@@ -225,9 +221,7 @@ def cnb_solve(pl_db, cross_losses, configs: list[SimConfig]) -> np.ndarray:
         np.minimum.at(best_k, row[tie], m[tie])
         row, a, b = np.tile(row, 2), np.append(a, m), np.append(m, b)
         ri_a, rs_b = np.append(ri_a, ri), np.append(rs, rs_b)
-    powers = np.empty((len(configs), n))
-    powers[:, order] = lo + best_k.reshape(len(configs), n) * step
-    return powers
+    return lo + best_k.reshape(len(configs), n) * step
 
 
 def compute_powers(configs: list[SimConfig], loss_db: np.ndarray,

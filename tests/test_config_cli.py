@@ -148,7 +148,7 @@ def test_default_drop_fits_up_to_13_rings():
 @pytest.mark.parametrize("value", [-1e9, -1e308])
 def test_oversized_cnb_screen_refused_before_any_allocation(tmp_path, capsys,
                                                             value):
-    # A level of the C&B search may screen one power per UE per two steps
+    # A level of the C&B search may evaluate one power per UE per two steps
     # of the 0.01 dB lattice over [bisect_lo_dbm, p_max_dbm]: -1e9 would
     # ask for 2.9e13 powers, and -1e308 for more than an int conversion of
     # the float takes.
@@ -250,7 +250,7 @@ def test_tol_db_is_an_unknown_key(tmp_path, capsys):
     ("fpc", "zeta", "nan", False),
     ("fpc", "iot_s_db", "1e300", True),
     ("cnb", "iot_s_db", "1e300", False),
-    ("fpc", "amc_a", "1e300", True),            # only C&B takes log(x_cap)
+    ("fpc", "amc_a", "1e300", True),            # only C&B refuses a 0 cap
 ])
 def test_unselected_scheme_keys_only_finite(tmp_path, scheme, key, value, ok):
     """A scheme's own rules apply only when it is selected; the keys of the

@@ -118,15 +118,14 @@ class TestThreshold:
                          [129.0, 100.0, 131.0, 90.0, 130.0]])
         got = cnb_neighbor_losses(loss, np.array([0, 3]), 130.0)
         # 135 above, 130 exactly at threshold: both excluded. The serving
-        # cell is excluded even below the threshold; the rest pads with inf.
-        inf = np.inf
-        assert np.array_equal(got, [[120.0, 125.0, inf, inf],
-                                    [100.0, 129.0, inf, inf]])
+        # cell is excluded even below the threshold; rows are as wide as
+        # the widest row's neighbor count.
+        assert np.array_equal(got, [[120.0, 125.0], [100.0, 129.0]])
 
     def test_neighbors_may_be_empty(self):
         loss = np.array([[100.0, 140.0, 150.0]])
         got = cnb_neighbor_losses(loss, np.array([0]), 110.0)
-        assert got.shape == (1, 2) and not np.isfinite(got).any()
+        assert got.shape == (1, 0)
 
     def test_default_threshold_is_p_max_minus_n0(self, monkeypatch):
         # compute_powers hands cnb_solve exactly the neighbors strictly
@@ -146,8 +145,7 @@ class TestThreshold:
             below = np.nextafter(th, 0.0)
             loss = np.array([[100.0, th, below], [below, th, 90.0]])
             compute_powers([config], loss, np.array([0, 2]))
-            assert np.array_equal(seen[-1], [[below, np.inf],
-                                             [below, np.inf]])
+            assert np.array_equal(seen[-1], [[below], [below]])
 
 
 class TestUtilityTerms:
@@ -177,14 +175,15 @@ class TestUtilityTerms:
                           3 * 4.18)
 
     def test_ri_ignores_padding(self):
-        # A cnb_neighbor_losses row is inf-padded to every non-serving cell;
-        # each inf adds exactly 0, so the row's R_I is its finite entries'.
-        # UE 0 of this drop has 23 neighbors among 56 cells.
+        # A cnb_neighbor_losses row is inf-padded to the widest row's
+        # neighbor count; each inf adds exactly 0, so the row's R_I is its
+        # finite entries'. UE 0 of this drop has 23 neighbors, the widest
+        # row 31.
         config = cnb()
         _, serving, loss = drop_ues(config, seed=drop_seed(1, 0))
         cross = cnb_neighbor_losses(loss, serving, pl_threshold_db(config))
         k = np.isfinite(cross).sum(axis=1)
-        assert (k[0], cross.shape[1]) == (23, 56)
+        assert (k[0], cross.shape[1]) == (23, 31)
         assert cnb_ri(10.0, cross[0], config) == cnb_ri(10.0, cross[0, :23],
                                                         config)
         assert abs(cnb_ri(10.0, cross[0], config) - 88.80) < 0.01
@@ -517,10 +516,10 @@ class TestBatchedSolveOracle:
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
            st.sampled_from([-10.0, 0.0, 22.97]))
     def test_screen_evaluated_once_for_all_zetas(self, seed, n, lo):
-        # The search screens each UE's lattice once for every zeta of a
-        # group: over a whole 1-zeta or 3-zeta solve, no (UE, power) pair
-        # is evaluated twice, so at most every lattice point of every UE
-        # once.
+        # The search evaluates each UE's lattice points once for every zeta
+        # of a group: over a whole 1-zeta or 3-zeta solve, no (UE, power)
+        # pair is evaluated twice, so at most every lattice point of every
+        # UE once.
         pl, cross = random_batch(np.random.default_rng(seed), n)
         zetas = np.random.default_rng(seed).uniform(0.1, 3.0, size=3)
         with pytest.MonkeyPatch.context() as patch:

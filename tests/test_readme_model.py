@@ -109,7 +109,7 @@ BOUNDS = [
      dict(amc_a=1.0, t_max=1024.0), "t_max"),
     # The cap's numerator rounds to 0 once t_max / amc_a is below about
     # 1.6e-16, and the quotient once amc_b is large enough; other schemes
-    # never take its log.
+    # do not check it.
     ("for C&B the own-rate cap `(2 ** (t_max / amc_a) − 1) / amc_b`",
      dict(t_max=2e-16), dict(t_max=1e-16), "t_max"),
     ("for C&B the own-rate cap `(2 ** (t_max / amc_a) − 1) / amc_b`",

@@ -144,7 +144,7 @@ def assert_sweep_equals_separate_runs(cfg, axis, values):
 
 class TestSharedDrops:
     """Sweep values that differ only in zeta share each drop's snapshot and
-    C&B screen; the results equal separate runs bit for bit."""
+    C&B solve; the results equal separate runs bit for bit."""
 
     @pytest.mark.parametrize("over", [{}, {"fading": 1, "staircase": 1}])
     def test_zeta_sweep_equals_separate_runs(self, over):
