@@ -33,9 +33,9 @@ __all__ = [
 ]
 
 # (UE, power) pairs per objective evaluation in the batched solve. Medians of
-# 7 serial 4-zeta solves of three 3,420-UE drops on 2 vCPUs: 2048 pairs
-# 0.104-0.115 s, 1024 0.111-0.121 s and 4096 0.107-0.120 s; 512 pay numpy's
-# per-call cost (0.124-0.139 s) and 8192 fall out of cache (0.140-0.165 s).
+# 7 serial 4-zeta solves of three 3,420-UE drops on 2 vCPUs, two rounds:
+# 2048 pairs 0.079-0.089 s, 1024 0.080-0.091 s and 4096 0.089-0.143 s;
+# earlier, 512 paid numpy's per-call cost and 8192 fell out of cache.
 _CHUNK_PAIRS = 2048
 
 
@@ -202,15 +202,17 @@ def cnb_solve(pl_db, cross_losses, configs: list[SimConfig]) -> np.ndarray:
     a, b = np.zeros_like(row), np.full_like(row, top)
     ri_a, rs_b = ri[:len(row)], rs[len(row):]
     while True:
-        bound = rs_b + zeta[row] * ri_a
-        split = (b - a > 1) & ((bound > best[row]) | (bound == best[row])
-                               & (a < best_k[row]))
-        if not split.any():
+        z, best_row = zeta[row], best[row]
+        bound = rs_b + z * ri_a
+        keep = np.flatnonzero((b - a > 1) & (
+            (bound > best_row) | (bound == best_row) & (a < best_k[row])))
+        if not keep.size:
             break
-        row, a, b, ri_a, rs_b = (x[split] for x in (row, a, b, ri_a, rs_b))
+        row, a, b, ri_a, rs_b, z = (x[keep]
+                                    for x in (row, a, b, ri_a, rs_b, z))
         m = (a + b) // 2
         rs, ri = terms(row % n, m)
-        value = rs + zeta[row] * ri
+        value = rs + z * ri
         # A row whose best value rises drops its best index (top, above
         # every midpoint, stands in); then each row takes the lowest of its
         # midpoints at its best value, if lower.

@@ -157,14 +157,15 @@ def write_cdf_csv(summary: RunSummary, path: str | Path) -> None:
         "iot_db": summary.per_ue_iot_db,
         "throughput_mbps": summary.per_ue_mbps,
     }
-    lines = ["metric,value,cum_fraction"]
+    text = ["metric,value,cum_fraction\r\n"]
     for metric, values in series.items():
-        finite = np.sort(np.asarray(values)[np.isfinite(values)])
+        values = np.asarray(values)
+        finite = np.sort(values[np.isfinite(values)])
         n = len(finite)
-        lines += [f"{metric},{v:.6g},{i / n:.6g}"
-                  for i, v in enumerate(finite.tolist(), 1)]
+        rows = np.column_stack((finite, np.arange(1, n + 1) / n)).ravel()
+        text.append(f"{metric},%.6g,%.6g\r\n" * n % tuple(rows.tolist()))
     with open(path, "w", newline="") as fh:
-        fh.write("".join(line + "\r\n" for line in lines))
+        fh.write("".join(text))
 
 
 def write_plmap_csv(loss_db: np.ndarray, path: str | Path) -> None:

@@ -83,12 +83,12 @@ def allocate(serving: np.ndarray, est_rates: np.ndarray, avg_rate: np.ndarray,
     decodable UE, only such UEs are scheduled, with equal weight.
     Deterministic: ties break by UE id. No argument is changed.
 
-    Each choice was measured per call, best of 15 passes over the 2,000
-    slots of a desk drop (570 UEs, 57 cells) on a 2-vCPU VM, where the call
-    took 91 us: with np.lexsort in place of _by_cell it took 157 us, with a
-    stable sort of the key in _by_cell 127 us, with three boolean-mask
-    writes in place of the one masked divide for the weights 95 us, and
-    with the never-served pass run in every slot 97 us.
+    Each choice was measured per call on a 2-vCPU VM, best of 15 passes
+    over a desk drop's 2,000 slots (570 UEs) and of 9 over a 3,420-UE
+    4-zeta drop's 200: 97-104 and 373-386 us, with np.lexsort for _by_cell
+    162 and 555-558 us, with a stable sort of the key in _by_cell 133 and
+    446-464 us. At 91 us on the desk drop, three boolean-mask writes for
+    the masked divide took 95 us, the never-served pass every slot 97 us.
     """
     # w is the PF metric where defined, inf for a never-served decodable UE,
     # else 0. An inf weight, also a PF metric that overflows, bootstraps:
@@ -136,17 +136,23 @@ def allocate(serving: np.ndarray, est_rates: np.ndarray, avg_rate: np.ndarray,
 def _by_cell(key: np.ndarray, cell: np.ndarray) -> np.ndarray:
     """The stable order by cell, then by key: np.lexsort((key, cell)).
 
-    The key is sorted first, the cell ids then as int16, which numpy
+    The key is quicksorted; where its sorted keys do not strictly ascend,
+    each run of equal keys (the NaNs, sorted last, are one) is put back in
+    index order. The cell ids are then sorted as int16, which numpy
     radix-sorts stably. int16 holds every cell id: SimConfig's size rule
-    keeps cells**2 * data_rbs <= 2**27, so at most 11,585 cells. The key's
-    quicksort equals the stable sort when its sorted keys strictly ascend;
-    only on ties or NaN does the stable sort run. Per call (best of 5), the
-    two paths take 18-22 us on 400 desk slots, where only the PF bootstrap
-    slots tie, against 33-36 us for the stable sort alone (np.lexsort 49-51
-    us); and 165-174 against 131-139 us on a 3,420-UE drop, where all tie.
+    keeps cells**2 * data_rbs <= 2**27, so at most 11,585 cells. Per call,
+    best of 9 on 2 vCPUs: 17 us over a desk drop's 4,000 calls, 25 tied
+    (PF bootstrap slots); 93 us over a 3,420-UE 4-zeta drop's 400, all
+    tied (162 us with a stable sort of any key that ties).
     """
     order = np.argsort(key)
     ordered = key[order]
     if not (ordered[1:] > ordered[:-1]).all():
-        order = np.argsort(key, kind="stable")
+        # Sort run * n + index, distinct int64s, then keep the index.
+        nan = np.isnan(ordered)
+        run = np.cumsum((ordered[1:] > ordered[:-1]) | (nan[1:] > nan[:-1]))
+        run *= len(key)
+        order[1:] += run
+        order.sort()
+        order[1:] -= run
     return order[np.argsort(cell[order].astype(np.int16), kind="stable")]

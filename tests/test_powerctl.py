@@ -395,6 +395,22 @@ class TestSolve:
             assert (oracle.cnb_solve(pl, cross, cnb(zeta=0.7))
                     >= oracle.cnb_solve(pl, cross, cnb(zeta=1.3)) - 1e-9)
 
+    def test_vanishing_own_iot_takes_the_lattice_floor(self):
+        # iot_s_db = -3000 is in range: R_S saturates at t_max over the
+        # whole lattice while R_I falls, so every UE takes bisect_lo_dbm
+        # and a run reports edge 0. Which such runs are errors is ROADMAP
+        # item 19's decision.
+        config = cnb(rings=1, ues_per_cell=2, iot_s_db=-3000.0)
+        _, serving, loss = drop_ues(config, drop_seed(config.seed, 0))
+        pl = loss[np.arange(len(serving)), serving]
+        cross = cnb_neighbor_losses(loss, serving, pl_threshold_db(config))
+        p = config.bisect_lo_dbm + np.arange(lattice_top(config) + 1) * 0.01
+        assert np.all(cnb_rs(p[:, None], pl, config) == config.t_max)
+        assert np.all(cnb_ri(p[-1], cross, config) < cnb_ri(p[0], cross,
+                                                            config))
+        (powers,) = compute_powers([config], loss, serving)
+        assert np.all(powers == config.bisect_lo_dbm)
+
     def test_determinism(self):
         config = cnb(zeta=1.1)
         a = solve_one(112.0, [115.0, 121.0], config)

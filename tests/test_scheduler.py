@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import scheduler_oracle
 from scheduler_oracle import allocate_network, expand
 from ulsim.config import SimConfig
-from ulsim.scheduler import allocate, grant_power_mw, pf_update
+from ulsim.scheduler import _by_cell, allocate, grant_power_mw, pf_update
 
 P_MAX = 23.0
 
@@ -332,6 +332,25 @@ def float_state(seed, n_cells, ues_per_cell):
     return serving, est, avg, SimConfig(), powers, n_cells
 
 
+def leftover_rbs(state):
+    """Per cell with a decodable UE, the RBs left after each granted UE's one
+    and the floor of its weight share: those the largest-remainder pass
+    hands out. The per-cell oracle's arithmetic, its total summed in rank
+    order."""
+    serving, est, avg, config, _, n_cells = state
+    left = []
+    for c in range(n_cells):
+        w = scheduler_oracle._weights(est[serving == c], avg[serving == c],
+                                      config.alpha, config.beta)
+        w = np.sort(np.isinf(w) * 1.0 if np.isinf(w).any() else w)[::-1]
+        w = w[w > 0][:config.data_rbs]
+        if w.size:
+            remaining = config.data_rbs - w.size
+            share = w / np.cumsum(w)[-1] * remaining
+            left.append(remaining - int(np.floor(share).sum()))
+    return np.array(left)
+
+
 # The desk and dense sizes (60 UEs a cell truncate at data_rbs), and more
 # cells than a one-byte cell key holds.
 @pytest.mark.parametrize("n_cells, ues_per_cell", [(57, 10), (57, 60),
@@ -345,6 +364,11 @@ def test_matches_per_cell_oracle_at_benchmark_scale(seed, n_cells,
     defined = (avg > 0) & (est > 0)
     assert boot.any() and defined.any()
     assert len(np.unique(est[defined] / avg[defined])) < defined.sum()
+    if ues_per_cell > config.data_rbs:
+        # Both sides of the remainder pass: a cell with an RB to hand out,
+        # and one whose UEs take one RB each.
+        left = leftover_rbs(state)
+        assert (left > 0).any() and (left == 0).any()
     occ, p_mw = expand(allocate(serving, est, avg, config,
                                 grant_power_mw(powers, config)),
                        n_cells, config)
@@ -367,3 +391,50 @@ def test_every_accepted_cell_id_fits_the_int16_sort_key():
         rings += 1
     cells = SimConfig(rings=rings, **least).layout.n_cells
     assert cells <= np.iinfo(np.int16).max
+
+
+def test_dense_allocate_sorts_no_float_key_stably(monkeypatch):
+    # Both keys _by_cell sorts in a dense slot tie, and it puts its
+    # quicksort's runs of equal keys in order itself: with a stable float
+    # sort refused, the schedule still matches the per-cell oracle.
+    real = np.argsort
+
+    def argsort(a, *args, **kwargs):
+        if (kwargs.get("kind") == "stable" or kwargs.get("stable")) \
+                and np.asarray(a).dtype.kind == "f":
+            raise RuntimeError("a stable sort of a float key")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", argsort)
+    state = float_state(1, 57, 60)
+    serving, est, avg, config, powers, n_cells = state
+    occ, p_mw = expand(allocate(serving, est, avg, config,
+                                grant_power_mw(powers, config)),
+                       n_cells, config)
+    want_occ, want_p_mw = allocate_network(*state)
+    assert np.array_equal(occ, want_occ)
+    assert np.array_equal(p_mw, want_p_mw)
+
+
+# Keys drawn from a few values tie heavily; the specials sort as numpy
+# orders them, -0.0 equal to 0.0 and every NaN last.
+SPECIAL_KEYS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(min_value=1, max_value=3000),
+       pool=st.lists(SPECIAL_KEYS | st.floats(), min_size=1, max_size=6),
+       tied=st.floats(min_value=0.0, max_value=1.0),
+       cells=st.integers(min_value=1, max_value=np.iinfo(np.int16).max + 1),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(n=1, pool=[np.nan], tied=1.0, cells=1, seed=0)
+@example(n=50, pool=[0.0], tied=0.0, cells=3, seed=0)
+@example(n=3000, pool=[np.nan, 0.0, -0.0, np.inf], tied=1.0, cells=2,
+         seed=0)
+def test_by_cell_is_lexsort(n, pool, tied, cells, seed):
+    # A share `tied` of the keys comes from pool, the rest are normals.
+    rng = np.random.default_rng(seed)
+    key = np.where(rng.random(n) < tied, rng.choice(np.array(pool), n),
+                   rng.standard_normal(n))
+    cell = rng.integers(0, cells, n)
+    assert np.array_equal(_by_cell(key, cell), np.lexsort((key, cell)))
