@@ -10,6 +10,7 @@ metrics. run decides which configs share a drop.
 from __future__ import annotations
 
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -122,20 +123,70 @@ def simulate(serving: np.ndarray, loss_db: np.ndarray,
              fading_seed: int) -> list[MetricsAccumulator]:
     """Run the slot loop on one drop's topology (see build_snapshot) once per
     config of a group (see run); the records come in config order. Fading,
-    if on, draws from fading_seed (run_drop passes the drop's seed).
+    if on, draws from fading_seed (run_drop passes the drop's seed), on one
+    helper thread per config (see _slot_gains).
     Raises ValueError("<key>: ...") naming the first other key in which a
     config differs from the first."""
     if key := _key_beyond_zeta(configs):
         raise ValueError(f"{key}: the configs of one group may differ "
                          "only in zeta")
     powers = compute_powers(configs, loss_db, serving)
-    return [_slot_loop(serving, loss_db, config, row, fading_seed)
+    gains = db_to_linear(-loss_db)
+    return [_slot_loop(serving, loss_db, gains, config, row, fading_seed)
             for config, row in zip(configs, powers)]
 
 
-def _slot_loop(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
+# Slots of fading drawn per fill. On fading_maxpower (570 UEs, 57 cells,
+# 2000 slots, a 2-vCPU VM), perfbench medians over seeds 21-26, each seed
+# running every size and one draw per slot on the loop's own thread: blocks
+# of 1, 2, 4, 8 and 16 slots cut run_s by 8.6, 18.3, 16.2, 26.8 and 21.9 %,
+# and peak RSS read 41.3 MB without the helper, then 42.4, 42.6, 43.7, 45.6
+# and 49.6 MB. 4 keeps the memory within about 2.5 MB; 16 is at the 20 %
+# RSS bound of the benchmark.
+_FADING_BLOCK = 4
+
+
+def _slot_gains(base_gains: np.ndarray, config: SimConfig, fading_seed: int):
+    """Yield each slot's linear (UE, cell) gain matrix: base_gains itself, or
+    with fading on, base_gains times a unit-mean exponential power gain per
+    link (Rayleigh fading) from fading_seed's fading stream.
+
+    Fading comes _FADING_BLOCK slots at a time, each block one
+    standard_exponential fill into one of two buffers, scaled there in place
+    by base_gains. One helper thread makes the next block while the loop
+    works through the current one: numpy releases the GIL while it fills
+    and multiplies. A block is the same stream as one draw per slot, so
+    every bit is the same. A slot's matrix holds until the next block is
+    asked for. The helper is joined when the generator ends or is closed."""
+    if not config.fading:
+        for _ in range(config.slots):
+            yield base_gains
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    rng = drop_rng(fading_seed, FADING_STREAM)
+    buffers = np.empty((2, _FADING_BLOCK) + base_gains.shape)
+
+    def fill(b):
+        block = rng.standard_exponential(
+            out=buffers[b % 2, :config.slots - b * _FADING_BLOCK])
+        block *= base_gains
+        return block
+
+    n_blocks = -(-config.slots // _FADING_BLOCK)
+    with ThreadPoolExecutor(1) as helper:
+        ahead = helper.submit(fill, 0)
+        for b in range(1, n_blocks + 1):
+            block = ahead.result()
+            if b < n_blocks:
+                ahead = helper.submit(fill, b)
+            yield from block
+
+
+def _slot_loop(serving: np.ndarray, loss_db: np.ndarray,
+               base_gains: np.ndarray, config: SimConfig,
                powers_dbm: np.ndarray, fading_seed: int) -> MetricsAccumulator:
-    """simulate for one config, the UEs transmitting at powers_dbm."""
+    """simulate for one config, the UEs transmitting at powers_dbm over the
+    drop's linear gains base_gains, db_to_linear(-loss_db)."""
     n_ues = len(serving)
     avg_rate = np.zeros(n_ues)                  # PF averages, see pf_update
     acc = MetricsAccumulator(*(np.zeros(n_ues) for _ in range(5)))
@@ -149,9 +200,6 @@ def _slot_loop(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
     est0 = rate(snr_of(powers_dbm, serving_loss, config)
                 * config.combining_gain)
 
-    gains = base_gains = db_to_linear(-loss_db)
-    if config.fading:
-        fad_rng = drop_rng(fading_seed, FADING_STREAM)
     grant_mw = grant_power_mw(powers_dbm, config)
 
     # Slot t schedules on the estimate measured in slot t - delay_slots; the
@@ -160,30 +208,24 @@ def _slot_loop(serving: np.ndarray, loss_db: np.ndarray, config: SimConfig,
     # than the run has slots.
     depth = min(config.delay_slots, config.slots)
     history = deque([est0] * depth, maxlen=depth)
-    for _ in range(config.slots):
-        grants = allocate(serving, history[0], avg_rate, config, grant_mw)
+    slot_gains = _slot_gains(base_gains, config, fading_seed)
+    with closing(slot_gains):
+        for gains in slot_gains:
+            grants = allocate(serving, history[0], avg_rate, config, grant_mw)
+            bits, mean_sinr, mean_snr, mean_iot, energy, scheduled = (
+                compute_slot(*grants, gains, config))
 
-        if config.fading:
-            # Rayleigh fading: unit-mean exponential power gain per link,
-            # scaled in place: a second fresh (570, 57) array measured about
-            # 200 us slower per slot on a 2-vCPU VM.
-            gains = fad_rng.standard_exponential(base_gains.shape)
-            gains *= base_gains
+            acc.bits += bits
+            acc.energy_j += energy
+            acc.snr_lin_sum += mean_snr
+            acc.iot_lin_sum += mean_iot
+            acc.sched_slots += scheduled
 
-        bits, mean_sinr, mean_snr, mean_iot, energy, scheduled = compute_slot(
-            *grants, gains, config)
+            avg_rate = pf_update(avg_rate, scheduled,
+                                 bits / config.slot_duration_s, config)
 
-        acc.bits += bits
-        acc.energy_j += energy
-        acc.snr_lin_sum += mean_snr
-        acc.iot_lin_sum += mean_iot
-        acc.sched_slots += scheduled
-
-        avg_rate = pf_update(avg_rate, scheduled,
-                             bits / config.slot_duration_s, config)
-
-        # Measured per-RB rate estimate; unscheduled UEs keep their last one.
-        history.append(np.where(scheduled, rate(mean_sinr), history[-1]))
+            # Measured per-RB rate estimate; unscheduled UEs keep their last.
+            history.append(np.where(scheduled, rate(mean_sinr), history[-1]))
 
     return acc
 

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -312,6 +314,91 @@ class TestEngineOracle:
         assert any(floored)
         want = engine_oracle.simulate(*snap, config, fading_seed=seed)
         assert_records_equal(got, want)
+
+    B = engine._FADING_BLOCK
+
+    @pytest.mark.parametrize("delay", [1, 6])
+    @pytest.mark.parametrize("slots", [1, B - 1, B, B + 1, 2 * B + 1])
+    def test_fading_block_edges(self, slots, delay):
+        # simulate draws fading a block of slots per fill; the oracle draws
+        # one slot at a time. Runs ending inside, at and past a block's
+        # edge, the last shorter block included, draw the same numbers.
+        config = SimConfig(scheme="fpc", rings=1, ues_per_cell=2,
+                           slots=slots, drops=1, delay_slots=delay, fading=1)
+        seed = drop_seed(config.seed, 0)
+        snap = build_snapshot(config, seed)
+        (got,) = simulate(*snap, [config], fading_seed=seed)
+        want = engine_oracle.simulate(*snap, config, fading_seed=seed)
+        assert_records_equal(got, want)
+
+
+class TestFadingHelper:
+    """A fading slot loop draws on one helper thread, joined when the loop
+    ends or raises; a loop without fading starts none."""
+
+    @pytest.mark.parametrize("fading", [0, 1])
+    def test_one_helper_per_fading_loop(self, fading, monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        configs = [cnb_config(zeta, rings=1, ues_per_cell=2, slots=10,
+                              drops=1, fading=fading) for zeta in (1.3, 0.9)]
+        snap = build_snapshot(configs[0], 1)
+        before = threading.active_count()
+        simulate(*snap, configs, fading_seed=1)
+        assert len(started) == fading * len(configs)
+        assert threading.active_count() == before
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_error_in_a_slot_joins_the_helper(self, monkeypatch):
+        calls = []
+        real_slot = engine.compute_slot
+
+        def compute_slot(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("slot 3 failed")
+            return real_slot(*args)
+
+        monkeypatch.setattr(engine, "compute_slot", compute_slot)
+        config = maxpower_config(rings=1, ues_per_cell=2, slots=10, drops=1,
+                                 fading=1)
+        snap = build_snapshot(config, 1)
+        before = threading.active_count()
+        # The raised error's traceback keeps the loop's frame alive, so the
+        # helper must be joined without waiting for garbage collection.
+        with pytest.raises(RuntimeError) as raised:
+            simulate(*snap, [config], fading_seed=1)
+        assert threading.active_count() == before
+        assert str(raised.value) == "slot 3 failed"
+
+    def test_concurrent_runs_under_fast_switching(self):
+        # Three fading runs at once, each with its own helper, more threads
+        # than cores, switching threads every microsecond: a block filled
+        # while the loop still reads it, or a draw shared between runs,
+        # would move the bits away from the one-slot-at-a-time oracle.
+        from concurrent.futures import ThreadPoolExecutor
+        config = maxpower_config(rings=1, ues_per_cell=2, drops=1, fading=1,
+                                 slots=2 * engine._FADING_BLOCK + 1)
+        seeds = [drop_seed(config.seed, d) for d in range(3)]
+        snaps = {seed: build_snapshot(config, seed) for seed in seeds}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(seeds)) as callers:
+                got = list(callers.map(
+                    lambda seed: simulate(*snaps[seed], [config],
+                                          fading_seed=seed)[0], seeds))
+        finally:
+            sys.setswitchinterval(interval)
+        for seed, acc in zip(seeds, got):
+            assert_records_equal(acc, engine_oracle.simulate(
+                *snaps[seed], config, fading_seed=seed))
 
 
 class TestApplyDelay:
